@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _check_noise, _step_kernel
+from .collapse import TwoStateSystem, _check_noise, _step_kernel
 
 ENVELOPE_WIDTH_FRINGES = 4.0  # first zero of the single-slit envelope, in fringe units
 CENTRAL_WINDOW_FRINGES = 2.0  # visibility window: +-2 fringe periods

@@ -209,7 +209,9 @@ def _build_parser():
                        help="output directory (default: runs/<subcommand>)")
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker hint; results are independent of it (default: 1)")
+                       help="worker processes that share an ensemble, capped at the usable "
+                            "CPUs; other subcommands ignore it; results are independent "
+                            "of it (default: 1)")
     return parser
 
 
@@ -446,7 +448,8 @@ def _run_ensemble(cfg: RunConfig):
     params = cfg.parameters
     sys_, init, proc = _collapse_pieces(params, cfg.seed)
     report = collapse.run_ensemble(init, sys_, proc, params["n_runs"],
-                                   params["max_steps"], params["threshold"])
+                                   params["max_steps"], params["threshold"],
+                                   workers=cfg.threads)
     payload = {
         "n_runs": report.n_runs,
         "counts": report.counts,

@@ -25,14 +25,18 @@ counter-based generator) or the deterministic alternating sequence
 (-1)^n sigma.  Trajectory k of an ensemble uses key seed + k, so ensembles
 are reproducible independently of execution order; the vectorized ensemble
 runner performs the same arithmetic as the scalar stepper and is therefore
-bit-identical to it.
+bit-identical to it, however the ensemble is split into blocks or across
+worker processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +50,20 @@ AMPLITUDE_FLOOR = 1e-9
 #: of the reference system lands in the 1e3..1e4 step range instead, with
 #: 4x headroom below the |N| < 1 perturbative guard.
 DEFAULT_SIGMA_STAR = 0.55
+
+#: Most trajectories one ensemble block advances in lockstep.  It bounds the
+#: (width, chunk) noise buffer of a block, so memory stops growing with n_runs.
+ENSEMBLE_BLOCK = 16384
+
+_ROW_PAD = 8  # doubles appended to each noise-buffer row
+_FIRST_CHUNK = 64  # noise values per trajectory in an ensemble's first chunk
+_U64 = (1 << 64) - 1
+
+# Ensemble workers fork on Linux: a spawned worker re-imports relqlab, scipy
+# included, which takes longer than its share of a default ensemble.  They
+# run only elementwise numpy and Philox code, never BLAS or other threads.
+# Elsewhere the platform's default start method applies.
+_POOL_START_METHOD = "fork" if sys.platform == "linux" else None
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -185,29 +203,40 @@ def _step_kernel(a0, a1, n0, n1, r):
     Handles the amplitude floor (declare collapsed, never divide by the
     vanishing amplitude) and the exact zero-noise fixed point.  Runners and
     the public stepper share this arithmetic so that all execution modes are
-    bit-identical.
+    bit-identical.  A batch without floor snaps or zero-noise freezes skips
+    the masks; the arithmetic, and so every bit, is the same on both routes.
     """
+    if isinstance(a0, np.ndarray) or isinstance(n0, np.ndarray):
+        plain = (np.min(a0) >= AMPLITUDE_FLOOR and np.min(a1) >= AMPLITUDE_FLOOR
+                 and (np.all(n0) or np.all(n1)))
+    else:
+        plain = a0 >= AMPLITUDE_FLOOR and a1 >= AMPLITUDE_FLOOR and (n0 != 0.0 or n1 != 0.0)
+    if plain:
+        return _mix(a0, a1, a0, a1, n0, n1, r)
+
     snap0 = a1 < AMPLITUDE_FLOOR  # level 1 gone: definite level 0
     snap1 = a0 < AMPLITUDE_FLOOR
     frozen = (n0 == 0.0) & (n1 == 0.0)
-    safe0 = np.where(snap1, 1.0, a0)
-    safe1 = np.where(snap0, 1.0, a1)
-
-    l00 = a0 * a0 + a1 * a1 * r
-    l11 = a1 * a1 + a0 * a0 / r
-    k0 = a0 * (1.0 - n0)
-    k1 = a1 * (1.0 - n1)
-    b0 = l00 * k0 + (a0 / safe1) * (1.0 - l00) * k1
-    b1 = (a1 / safe0) * (1.0 - l11) * k0 + l11 * k1
-    norm = np.sqrt(b0 * b0 + b1 * b1)
-    b0 = b0 / norm
-    b1 = b1 / norm
-
+    b0, b1 = _mix(a0, a1, np.where(snap1, 1.0, a0), np.where(snap0, 1.0, a1), n0, n1, r)
     b0 = np.where(frozen, a0, b0)
     b1 = np.where(frozen, a1, b1)
     b0 = np.where(snap0, 1.0, np.where(snap1, 0.0, b0))
     b1 = np.where(snap0, 0.0, np.where(snap1, 1.0, b1))
     return b0, b1
+
+
+def _mix(a0, a1, safe0, safe1, n0, n1, r):
+    """Kick, mix and renormalize; safe0/safe1 stand in for a0/a1 as divisors."""
+    p0 = a0 * a0
+    p1 = a1 * a1
+    l00 = p0 + p1 * r
+    l11 = p1 + p0 / r
+    k0 = a0 * (1.0 - n0)
+    k1 = a1 * (1.0 - n1)
+    b0 = l00 * k0 + (a0 / safe1) * (1.0 - l00) * k1
+    b1 = (a1 / safe0) * (1.0 - l11) * k0 + l11 * k1
+    norm = np.sqrt(b0 * b0 + b1 * b1)
+    return b0 / norm, b1 / norm
 
 
 def _check_noise(sys: TwoStateSystem, f_max):
@@ -292,67 +321,143 @@ def wilson_interval(successes, trials, z=_WILSON_Z):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def worker_count(requested, n_blocks):
+    """Worker processes to use: min(requested, usable CPUs, n_blocks), where
+    the usable CPUs are this process's affinity set (else all CPUs)."""
+    if not isinstance(requested, (int, np.integer)) or requested < 1:
+        raise ValueError(f"workers must be a positive integer, got {requested!r}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(int(requested), cpus, n_blocks))
+
+
+def _ensemble_blocks(n_runs, workers):
+    """Contiguous (k0, width) blocks of balanced width, at most ENSEMBLE_BLOCK
+    each, their number a multiple of workers (n_runs permitting)."""
+    n_blocks = -(-n_runs // ENSEMBLE_BLOCK)
+    n_blocks = min(n_runs, -(-n_blocks // workers) * workers)
+    edges = [i * n_runs // n_blocks for i in range(n_blocks + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+
+
+def _philox_at(key, blocks_drawn):
+    """Philox state of stream `key` after 4 * blocks_drawn doubles (numpy
+    Philox: one counter increment per four 64-bit outputs, buffer spent)."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": (blocks_drawn, 0, 0, 0), "key": (key & _U64, key >> 64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
+                    max_steps, threshold, chunk, block):
+    """Advance trajectories k0 .. k0 + width - 1 of a uniform-noise ensemble
+    from an initial state short of the threshold.
+
+    Noise comes in chunks whose length starts at _FIRST_CHUNK and doubles up
+    to `chunk` (both rounded to multiples of four, so every stream can be
+    resumed from its counter alone); the chunking never changes a value.
+    Returns the outcome and collapse-step arrays (-1 where unresolved).
+    Module-level so that worker processes can run it.
+    """
+    k0, width = block
+    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
+    r = np.float64(sys.r_ratio)
+    outcome = np.full(width, -1, dtype=np.int64)
+    steps_at = np.full(width, -1, dtype=np.int64)
+    gen = proc.make_generator(offset=k0)  # re-keyed per row; validates the lowest key
+    bitgen = gen.bit_generator
+    # uniform(-s, s) is -s + (s - (-s)) * random(): fill, scale, shift.
+    low, span_len = -proc.sigma, proc.sigma - (-proc.sigma)
+    chunk = -(-chunk // 4) * 4
+    buf = np.empty(width * (min(chunk, max_steps) + _ROW_PAD))
+    a0 = np.full(width, init.a0, dtype=np.float64)
+    a1 = np.full(width, init.a1, dtype=np.float64)
+    live = np.arange(width)  # block-local indices of the unresolved trajectories
+    step = 0
+    span = min(_FIRST_CHUNK, chunk)
+    while live.size and step < max_steps:
+        span = min(span, max_steps - step)
+        # Rows are padded by one cache line: a power-of-two row stride makes
+        # the per-step column reads collide in the cache.
+        stride = span + _ROW_PAD
+        noise = buf[:live.size * stride].reshape(live.size, stride)[:, :span]
+        for row, k in zip(noise, live):
+            bitgen.state = _philox_at(proc.seed + k0 + int(k), step // 4)
+            gen.random(out=row)
+        noise *= span_len
+        noise += low
+        rows = np.arange(live.size)  # noise rows of the trajectories still stepping
+        for j in range(span):
+            f = noise[rows, j]
+            a0, a1 = _step_kernel(a0, a1, f * g0, f * g1, r)
+            hit = (a0 * a0 >= threshold) | (a1 * a1 >= threshold)
+            if hit.any():
+                done = live[rows[hit]]
+                outcome[done] = np.where(a0[hit] >= a1[hit], 0, 1)
+                steps_at[done] = step + j + 1
+                keep = ~hit
+                a0, a1, rows = a0[keep], a1[keep], rows[keep]
+                if not rows.size:
+                    break
+        step += span
+        span = min(2 * span, chunk)
+        live = live[rows]
+    return outcome, steps_at
+
+
+def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: NoiseProcess,
+                       n_runs, max_steps, threshold, chunk, workers):
+    """Per-trajectory outcome and collapse-step arrays (-1 where unresolved)."""
+    n_workers = worker_count(workers, n_runs)  # a block holds at least one trajectory
+    a0, a1 = init.a0, init.a1
+    if a0 * a0 >= threshold or a1 * a1 >= threshold:
+        return (np.full(n_runs, 0 if a0 >= a1 else 1, dtype=np.int64),
+                np.zeros(n_runs, dtype=np.int64))
+    if proc_base.mode == "alternating":
+        traj = run_trajectory(init, sys, proc_base, max_steps, threshold,
+                              history_stride=max_steps)
+        resolved = traj.outcome is not None
+        return (np.full(n_runs, traj.outcome if resolved else -1, dtype=np.int64),
+                np.full(n_runs, traj.steps_to_collapse if resolved else -1, dtype=np.int64))
+
+    blocks = _ensemble_blocks(n_runs, n_workers)  # at least n_workers blocks
+    advance = partial(_ensemble_block, init, sys, proc_base, max_steps, threshold, chunk)
+    if n_workers == 1:
+        parts = [advance(block) for block in blocks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        context = multiprocessing.get_context(_POOL_START_METHOD)
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
+            parts = list(pool.map(advance, blocks))
+    return (np.concatenate([outcome for outcome, _ in parts]),
+            np.concatenate([steps_at for _, steps_at in parts]))
+
+
 def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: NoiseProcess,
-                 n_runs, max_steps, threshold, chunk=1024) -> EnsembleReport:
+                 n_runs, max_steps, threshold, chunk=1024, workers=1) -> EnsembleReport:
     """Repeat the trajectory with seeds seed + k, k = 0..n_runs-1.
 
-    Trajectories advance in vectorized lockstep; each consumes its own Philox
-    stream, so the per-trajectory results equal scalar run_trajectory calls
-    bit for bit and are independent of the execution decomposition.
+    Uniform-noise trajectories advance in vectorized lockstep, in blocks of
+    at most ENSEMBLE_BLOCK that up to `workers` processes share (see
+    worker_count); each consumes its own Philox stream, so the
+    per-trajectory results equal scalar run_trajectory calls bit for bit and
+    are independent of chunk, blocks and workers.  Alternating noise is
+    deterministic: one trajectory is run and its result stands for all.
     """
     if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
+    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     if not (0.5 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     _check_noise(sys, proc_base.sigma)
-
-    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
-    r = np.float64(sys.r_ratio)
-    a0 = np.full(n_runs, init.a0, dtype=np.float64)
-    a1 = np.full(n_runs, init.a1, dtype=np.float64)
-    outcome = np.full(n_runs, -1, dtype=np.int64)
-    steps_at = np.full(n_runs, -1, dtype=np.int64)
-
-    done0 = (a0 * a0 >= threshold) | (a1 * a1 >= threshold)
-    if np.any(done0):
-        outcome[done0] = np.where(a0[done0] >= a1[done0], 0, 1)
-        steps_at[done0] = 0
-
-    gens = None
-    if proc_base.mode == "uniform":
-        gens = [proc_base.make_generator(offset=k) for k in range(n_runs)]
-    active = np.nonzero(outcome < 0)[0]
-    step = 0
-    while active.size and step < max_steps:
-        span = min(chunk, max_steps - step)
-        if proc_base.mode == "alternating":
-            signs = np.where((step + np.arange(span)) % 2 == 0, 1.0, -1.0)
-            f_block = np.broadcast_to(proc_base.sigma * signs, (active.size, span))
-        else:
-            f_block = np.stack([gens[k].uniform(-proc_base.sigma, proc_base.sigma, size=span)
-                                for k in active])
-        ca0 = a0[active]
-        ca1 = a1[active]
-        local_alive = np.ones(active.size, dtype=bool)
-        for j in range(span):
-            alive_idx = np.nonzero(local_alive)[0]
-            if alive_idx.size == 0:
-                break
-            f = f_block[alive_idx, j]
-            na0, na1 = _step_kernel(ca0[alive_idx], ca1[alive_idx], f * g0, f * g1, r)
-            ca0[alive_idx] = na0
-            ca1[alive_idx] = na1
-            hit = (na0 * na0 >= threshold) | (na1 * na1 >= threshold)
-            if np.any(hit):
-                hit_rows = alive_idx[hit]
-                traj = active[hit_rows]
-                outcome[traj] = np.where(ca0[hit_rows] >= ca1[hit_rows], 0, 1)
-                steps_at[traj] = step + j + 1
-                local_alive[hit_rows] = False
-        a0[active] = ca0
-        a1[active] = ca1
-        step += span
-        active = active[local_alive]
+    outcome, steps_at = _ensemble_outcomes(init, sys, proc_base, n_runs, max_steps,
+                                           threshold, chunk, workers)
 
     counts = {0: int(np.sum(outcome == 0)), 1: int(np.sum(outcome == 1))}
     unresolved = int(np.sum(outcome < 0))

@@ -2,12 +2,15 @@
 determinism, and the general mixing-matrix oracle."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from relqlab import collapse
 from relqlab.collapse import (
+    AMPLITUDE_FLOOR,
     DEFAULT_SIGMA_STAR,
     NoiseProcess,
     NoiseTooLargeError,
@@ -21,6 +24,7 @@ from relqlab.collapse import (
     run_ensemble,
     run_trajectory,
     wilson_interval,
+    worker_count,
 )
 from relqlab.evolution import FieldConfig, SpatialGrid, WaveFunction, dispersion, plane_wave
 
@@ -251,22 +255,169 @@ def test_ensemble_counts_partition():
     assert report.counts[0] + report.counts[1] + report.unresolved == 200
 
 
-def test_ensemble_matches_scalar_trajectories_bitwise():
+def _scalar_runs(init, base, n_runs, max_steps):
+    """Outcome and collapse-step arrays (-1 where unresolved) of scalar runs."""
+    outcomes, steps = [], []
+    for k in range(n_runs):
+        traj = run_trajectory(init, REF_SYS, base.with_seed(base.seed + k),
+                              max_steps=max_steps, threshold=0.999, history_stride=10**9)
+        outcomes.append(-1 if traj.outcome is None else traj.outcome)
+        steps.append(-1 if traj.steps_to_collapse is None else traj.steps_to_collapse)
+    return np.array(outcomes), np.array(steps)
+
+
+_REF_BASE = uniform_noise(0.55, seed=900)
+
+
+@pytest.fixture(scope="module")
+def scalar_reference():
+    return _scalar_runs(SYM_INIT, _REF_BASE, 16, 50_000)
+
+
+def _assert_matches_scalar(reference, workers, chunk):
+    ref_outcome, ref_steps = reference
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, _REF_BASE, 16, 50_000,
+                                                 0.999, chunk, workers)
+    np.testing.assert_array_equal(outcome, ref_outcome)
+    np.testing.assert_array_equal(steps, ref_steps)
+    report = run_ensemble(SYM_INIT, REF_SYS, _REF_BASE, n_runs=16, max_steps=50_000,
+                          threshold=0.999, chunk=chunk, workers=workers)
+    assert report.counts[0] == int(np.sum(ref_outcome == 0))
+    assert report.counts[1] == int(np.sum(ref_outcome == 1))
+    assert report.median_steps == float(np.median(ref_steps[ref_steps >= 0]))
+
+
+def test_ensemble_matches_scalar_trajectories_bitwise(scalar_reference):
     # trajectory k of the ensemble consumes the stream keyed seed + k; the
     # vectorized lockstep must reproduce scalar runs exactly
-    base = uniform_noise(0.55, seed=900)
-    report = run_ensemble(SYM_INIT, REF_SYS, base, n_runs=16, max_steps=50_000,
+    _assert_matches_scalar(scalar_reference, workers=1, chunk=1024)
+
+
+@pytest.mark.parametrize("block_cap", [collapse.ENSEMBLE_BLOCK, 5])
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_split_matches_scalar_trajectories_bitwise(scalar_reference, monkeypatch,
+                                                            workers, chunk, block_cap):
+    # the same, whatever the chunk length, the block split and the number
+    # of worker processes
+    monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", block_cap)
+    _assert_matches_scalar(scalar_reference, workers, chunk)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_past_threshold_matches_scalar(workers):
+    # an initial state already past the threshold collapses at step 0
+    init = TwoStateAmplitudes(a0=math.sqrt(0.0005), a1=math.sqrt(0.9995))
+    base = uniform_noise(0.55, seed=4)
+    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, 6, 100, 0.999, 7, workers)
+    ref_outcome, ref_steps = _scalar_runs(init, base, 6, 100)
+    np.testing.assert_array_equal(outcome, ref_outcome)
+    np.testing.assert_array_equal(steps, ref_steps)
+    assert np.all(steps == 0) and np.all(outcome == 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_zero_noise_matches_scalar(workers, monkeypatch):
+    # sigma = 0 freezes every trajectory (the masked kernel route)
+    monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", 3)
+    base = uniform_noise(0.0, seed=8)
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 7, 300, 0.999, 64,
+                                                 workers)
+    ref_outcome, ref_steps = _scalar_runs(SYM_INIT, base, 7, 300)
+    np.testing.assert_array_equal(outcome, ref_outcome)
+    np.testing.assert_array_equal(steps, ref_steps)
+    assert np.all(outcome == -1)
+    report = run_ensemble(SYM_INIT, REF_SYS, base, 7, 300, 0.999, workers=workers)
+    assert report.unresolved == 7 and report.median_steps is None
+
+
+def test_ensemble_keys_crossing_64_bits_match_scalar():
+    # Philox keys are 128-bit; the block runner re-keys one generator per row
+    base = uniform_noise(0.55, seed=2**64 - 3)
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 6, 20_000, 0.999,
+                                                 64, 1)
+    ref_outcome, ref_steps = _scalar_runs(SYM_INIT, base, 6, 20_000)
+    np.testing.assert_array_equal(outcome, ref_outcome)
+    np.testing.assert_array_equal(steps, ref_steps)
+    assert np.all(steps > 0)
+
+
+def test_ensemble_alternating_broadcasts_one_trajectory():
+    proc = NoiseProcess(delta=1.0, sigma=DEFAULT_SIGMA_STAR, seed=0, mode="alternating")
+    traj = run_trajectory(SYM_INIT, REF_SYS, proc, max_steps=100_000, threshold=0.999)
+    report = run_ensemble(SYM_INIT, REF_SYS, proc, n_runs=500, max_steps=100_000,
                           threshold=0.999)
-    outcomes, steps = [], []
-    for k in range(16):
-        traj = run_trajectory(SYM_INIT, REF_SYS, base.with_seed(900 + k),
-                              max_steps=50_000, threshold=0.999, history_stride=10**9)
-        outcomes.append(traj.outcome)
-        steps.append(traj.steps_to_collapse)
-    assert report.counts[0] == sum(1 for o in outcomes if o == 0)
-    assert report.counts[1] == sum(1 for o in outcomes if o == 1)
-    collapsed = [s for s in steps if s is not None]
-    assert report.median_steps == pytest.approx(float(np.median(collapsed)))
+    assert traj.outcome is not None
+    assert report.counts[traj.outcome] == 500 and report.unresolved == 0
+    assert report.median_steps == float(traj.steps_to_collapse)
+    short = run_ensemble(SYM_INIT, REF_SYS, proc, n_runs=500, max_steps=10, threshold=0.999)
+    assert short.unresolved == 500 and short.median_steps is None
+
+
+def test_worker_count_caps_without_starting_processes():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert worker_count(10**6, 10**6) == cpus
+    assert worker_count(10**6, 1) == 1
+    assert worker_count(1, 10**6) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            worker_count(bad, 4)
+
+
+@pytest.mark.parametrize("n_runs, workers", [(1, 1), (7, 2), (10_000, 2), (40_000, 2),
+                                             (50_000, 1), (3, 8)])
+def test_ensemble_blocks_partition_runs(n_runs, workers):
+    blocks = collapse._ensemble_blocks(n_runs, workers)
+    assert blocks[0][0] == 0
+    assert all(k0 + w == nxt for (k0, w), (nxt, _) in zip(blocks, blocks[1:]))
+    assert sum(w for _, w in blocks) == n_runs
+    assert all(1 <= w <= collapse.ENSEMBLE_BLOCK for _, w in blocks)
+    assert max(w for _, w in blocks) - min(w for _, w in blocks) <= 1
+    assert len(blocks) % workers == 0 or len(blocks) == n_runs
+
+
+def test_ensemble_single_worker_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single worker must run in-process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", 4)
+    report = run_ensemble(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), n_runs=10,
+                          max_steps=200, threshold=0.999, workers=1)
+    assert report.n_runs == 10
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_step_kernel_batch_equals_elementwise_bitwise():
+    # snapped, frozen and ordinary elements in one batch take the masked
+    # route; each element alone (ordinary ones take the unmasked route) must
+    # give the same bits, and so must the ordinary elements as a batch
+    gen = np.random.default_rng(12)
+    a0 = gen.uniform(0.05, 0.95, 12)
+    a0[[0, 5]] = [0.5 * AMPLITUDE_FLOOR, 1.0]  # level 0 gone / definite level 0
+    a1 = np.sqrt(1.0 - a0 * a0)
+    a1[5] = 0.25 * AMPLITUDE_FLOOR
+    f = gen.uniform(-0.5, 0.5, 12)
+    f[[3, 8]] = 0.0  # zero-noise freezes
+    g0, g1 = REF_SYS.kick_gain(0), REF_SYS.kick_gain(1)
+    n0, n1 = f * g0, f * g1
+    r = np.float64(REF_SYS.r_ratio)
+    b0, b1 = collapse._step_kernel(a0, a1, n0, n1, r)
+    for i in range(a0.size):
+        s0, s1 = collapse._step_kernel(a0[i], a1[i], n0[i], n1[i], r)
+        w0, w1 = collapse._step_kernel(a0[i:i + 1], a1[i:i + 1], n0[i:i + 1], n1[i:i + 1], r)
+        assert _bits(s0) == _bits(w0) == _bits(b0[i])
+        assert _bits(s1) == _bits(w1) == _bits(b1[i])
+    assert (b0[0], b1[0]) == (0.0, 1.0) and (b0[5], b1[5]) == (1.0, 0.0)
+    assert (b0[3], b1[3]) == (a0[3], a1[3])
+    plain = np.setdiff1d(np.arange(a0.size), [0, 3, 5, 8])
+    p0, p1 = collapse._step_kernel(a0[plain], a1[plain], n0[plain], n1[plain], r)
+    assert _bits(p0) == _bits(b0[plain]) and _bits(p1) == _bits(b1[plain])
 
 
 def test_ensemble_rerun_identical():
