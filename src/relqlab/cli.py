@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__, abexp, collapse, evolution, pathweight, specfun
 
 SUBCOMMANDS = ("oracle", "kernel", "evolve", "collapse", "ensemble", "ab", "flux")
+CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by _write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,16 @@ def _build_parser():
     return parser
 
 
+def _coerce(key, typ, value):
+    """typ(value), except that an int refuses booleans and non-integral floats."""
+    if typ is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key}: must be an integer (got {value!r})")
+    try:
+        return typ(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}: cannot interpret {value!r} as {typ.__name__}") from None
+
+
 def parse_and_validate(argv) -> RunConfig:
     """Resolve defaults, config file, and flags into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
@@ -223,7 +234,7 @@ def parse_and_validate(argv) -> RunConfig:
     known = {p.name for p in schema}
 
     resolved = {p.name: p.default for p in schema}
-    seed, out, threads = 0, None, 1
+    run = {"seed": 0, "out": None, "threads": 1}  # settings outside the schema
 
     if args.config is not None:
         try:
@@ -233,45 +244,31 @@ def parse_and_validate(argv) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object keyed by subcommand")
         for section in raw:
-            if section not in SUBCOMMANDS and section not in ("seed", "out", "threads"):
+            if section not in SUBCOMMANDS and section not in run:
                 raise ValueError(f"config section {section!r} is not a subcommand")
         section = raw.get(name, {})
         if not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be an object")
         for key, value in section.items():
-            if key == "seed":
-                seed = int(value)
-                continue
-            if key == "threads":
-                threads = int(value)
-                continue
-            if key not in known:
+            if key in ("seed", "threads"):
+                run[key] = _coerce(f"{name}.{key}", int, value)
+            elif key in known:
+                resolved[key] = value
+            else:
                 raise ValueError(f"unknown key {key!r} in config section {name!r}")
-            resolved[key] = value
-        if "seed" in raw:
-            seed = int(raw["seed"])
+        for key in ("seed", "threads"):  # the top level wins over the section
+            if key in raw:
+                run[key] = _coerce(key, int, raw[key])
         if "out" in raw:
-            out = str(raw["out"])
-        if "threads" in raw:
-            threads = int(raw["threads"])
+            run["out"] = str(raw["out"])
 
-    for prm in schema:
-        given = getattr(args, prm.name)
+    for key in [*known, *run]:
+        given = getattr(args, key)
         if given is not None:
-            resolved[prm.name] = given
-    if args.seed is not None:
-        seed = args.seed
-    if args.out is not None:
-        out = args.out
-    if args.threads is not None:
-        threads = args.threads
+            (resolved if key in known else run)[key] = given
 
     for prm in schema:
-        value = resolved[prm.name]
-        try:
-            value = prm.type(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name}.{prm.name}: cannot interpret {value!r} as {prm.type.__name__}")
+        value = _coerce(f"{name}.{prm.name}", prm.type, resolved[prm.name])
         if prm.choices and value not in prm.choices:
             raise ValueError(f"{name}.{prm.name}: must be one of {prm.choices}, got {value!r}")
         if prm.check is not None:
@@ -280,30 +277,27 @@ def parse_and_validate(argv) -> RunConfig:
                 raise ValueError(f"{name}.{prm.name}: {msg} (got {value!r})")
         resolved[prm.name] = value
 
-    if threads < 1:
-        raise ValueError(f"{name}.threads: must be >= 1 (got {threads!r})")
-    output_dir = Path(out) if out is not None else Path("runs") / name
-    return RunConfig(subcommand=name, parameters=resolved, seed=seed,
-                     output_dir=output_dir, threads=threads)
+    if run["threads"] < 1:
+        raise ValueError(f"{name}.threads: must be >= 1 (got {run['threads']!r})")
+    output_dir = Path(run["out"]) if run["out"] is not None else Path("runs") / name
+    return RunConfig(subcommand=name, parameters=resolved, seed=run["seed"],
+                     output_dir=output_dir, threads=run["threads"])
 
 
 # ---------------------------------------------------------------------------
 # emission helpers
 
 
-def _cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.16e}"
-
-
 def _write_csv(path: Path, header, columns):
-    rows = zip(*columns)
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Integer and bool columns as %d, all others as %.16e, streamed in row
+    blocks so the text of a large snapshot never sits in memory at once."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.16e" for c in columns) + "\n"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(fmt % row for row in zip(*block)))
 
 
 def _jsonable(obj):
@@ -323,8 +317,8 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _sha256(path: Path):

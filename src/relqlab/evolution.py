@@ -7,7 +7,8 @@ The evolution law in one dimension (natural units, hbar = c = 1) is
 with a uniform vector potential A0 and a real scalar potential V(x).  The
 square root is applied exactly on the discrete momentum basis of a periodic
 grid; V is applied in position space; one step is the Strang splitting
-half-V, kinetic, half-V, which is exact when V vanishes.
+half-V, kinetic, half-V, which is exact when V vanishes (the half-V factors,
+exactly 1, are then skipped).
 
 The whole-weight operator R_hat of the short-time kernel acts diagonally in
 momentum space with symbol
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.special import gamma as _gamma
 
 _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
@@ -178,12 +180,15 @@ def evolve(psi: WaveFunction, f: FieldConfig, dt, steps) -> WaveFunction:
     if f.v_samples.shape != (grid.n,):
         raise ValueError("potential samples must live on the wave function's grid")
     kin_phase = np.exp(-1j * dispersion(grid.p, f) * dt)
-    half_v = np.exp(-0.5j * f.v_samples * dt)
-    values = psi.values.copy()
+    half_v = np.exp(-0.5j * f.v_samples * dt) if np.any(f.v_samples) else None
+    values = psi.values
     for step in range(steps):
-        values = half_v * values
-        values = np.fft.ifft(kin_phase * np.fft.fft(values))
-        values = half_v * values
+        # Out of place, operands in this order: complex multiply is not bitwise commutative.
+        if half_v is not None:
+            values = half_v * values
+        values = scipy.fft.ifft(kin_phase * scipy.fft.fft(values))
+        if half_v is not None:
+            values = half_v * values
         if not np.all(np.isfinite(values.view(float))):
             raise RuntimeError(
                 f"evolution produced non-finite samples at step {step + 1} of {steps} "

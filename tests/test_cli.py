@@ -81,6 +81,82 @@ def test_module_error_surfaces_as_json(tmp_path, capsys):
     assert err["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"ensemble": {"n_runs": 3.7}}, "ensemble.n_runs"),
+    ({"ensemble": {"max_steps": True}}, "ensemble.max_steps"),
+    ({"seed": 2.9}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"ensemble": {"seed": 2.5}}, "ensemble.seed"),
+    ({"ensemble": {"seed": False}}, "ensemble.seed"),
+    ({"threads": 1.5}, "threads"),
+    ({"threads": True}, "threads"),
+    ({"ensemble": {"threads": 2.5}}, "ensemble.threads"),
+    ({"ensemble": {"threads": True}}, "ensemble.threads"),
+])
+def test_config_rejects_non_integral_and_boolean_integers(tmp_path, capsys, config, key):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps(config))
+    code = run_cli(["ensemble", "--config", cfg_file, "--out", tmp_path / "x"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert err["message"].startswith(key + ":")
+
+
+def test_config_accepts_integral_floats(tmp_path):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"ensemble": {"n_runs": 4.0, "seed": 3.0}, "threads": 2.0}))
+    cfg = cli.parse_and_validate(["ensemble", "--config", str(cfg_file)])
+    assert (cfg.parameters["n_runs"], cfg.seed, cfg.threads) == (4, 3, 2)
+    assert all(type(v) is int for v in (cfg.parameters["n_runs"], cfg.seed, cfg.threads))
+
+
+# ---------------------------------------------------------------------------
+# emission
+
+
+def _cell_reference(value):
+    """The per-cell CSV formatter the block writer replaced."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.16e}"
+
+
+def _write_csv_reference(path, header, columns):
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell_reference(v) for v in row) for row in zip(*columns))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.5e-300]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                                    cli.CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_per_cell_formatter(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n_rows]
+    ints = rng.integers(-2**62, 2**62, n_rows)
+    ints[:2] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max][:n_rows]
+    header = ["i64", "i32", "flag", "x", "py_int", "py_float"]
+    columns = [ints, ints.astype(np.int32), rng.random(n_rows) < 0.5, floats,
+               [int(v) for v in rng.integers(-5, 5, n_rows)], floats[::-1].tolist()]
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    _write_csv_reference(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="JSON"):
+        cli._write_json(path, {"norm_drift": float("nan")})
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # payloads
 

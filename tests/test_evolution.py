@@ -147,6 +147,35 @@ def test_evolve_validation():
 # whole-weight operator
 
 
+def _strang_reference(psi, f, dt, steps):
+    """Explicit Strang loop that always applies the half-V factors."""
+    kin_phase = np.exp(-1j * dispersion(psi.grid.p, f) * dt)
+    half_v = np.exp(-0.5j * f.v_samples * dt)
+    values = psi.values.copy()
+    for _ in range(steps):
+        values = half_v * values
+        values = np.fft.ifft(kin_phase * np.fft.fft(values))
+        values = half_v * values
+    return values
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("a0", [0.0, 0.7])
+@pytest.mark.parametrize("steps", [1, 37])
+@pytest.mark.parametrize("v_amp", [0.0, 0.05])
+def test_evolve_matches_explicit_strang_loop_bitwise(n, a0, steps, v_amp):
+    grid = SpatialGrid(n=n, length=200.0)
+    f = FieldConfig(a0=a0, v_samples=v_amp * np.cos(2 * np.pi * grid.x / grid.length), mass=1.0)
+    psi = gaussian_packet(grid, -40.0, 10.0, 0.5)
+    got = evolve(psi, f, 0.05, steps).values
+    assert got.tobytes() == _strang_reference(psi, f, 0.05, steps).tobytes()
+
+
+def test_evolve_aborts_on_non_finite_state():
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="at step 1 of 3"):
+        evolve(gaussian_packet(GRID, 0.0, 5.0, 0.0), FieldConfig.free(1e200, GRID), 0.05, 3)
+
+
 def test_apply_R_inverse_roundtrip():
     psi = gaussian_packet(GRID, 3.0, 6.0, 0.8)
     back = apply_R(apply_R(psi, FREE), FREE, inverse=True)
