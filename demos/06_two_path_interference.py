@@ -20,8 +20,7 @@ print(f"two-state mapping: e_left = {sys_.e0:.4f}, e_right = {sys_.e1:.4f}, "
 
 def run(flux, b1):
     cfg = ABConfig(flux=flux, b1_amp=b1, delta=1.0, tau_flight=6000.0,
-                   d_slit=10.0, wavelength=1.0, screen_points=257,
-                   n_electrons=1000, seed=0)
+                   d_slit=10.0, wavelength=1.0, screen_points=257)
     return simulate_ab(cfg, sys_)
 
 

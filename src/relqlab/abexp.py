@@ -3,15 +3,16 @@
 An electron reaching the screen either kept both path amplitudes (it
 contributes the two-slit interference form, phase-shifted by the enclosed
 flux) or collapsed onto one path (it contributes only that path's broad
-diffraction envelope).  Which of the two happens is decided by the two-state
-collapse engine: the left and right paths see the uniform potential with
+diffraction envelope).  Which of the two happens is decided by the scalar
+collapse loop: the left and right paths see the uniform potential with
 opposite sign, so they form a two-state system whose levels are kicked with
 opposite-sign noise amplitudes.
 
 The fluctuating field is the deterministic alternating sequence
 (-1)^n b1_amp over segments of duration delta; its integral over the flight
 time vanishes exactly because the flight spans an even number of segments,
-so a phase-only theory predicts no effect on the fringes.
+so a phase-only theory predicts no effect on the fringes.  Being
+deterministic, the field gives every electron the same trajectory.
 
 Screen coordinates are dimensionless fringe units: xi = (transverse
 position) * d_slit / (wavelength * screen distance), so the two-slit
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import TwoStateSystem, _check_noise, _step_kernel
+from .collapse import (NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _check_noise,
+                       _trajectory)
 
 ENVELOPE_WIDTH_FRINGES = 4.0  # first zero of the single-slit envelope, in fringe units
 CENTRAL_WINDOW_FRINGES = 2.0  # visibility window: +-2 fringe periods
@@ -43,7 +45,7 @@ class EnvelopeOnlyPatternError(ValueError):
 
 @dataclass(frozen=True)
 class ABConfig:
-    """Geometry, field, and run parameters of the two-path experiment.
+    """Geometry and field parameters of the two-path experiment.
 
     tau_flight must be an even multiple of delta so the alternating field
     integrates to zero over every flight.
@@ -56,8 +58,6 @@ class ABConfig:
     d_slit: float
     wavelength: float
     screen_points: int = 256
-    n_electrons: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.b1_amp >= 0 and math.isfinite(self.b1_amp)):
@@ -74,8 +74,6 @@ class ABConfig:
             raise ValueError("d_slit and wavelength must be positive")
         if self.screen_points < 64:
             raise ValueError(f"screen_points must be >= 64, got {self.screen_points!r}")
-        if self.n_electrons < 1:
-            raise ValueError(f"n_electrons must be >= 1, got {self.n_electrons!r}")
 
     @property
     def n_segments(self):
@@ -118,56 +116,38 @@ def two_state_for_paths(p_beam, a0_main, mass=1.0) -> TwoStateSystem:
     return TwoStateSystem(e0=e_left, e1=e_right)
 
 
-def _run_alternating_collapse(cfg: ABConfig, sys: TwoStateSystem, threshold):
-    """Collapse recursion over the flight under the alternating field.
-
-    The two levels are kicked with opposite signs (the paths run with and
-    against the potential).  The alternating sequence carries no randomness,
-    so every electron of a run shares this one trajectory.
-    """
-    _check_noise(sys, cfg.b1_amp)
-    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
-    r = np.float64(sys.r_ratio)
-    a0 = np.float64(1.0 / math.sqrt(2.0))
-    a1 = np.float64(1.0 / math.sqrt(2.0))
-    for step in range(cfg.n_segments):
-        f = cfg.b1_amp if step % 2 == 0 else -cfg.b1_amp
-        a0, a1 = _step_kernel(a0, a1, np.float64(f * g0), np.float64(-f * g1), r)
-        if a0 * a0 >= threshold or a1 * a1 >= threshold:
-            return (0 if a0 >= a1 else 1), step + 1
-    return None, None
-
-
 def _envelope(xi):
     s = np.sinc(xi / ENVELOPE_WIDTH_FRINGES)
     return s * s
 
 
 def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPattern:
-    """Accumulate the screen pattern over n_electrons flights.
+    """Screen pattern of a flight, which every electron shares.
 
-    Unresolved electrons contribute envelope * (1 + cos(2 pi xi + phase_AB));
-    collapsed electrons contribute the surviving path's envelope alone.
-    Returns the mean per-electron intensity with its fringe visibility
-    (zero, by convention, when the pattern carries no fringes).
+    Unresolved, it is envelope * (1 + cos(2 pi xi + phase_AB)) with
+    collapsed_fraction 0.0; collapsed, the surviving path's envelope alone
+    with collapsed_fraction 1.0.  The visibility is zero, by convention,
+    when the pattern carries no fringes.
     """
     xi = np.linspace(-2.0 * CENTRAL_WINDOW_FRINGES, 2.0 * CENTRAL_WINDOW_FRINGES,
                      cfg.screen_points)
-    outcome, _steps = _run_alternating_collapse(cfg, sys, threshold)
+    _check_noise(sys, cfg.b1_amp)
+    half = 1.0 / math.sqrt(2.0)
+    field = NoiseProcess(delta=cfg.delta, sigma=cfg.b1_amp, seed=0, mode="alternating")
+    outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half),
+                          (sys.kick_gain(0), -sys.kick_gain(1)), np.float64(sys.r_ratio),
+                          field, cfg.n_segments, threshold, cfg.n_segments).outcome
     env = _envelope(xi)
     if outcome is None:
-        n_unresolved = cfg.n_electrons
         intensity = env * (1.0 + np.cos(2.0 * np.pi * xi + ab_phase(cfg.flux)))
     else:
-        n_unresolved = 0
         intensity = env.copy()
     try:
         vis = fringe_visibility(xi, intensity)
     except EnvelopeOnlyPatternError:
         vis = 0.0
-    collapsed = cfg.n_electrons - n_unresolved
     return ScreenPattern(positions=xi, intensity=intensity, visibility=vis,
-                         collapsed_fraction=collapsed / cfg.n_electrons,
+                         collapsed_fraction=0.0 if outcome is None else 1.0,
                          collapse_outcome=outcome)
 
 

@@ -3,8 +3,8 @@ CSV/JSON emission with a run manifest.
 
 Every subcommand resolves its parameters from built-in defaults, then an
 optional flat JSON config file ({"<subcommand>": {key: value, ...}}), then
-command-line flags, in that order of increasing precedence.  Unknown keys
-and out-of-range values are rejected with the offending key named.
+command-line flags, in that order of increasing precedence.  Unknown keys,
+mistyped and out-of-range values are rejected with the offending key named.
 
 Data payloads are deterministic for a fixed seed and parameter set: CSV
 cells are written in scientific notation with 17 significant digits, JSON
@@ -141,7 +141,6 @@ SCHEMAS = {
         Param("d_slit", float, 10.0, "slit separation", _positive),
         Param("wavelength", float, 1.0, "de Broglie wavelength", _positive),
         Param("screen_points", int, 256, "screen samples", _int_min(64)),
-        Param("n_electrons", int, 1000, "electrons per run", _int_min(1)),
         Param("p_beam", float, 1.0, "beam momentum (units of m c)", _positive),
         Param("a0_main", float, 0.25, "uniform potential magnitude", _positive),
         Param("threshold", float, 0.999, "collapse threshold", _open_interval(0.5, 1.0)),
@@ -217,13 +216,23 @@ def _build_parser():
 
 
 def _coerce(key, typ, value):
-    """typ(value), except that an int refuses booleans and non-integral floats."""
-    if typ is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key}: must be an integer (got {value!r})")
+    """typ(value), except that numbers refuse booleans and strings, and an int
+    also refuses non-integral floats."""
+    if typ in (int, float) and isinstance(value, (bool, str)) or (
+            typ is int and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if typ is int else "a number"
+        raise ValueError(f"{key}: must be {kind} (got {value!r})")
     try:
         return typ(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key}: cannot interpret {value!r} as {typ.__name__}") from None
+
+
+def _run_setting(label, key, value):
+    """A config file's out (a string), seed or threads (integers)."""
+    if key == "out" and not isinstance(value, str):
+        raise ValueError(f"{label}: must be a string (got {value!r})")
+    return value if key == "out" else _coerce(label, int, value)
 
 
 def parse_and_validate(argv) -> RunConfig:
@@ -250,17 +259,15 @@ def parse_and_validate(argv) -> RunConfig:
         if not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be an object")
         for key, value in section.items():
-            if key in ("seed", "threads"):
-                run[key] = _coerce(f"{name}.{key}", int, value)
+            if key in run:
+                run[key] = _run_setting(f"{name}.{key}", key, value)
             elif key in known:
                 resolved[key] = value
             else:
                 raise ValueError(f"unknown key {key!r} in config section {name!r}")
-        for key in ("seed", "threads"):  # the top level wins over the section
+        for key in run:  # the top level wins over the section
             if key in raw:
-                run[key] = _coerce(key, int, raw[key])
-        if "out" in raw:
-            run["out"] = str(raw["out"])
+                run[key] = _run_setting(key, key, raw[key])
 
     for key in [*known, *run]:
         given = getattr(args, key)
@@ -277,8 +284,9 @@ def parse_and_validate(argv) -> RunConfig:
                 raise ValueError(f"{name}.{prm.name}: {msg} (got {value!r})")
         resolved[prm.name] = value
 
-    if run["threads"] < 1:
-        raise ValueError(f"{name}.threads: must be >= 1 (got {run['threads']!r})")
+    for key, lowest in (("seed", 0), ("threads", 1)):
+        if run[key] < lowest:
+            raise ValueError(f"{name}.{key}: must be >= {lowest} (got {run[key]!r})")
     output_dir = Path(run["out"]) if run["out"] is not None else Path("runs") / name
     return RunConfig(subcommand=name, parameters=resolved, seed=run["seed"],
                      output_dir=output_dir, threads=run["threads"])
@@ -421,17 +429,14 @@ def _run_collapse(cfg: RunConfig):
     sys_, init, proc = _collapse_pieces(params, cfg.seed)
     traj = collapse.run_trajectory(init, sys_, proc, params["max_steps"],
                                    params["threshold"], params["history_stride"])
-    steps_rec = traj.history[:, 0].astype(int)
-    n_noise = int(steps_rec.max()) if steps_rec.size else 0
-    f_seq = collapse.generate_noise(proc, max(1, n_noise))
-    f_col = np.where(steps_rec >= 1, f_seq[np.maximum(steps_rec - 1, 0)], 0.0)
+    hist = traj.history
     hist_path = cfg.output_dir / "collapse_history.csv"
     _write_csv(hist_path, ["step", "a0sq", "a1sq", "f"],
-               [steps_rec, traj.history[:, 1], traj.history[:, 2], f_col])
+               [hist[:, 0].astype(int), hist[:, 1], hist[:, 2], hist[:, 3]])
     summary = {
         "outcome": traj.outcome,
         "steps_to_collapse": traj.steps_to_collapse,
-        "records": int(steps_rec.size),
+        "records": len(hist),
     }
     sum_path = cfg.output_dir / "collapse_summary.json"
     _write_json(sum_path, summary)
@@ -465,7 +470,6 @@ def _run_ab(cfg: RunConfig):
         flux=params["flux"], b1_amp=params["b1_amp"], delta=params["delta"],
         tau_flight=params["tau_flight"], d_slit=params["d_slit"],
         wavelength=params["wavelength"], screen_points=params["screen_points"],
-        n_electrons=params["n_electrons"], seed=cfg.seed,
     )
     sys_ = abexp.two_state_for_paths(params["p_beam"], params["a0_main"])
     pattern = abexp.simulate_ab(ab_cfg, sys_, threshold=params["threshold"])

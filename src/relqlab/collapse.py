@@ -22,11 +22,11 @@ collapsed to the dominant index instead of dividing by it.
 
 Noise segments are uniform i.i.d. on [-sigma, sigma] (seeded, Philox
 counter-based generator) or the deterministic alternating sequence
-(-1)^n sigma.  Trajectory k of an ensemble uses key seed + k, so ensembles
-are reproducible independently of execution order; the vectorized ensemble
-runner performs the same arithmetic as the scalar stepper and is therefore
-bit-identical to it, however the ensemble is split into blocks or across
-worker processes.
+(-1)^n sigma, both drawn by one filler.  Trajectory k of an ensemble uses key
+seed + k, so ensembles are reproducible independently of execution order.
+The scalar loop (width 1, with history) and the lockstep ensemble loop do
+the same arithmetic, so ensembles are bit-identical to scalar runs, however
+they are split into blocks or across worker processes.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ DEFAULT_SIGMA_STAR = 0.55
 ENSEMBLE_BLOCK = 16384
 
 _ROW_PAD = 8  # doubles appended to each noise-buffer row
-_FIRST_CHUNK = 64  # noise values per trajectory in an ensemble's first chunk
+_FIRST_CHUNK = 64  # noise values per trajectory in a run's first chunk
+_TRAJ_CHUNK = 1024  # largest noise chunk of a scalar trajectory
 _U64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
 # Ensemble workers fork on Linux: a spawned worker re-imports relqlab, scipy
 # included, which takes longer than its share of a default ensemble.  They
@@ -138,6 +140,8 @@ class NoiseProcess:
             raise ValueError(f"sigma must be non-negative, got {self.sigma!r}")
         if self.mode not in ("uniform", "alternating"):
             raise ValueError(f"mode must be 'uniform' or 'alternating', got {self.mode!r}")
+        if not 0 <= self.seed < _KEY_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**128) (a Philox key), got {self.seed!r}")
 
     def make_generator(self, offset=0):
         return np.random.Generator(np.random.Philox(key=self.seed + offset))
@@ -148,7 +152,7 @@ class NoiseProcess:
 
 @dataclass(frozen=True)
 class CollapseTrajectory:
-    """Recorded history (step, a0^2, a1^2), final outcome, and collapse step."""
+    """Recorded history (step, a0^2, a1^2, f), final outcome, and collapse step."""
 
     history: np.ndarray
     outcome: int | None
@@ -167,15 +171,41 @@ class EnsembleReport:
     median_steps: float | None
 
 
-def generate_noise(proc: NoiseProcess, n_steps):
-    """Noise segment values f_0 .. f_{n_steps-1} for the process."""
+def _philox_at(key, blocks_drawn):
+    """Philox state of stream `key` after 4 * blocks_drawn doubles (numpy
+    Philox: one counter increment per four 64-bit outputs, buffer spent)."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": (blocks_drawn, 0, 0, 0), "key": (key & _U64, key >> 64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _fill_noise(proc: NoiseProcess, gen, keys, start, out):
+    """Fill row i of `out` with noise values start, start + 1, ... of stream
+    keys[i] (Python ints; start a multiple of four).  gen is a Philox
+    Generator, re-keyed per row; alternating noise ignores it."""
+    if proc.mode == "alternating":
+        out[:] = np.where((start + np.arange(out.shape[1])) % 2 == 0, proc.sigma, -proc.sigma)
+        return
+    bitgen = gen.bit_generator
+    for row, key in zip(out, keys):
+        bitgen.state = _philox_at(key, start // 4)
+        gen.random(out=row)
+    # uniform(-s, s) is -s + (s - (-s)) * random(): fill, scale, shift.
+    out *= proc.sigma - (-proc.sigma)
+    out += -proc.sigma
+
+
+def generate_noise(proc: NoiseProcess, n_steps, start=0):
+    """Noise segment values f_start .. f_{start+n_steps-1} for the process;
+    start must be a non-negative multiple of four."""
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if proc.mode == "alternating":
-        signs = np.where(np.arange(n_steps) % 2 == 0, 1.0, -1.0)
-        return proc.sigma * signs
-    gen = proc.make_generator()
-    return gen.uniform(-proc.sigma, proc.sigma, size=n_steps)
+    if not isinstance(start, (int, np.integer)) or start < 0 or start % 4:
+        raise ValueError(f"start must be a non-negative multiple of 4, got {start!r}")
+    values = np.empty(n_steps)
+    gen = proc.make_generator() if proc.mode == "uniform" else None
+    _fill_noise(proc, gen, [proc.seed], int(start), values[None])
+    return values
 
 
 def noise_kick(sys: TwoStateSystem, a_value, level, f):
@@ -258,20 +288,43 @@ def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStat
     return TwoStateAmplitudes(a0=float(b0), a1=float(b1))
 
 
-def _noise_values(proc: NoiseProcess, gen, start, count):
-    if proc.mode == "alternating":
-        signs = np.where((start + np.arange(count)) % 2 == 0, 1.0, -1.0)
-        return proc.sigma * signs
-    return gen.uniform(-proc.sigma, proc.sigma, size=count)
+def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_steps,
+                threshold, history_stride) -> CollapseTrajectory:
+    """The width-1 stepping loop behind run_trajectory, kicking level m by
+    f * gains[m]; noise comes in chunks of _FIRST_CHUNK values doubling up to
+    _TRAJ_CHUNK."""
+    g0, g1 = gains
+    a0 = np.float64(init.a0)
+    a1 = np.float64(init.a1)
+    history = [(0, float(a0 * a0), float(a1 * a1), 0.0)]
+    hit = a0 * a0 >= threshold or a1 * a1 >= threshold
+    step = 0
+    span = _FIRST_CHUNK
+    while not hit and step < max_steps:
+        for f in generate_noise(proc, min(span, max_steps - step), step).tolist():
+            step += 1
+            a0, a1 = _step_kernel(a0, a1, np.float64(f * g0), np.float64(f * g1), r)
+            if step % history_stride == 0:
+                history.append((step, float(a0 * a0), float(a1 * a1), f))
+            hit = a0 * a0 >= threshold or a1 * a1 >= threshold
+            if hit:
+                break
+        span = min(2 * span, _TRAJ_CHUNK)
+    if history[-1][0] != step:
+        history.append((step, float(a0 * a0), float(a1 * a1), f))
+    outcome = (0 if a0 >= a1 else 1) if hit else None
+    return CollapseTrajectory(history=np.array(history), outcome=outcome,
+                              steps_to_collapse=step if hit else None)
 
 
 def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
                    max_steps, threshold, history_stride=1) -> CollapseTrajectory:
     """Iterate collapse steps until one probability reaches the threshold.
 
-    threshold must lie in (0.5, 1).  History records (step, a0^2, a1^2) at
-    step 0, every history_stride steps, and at termination.  Outcome is the
-    dominant index on collapse, None if max_steps is exhausted first.
+    threshold must lie in (0.5, 1).  History records (step, a0^2, a1^2, f),
+    f the step's noise value (0.0 at step 0), at step 0, every
+    history_stride steps, and at termination.  Outcome is the dominant index
+    on collapse, None if max_steps is exhausted first.
     """
     if not (0.5 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
@@ -280,34 +333,8 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
         raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
     _check_noise(sys, proc.sigma)
-
-    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
-    r = np.float64(sys.r_ratio)
-    a0 = np.float64(init.a0)
-    a1 = np.float64(init.a1)
-    history = [(0, float(a0 * a0), float(a1 * a1))]
-    if a0 * a0 >= threshold or a1 * a1 >= threshold:
-        outcome = 0 if a0 >= a1 else 1
-        return CollapseTrajectory(history=np.array(history), outcome=outcome,
-                                  steps_to_collapse=0)
-
-    gen = proc.make_generator()
-    outcome = None
-    steps_done = None
-    for step in range(1, max_steps + 1):
-        f = _noise_values(proc, gen, step - 1, 1)[0]
-        a0, a1 = _step_kernel(a0, a1, np.float64(f * g0), np.float64(f * g1), r)
-        if step % history_stride == 0:
-            history.append((step, float(a0 * a0), float(a1 * a1)))
-        if a0 * a0 >= threshold or a1 * a1 >= threshold:
-            outcome = 0 if a0 >= a1 else 1
-            steps_done = step
-            break
-    if history[-1][0] != (steps_done if steps_done is not None else max_steps):
-        last = steps_done if steps_done is not None else max_steps
-        history.append((last, float(a0 * a0), float(a1 * a1)))
-    return CollapseTrajectory(history=np.array(history), outcome=outcome,
-                              steps_to_collapse=steps_done)
+    return _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), np.float64(sys.r_ratio),
+                       proc, max_steps, threshold, history_stride)
 
 
 def wilson_interval(successes, trials, z=_WILSON_Z):
@@ -342,14 +369,6 @@ def _ensemble_blocks(n_runs, workers):
     return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
 
 
-def _philox_at(key, blocks_drawn):
-    """Philox state of stream `key` after 4 * blocks_drawn doubles (numpy
-    Philox: one counter increment per four 64-bit outputs, buffer spent)."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": (blocks_drawn, 0, 0, 0), "key": (key & _U64, key >> 64)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
 def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
                     max_steps, threshold, chunk, block):
     """Advance trajectories k0 .. k0 + width - 1 of a uniform-noise ensemble
@@ -367,9 +386,6 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     outcome = np.full(width, -1, dtype=np.int64)
     steps_at = np.full(width, -1, dtype=np.int64)
     gen = proc.make_generator(offset=k0)  # re-keyed per row; validates the lowest key
-    bitgen = gen.bit_generator
-    # uniform(-s, s) is -s + (s - (-s)) * random(): fill, scale, shift.
-    low, span_len = -proc.sigma, proc.sigma - (-proc.sigma)
     chunk = -(-chunk // 4) * 4
     buf = np.empty(width * (min(chunk, max_steps) + _ROW_PAD))
     a0 = np.full(width, init.a0, dtype=np.float64)
@@ -383,11 +399,7 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
         # the per-step column reads collide in the cache.
         stride = span + _ROW_PAD
         noise = buf[:live.size * stride].reshape(live.size, stride)[:, :span]
-        for row, k in zip(noise, live):
-            bitgen.state = _philox_at(proc.seed + k0 + int(k), step // 4)
-            gen.random(out=row)
-        noise *= span_len
-        noise += low
+        _fill_noise(proc, gen, [proc.seed + k0 + k for k in live.tolist()], step, noise)
         rows = np.arange(live.size)  # noise rows of the trajectories still stepping
         for j in range(span):
             f = noise[rows, j]
@@ -449,6 +461,8 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     """
     if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
+    if proc_base.seed + n_runs - 1 >= _KEY_LIMIT:
+        raise ValueError(f"seed + n_runs - 1 must be < 2**128, got seed {proc_base.seed!r}")
     if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     if not (0.5 < threshold < 1.0):

@@ -16,14 +16,14 @@ from relqlab.abexp import (
     simulate_ab,
     two_state_for_paths,
 )
+from relqlab.collapse import _step_kernel
 
 BEAM = dict(p_beam=1.0, a0_main=0.25)
 
 
 def make_config(**overrides):
     params = dict(flux=0.0, b1_amp=0.0, delta=1.0, tau_flight=6000.0,
-                  d_slit=10.0, wavelength=1.0, screen_points=256,
-                  n_electrons=500, seed=0)
+                  d_slit=10.0, wavelength=1.0, screen_points=256)
     params.update(overrides)
     return ABConfig(**params)
 
@@ -66,8 +66,6 @@ def test_config_validation():
         make_config(screen_points=32)
     with pytest.raises(ValueError):
         make_config(b1_amp=-0.1)
-    with pytest.raises(ValueError):
-        make_config(n_electrons=0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +161,32 @@ def test_collapsed_pattern_is_pure_envelope():
     np.testing.assert_allclose(pattern.intensity, _envelope(pattern.positions), atol=1e-14)
 
 
-def test_visibility_independent_of_electron_count():
+def _alternating_outcome_reference(cfg, sys_, threshold):
+    """Collapse outcome of the flight from an explicit loop: segment n has
+    field (-1)^n b1_amp, level 0 is kicked by f * g0 and level 1 by -f * g1."""
+    g0, g1, r = sys_.kick_gain(0), sys_.kick_gain(1), np.float64(sys_.r_ratio)
+    a0 = a1 = np.float64(1.0 / math.sqrt(2.0))
+    for step in range(cfg.n_segments):
+        f = cfg.b1_amp if step % 2 == 0 else -cfg.b1_amp
+        a0, a1 = _step_kernel(a0, a1, np.float64(f * g0), np.float64(-f * g1), r)
+        if a0 * a0 >= threshold or a1 * a1 >= threshold:
+            return 0 if a0 >= a1 else 1
+    return None
+
+
+@pytest.mark.parametrize("b1_amp, collapses", [(0.0, False), (0.05, False),
+                                               (DEFAULT_B1_STAR, True), (0.5, True)])
+def test_simulate_ab_matches_reference_loop_bitwise(b1_amp, collapses):
+    from relqlab.abexp import _envelope
     sys_ = two_state_for_paths(**BEAM)
-    a = simulate_ab(make_config(b1_amp=0.0, n_electrons=10), sys_)
-    b = simulate_ab(make_config(b1_amp=0.0, n_electrons=5000), sys_)
-    assert a.visibility == pytest.approx(b.visibility, abs=1e-14)
+    cfg = make_config(b1_amp=b1_amp, flux=0.7)
+    outcome = _alternating_outcome_reference(cfg, sys_, 0.999)
+    assert (outcome is not None) == collapses
+    pattern = simulate_ab(cfg, sys_)
+    xi = pattern.positions
+    expected = _envelope(xi)
+    if outcome is None:
+        expected = expected * (1.0 + np.cos(2.0 * np.pi * xi + ab_phase(cfg.flux)))
+    assert pattern.collapse_outcome == outcome
+    assert pattern.intensity.tobytes() == expected.tobytes()
+    assert pattern.collapsed_fraction == (1.0 if collapses else 0.0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relqlab import cli
+from relqlab import cli, collapse
 
 
 def run_cli(args):
@@ -92,6 +92,12 @@ def test_module_error_surfaces_as_json(tmp_path, capsys):
     ({"threads": True}, "threads"),
     ({"ensemble": {"threads": 2.5}}, "ensemble.threads"),
     ({"ensemble": {"threads": True}}, "ensemble.threads"),
+    ({"ensemble": {"sigma": True}}, "ensemble.sigma"),
+    ({"ensemble": {"sigma": "1e1"}}, "ensemble.sigma"),
+    ({"ensemble": {"n_runs": "12"}}, "ensemble.n_runs"),
+    ({"seed": "3"}, "seed"),
+    ({"seed": -1}, "ensemble.seed"),
+    ({"ensemble": {"seed": -1}}, "ensemble.seed"),
 ])
 def test_config_rejects_non_integral_and_boolean_integers(tmp_path, capsys, config, key):
     cfg_file = tmp_path / "conf.json"
@@ -101,6 +107,49 @@ def test_config_rejects_non_integral_and_boolean_integers(tmp_path, capsys, conf
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation"
     assert err["message"].startswith(key + ":")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"out": None}, "out"),
+    ({"out": 5}, "out"),
+    ({"ensemble": {"out": ["x"]}}, "ensemble.out"),
+])
+def test_config_out_must_be_a_string(tmp_path, capsys, config, key):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps(config))
+    # the flag would win, but the file is checked first
+    assert run_cli(["ensemble", "--config", cfg_file, "--out", tmp_path / "x"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and err["message"].startswith(key + ":")
+
+
+def test_config_out_in_section_or_top_level(tmp_path):
+    # out follows the rule of seed and threads: a section may set it, the top
+    # level wins over the section, and the flag wins over both
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"evolve": {"out": "from-section", "seed": 4}}))
+    cfg = cli.parse_and_validate(["evolve", "--config", str(cfg_file)])
+    assert (cfg.output_dir, cfg.seed) == (Path("from-section"), 4)
+    cfg_file.write_text(json.dumps({"evolve": {"out": "from-section"}, "out": "from-top"}))
+    assert cli.parse_and_validate(["evolve", "--config", str(cfg_file)]).output_dir == \
+        Path("from-top")
+    assert cli.parse_and_validate(["evolve", "--config", str(cfg_file), "--out", "flag"]
+                                  ).output_dir == Path("flag")
+
+
+def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
+    assert run_cli(["collapse", "--seed", "-1", "--out", tmp_path / "c"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and err["message"].startswith("collapse.seed:")
+
+
+def test_ensemble_keys_past_128_bits_fail_before_any_output(tmp_path, capsys):
+    out = tmp_path / "e"
+    seed = 2**128 - 6  # keys seed .. seed + 9 would pass 2**128 - 1
+    assert run_cli(["ensemble", "--seed", seed, "--n-runs", "10", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and "seed" in err["message"]
+    assert not (out / "ensemble_report.json").exists()
 
 
 def test_config_accepts_integral_floats(tmp_path):
@@ -209,9 +258,23 @@ def test_collapse_history_columns(tmp_path):
     assert summary["outcome"] in (0, 1, None)
 
 
+@pytest.mark.parametrize("mode", ["uniform", "alternating"])
+def test_collapse_history_f_is_the_noise_of_each_step(tmp_path, mode):
+    out = tmp_path / "col"
+    assert run_cli(["collapse", "--mode", mode, "--history-stride", "7", "--seed", "5",
+                    "--out", out]) == 0
+    hist = np.loadtxt(out / "collapse_history.csv", delimiter=",", skiprows=1)
+    steps = hist[:, 0].astype(int)
+    proc = collapse.NoiseProcess(delta=1.0, sigma=collapse.DEFAULT_SIGMA_STAR, seed=5,
+                                 mode=mode)
+    noise = collapse.generate_noise(proc, int(steps[-1]))
+    assert steps[0] == 0 and hist[0, 3] == 0.0
+    assert hist[1:, 3].tobytes() == noise[steps[1:] - 1].tobytes()
+
+
 def test_ab_outputs(tmp_path):
     out = tmp_path / "ab"
-    assert run_cli(["ab", "--n-electrons", "100", "--out", out]) == 0
+    assert run_cli(["ab", "--out", out]) == 0
     summary = read_json(out / "ab_summary.json")
     assert summary["collapsed_fraction"] > 0.8
     assert summary["visibility"] < 0.2

@@ -66,6 +66,13 @@ def test_noise_process_validation():
         NoiseProcess(delta=1.0, sigma=1.0, seed=0, mode="pink")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_noise_process_rejects_seeds_outside_the_philox_key_range(seed):
+    with pytest.raises(ValueError, match="seed"):
+        uniform_noise(0.5, seed)
+    assert uniform_noise(0.5, 2**128 - 1).seed == 2**128 - 1  # the largest key
+
+
 # ---------------------------------------------------------------------------
 # noise generation
 
@@ -93,6 +100,32 @@ def test_noise_seed_determinism():
     a = generate_noise(uniform_noise(0.5, seed=42), 1000)
     b = generate_noise(uniform_noise(0.5, seed=42), 1000)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 3, 2**127 + 5])
+@pytest.mark.parametrize("start, n", [(0, 1), (4, 3), (64, 129), (1024, 1024)])
+def test_noise_window_equals_one_philox_uniform_draw(seed, start, n):
+    # a window of the stream follows from its key and start alone
+    sigma = 0.55
+    whole = np.random.Generator(np.random.Philox(key=seed)).uniform(-sigma, sigma, start + n)
+    assert generate_noise(uniform_noise(sigma, seed), n, start).tobytes() == whole[start:].tobytes()
+
+
+@pytest.mark.parametrize("start", [0, 3, 4, 7, 8])
+def test_alternating_noise_sign_follows_the_absolute_index(start):
+    proc = NoiseProcess(delta=1.0, sigma=0.3, seed=0, mode="alternating")
+    expected = [0.3 if (start + j) % 2 == 0 else -0.3 for j in range(5)]
+    rows = np.empty((2, 5))
+    collapse._fill_noise(proc, None, [0, 1], start, rows)
+    np.testing.assert_array_equal(rows, [expected, expected])
+    if start % 4 == 0:
+        np.testing.assert_array_equal(generate_noise(proc, 5, start), expected)
+
+
+@pytest.mark.parametrize("start", [-4, 1, 2, 6, 4.0])
+def test_noise_start_must_be_a_non_negative_multiple_of_four(start):
+    with pytest.raises(ValueError, match="start"):
+        generate_noise(uniform_noise(0.5, seed=1), 8, start)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +255,33 @@ def test_trajectory_bit_determinism():
     assert a.outcome == b.outcome and a.steps_to_collapse == b.steps_to_collapse
 
 
+def _reference_history(init, sys_, proc, max_steps, threshold):
+    """Every step of a trajectory from an explicit loop over one up-front
+    Philox draw: rows (step, a0^2, a1^2, f)."""
+    noise = proc.make_generator().uniform(-proc.sigma, proc.sigma, max_steps)
+    g0, g1, r = sys_.kick_gain(0), sys_.kick_gain(1), np.float64(sys_.r_ratio)
+    a0, a1 = np.float64(init.a0), np.float64(init.a1)
+    rows = [(0, a0 * a0, a1 * a1, 0.0)]
+    for step, f in enumerate(noise, start=1):
+        a0, a1 = collapse._step_kernel(a0, a1, np.float64(f * g0), np.float64(f * g1), r)
+        rows.append((step, a0 * a0, a1 * a1, f))
+        if a0 * a0 >= threshold or a1 * a1 >= threshold:
+            break
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("seed, max_steps", [(5, 100_000), (9, 999), (2**64 - 3, 100_000),
+                                             (2**127 + 5, 64), (6, 65)])
+def test_trajectory_history_matches_reference_loop_bitwise(seed, max_steps):
+    # the noise arrives in growing chunks; no chunk boundary changes a bit
+    proc = uniform_noise(DEFAULT_SIGMA_STAR, seed)
+    traj = run_trajectory(SYM_INIT, REF_SYS, proc, max_steps, 0.999, history_stride=1)
+    ref = _reference_history(SYM_INIT, REF_SYS, proc, max_steps, 0.999)
+    assert traj.history.tobytes() == ref.tobytes()
+    collapsed = max(ref[-1, 1], ref[-1, 2]) >= 0.999
+    assert traj.steps_to_collapse == (int(ref[-1, 0]) if collapsed else None)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         run_trajectory(SYM_INIT, REF_SYS, uniform_noise(0.1, 0), max_steps=10, threshold=0.4)
@@ -340,6 +400,19 @@ def test_ensemble_keys_crossing_64_bits_match_scalar():
     np.testing.assert_array_equal(outcome, ref_outcome)
     np.testing.assert_array_equal(steps, ref_steps)
     assert np.all(steps > 0)
+
+
+def test_ensemble_rejects_keys_past_128_bits_before_any_work(monkeypatch):
+    base = uniform_noise(0.55, seed=2**128 - 10)
+    assert run_ensemble(SYM_INIT, REF_SYS, base, n_runs=10, max_steps=5,
+                        threshold=0.999).unresolved == 10  # last key 2**128 - 1
+
+    def no_work(*args):
+        raise AssertionError("ensemble started")
+
+    monkeypatch.setattr(collapse, "_ensemble_outcomes", no_work)
+    with pytest.raises(ValueError, match="seed"):
+        run_ensemble(SYM_INIT, REF_SYS, base, n_runs=11, max_steps=5, threshold=0.999)
 
 
 def test_ensemble_alternating_broadcasts_one_trajectory():
