@@ -4,11 +4,13 @@ The short-time propagator reduces to moments of the form
 
     eps0^(2n+1/2) Int_C (u(2-u))^n u^(-1/2) exp(-i eps0 + i u eps0) du
 
-whose superluminal half only converges on the rotated contour u = 1 + i w.
-The closed form is a terminating Kummer polynomial times a half-integer
-Gamma value.  This script prints both routes side by side, then shows the
-small-argument Bessel expansion whose eps*ln(eps) term is the reason a
-path-independent weight cannot reproduce a first-order evolution law.
+whose superluminal half only converges off the real axis.  Swung onto the
+steepest-descent ray u = i t, the integrand no longer oscillates and one
+quadrature gives the moment.  The closed form is a terminating Kummer
+polynomial times a half-integer Gamma value.  This script prints both routes
+side by side, then shows the small-argument Bessel expansion whose
+eps*ln(eps) term is the reason a path-independent weight cannot reproduce a
+first-order evolution law.
 """
 
 import numpy as np

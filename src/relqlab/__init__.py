@@ -60,7 +60,6 @@ from .collapse import (
     generate_noise,
     lambda_general,
     lambda_two_state,
-    noise_kick,
     run_ensemble,
     run_trajectory,
     wilson_interval,

@@ -146,9 +146,6 @@ class NoiseProcess:
     def make_generator(self, offset=0):
         return np.random.Generator(np.random.Philox(key=self.seed + offset))
 
-    def with_seed(self, seed):
-        return NoiseProcess(delta=self.delta, sigma=self.sigma, seed=seed, mode=self.mode)
-
 
 @dataclass(frozen=True)
 class CollapseTrajectory:
@@ -206,18 +203,6 @@ def generate_noise(proc: NoiseProcess, n_steps, start=0):
     gen = proc.make_generator() if proc.mode == "uniform" else None
     _fill_noise(proc, gen, [proc.seed], int(start), values[None])
     return values
-
-
-def noise_kick(sys: TwoStateSystem, a_value, level, f):
-    """Single-level kick a -> a (1 - N) with N = f * kick_gain(level)."""
-    if level not in (0, 1):
-        raise ValueError(f"level must be 0 or 1, got {level!r}")
-    n = f * sys.kick_gain(level)
-    if abs(n) >= 1.0:
-        raise NoiseTooLargeError(
-            f"|N| = {abs(n):.3g} >= 1 at level {level}; noise outside the perturbative regime"
-        )
-    return a_value * (1.0 - n)
 
 
 def lambda_two_state(a: TwoStateAmplitudes, sys: TwoStateSystem):

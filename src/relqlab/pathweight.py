@@ -218,10 +218,12 @@ def short_time_closed_form(p_momentum, eps0, scale: PhysicalScale) -> complex:
 def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     """Short-time amplitude for phi = e^{ipx} by direct contour quadrature.
 
-    Evaluates the subluminal and superluminal velocity integrals on the same
-    two-piece contour as the kernel moments, with the plane wave symmetrized
-    into cos(p v eps).  Valid for any p, in particular beyond |p| = m where
-    the term-by-term moment series stops converging.
+    Evaluates the subluminal and superluminal velocity integrals on the
+    contour C = (0, 1] plus u = 1 + i w that defines the kernel moments, with
+    the plane wave symmetrized into cos(p v eps).  The moments' single ray
+    u = i t does not serve here: on it Im v tends to 1, so cos(q v), with
+    q = p tau0 eps0, grows like e^q.  Valid for any p, in particular beyond
+    |p| = m where the term-by-term moment series stops converging.
     """
     if not (eps0 > 0.0 and math.isfinite(eps0)):
         raise ValueError(f"eps0 must be positive and finite, got {eps0!r}")

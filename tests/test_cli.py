@@ -219,6 +219,22 @@ def test_oracle_table(tmp_path):
     assert rows[1:] and np.all(rel < 1e-8)
 
 
+def test_oracle_large_eps0_high_order(tmp_path):
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle", "--n-max", "12", "--eps0-list", "200", "--out", out]) == 0
+    rows = (out / "oracle_moments.csv").read_text().strip().splitlines()[1:]
+    rel = np.array([float(r.split(",")[-1]) for r in rows])
+    assert len(rel) == 13 and np.all(rel <= 1e-12)
+
+
+def test_oracle_overflowing_moment_is_an_error(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle", "--n-max", "6", "--eps0-list", "1e300", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "OverflowError"
+    assert not (out / "oracle_moments.csv").exists()
+
+
 def test_flux_plane_wave_residual_column(tmp_path):
     out = tmp_path / "flux"
     assert run_cli(["flux", "--packet", "plane", "--dt", "0.1", "--out", out]) == 0

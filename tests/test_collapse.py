@@ -1,6 +1,7 @@
 """Collapse recursion: fixed points, freezes, termination, ensembles,
 determinism, and the general mixing-matrix oracle."""
 
+import dataclasses
 import math
 import os
 
@@ -20,7 +21,6 @@ from relqlab.collapse import (
     generate_noise,
     lambda_general,
     lambda_two_state,
-    noise_kick,
     run_ensemble,
     run_trajectory,
     wilson_interval,
@@ -133,7 +133,10 @@ def test_noise_start_must_be_a_non_negative_multiple_of_four(start):
 
 
 def test_kick_zero_noise_identity():
-    assert noise_kick(REF_SYS, 0.7, 0, 0.0) == 0.7
+    a1 = math.sqrt(1.0 - 0.7 * 0.7)
+    out = collapse_step(TwoStateAmplitudes(a0=0.7, a1=a1), REF_SYS, 0.0)
+    assert out.a0 == 0.7
+    assert out.a1 == a1
 
 
 def test_kick_reference_value():
@@ -141,17 +144,17 @@ def test_kick_reference_value():
     f = 0.01
     n_expected = f * 0.75 * (2.0 + 1.25) / (2.0 * 1.25**2 * (1.0 + 1.25))
     assert n_expected == pytest.approx(3.4667e-3, rel=1e-4)
-    assert noise_kick(REF_SYS, 1.0, 0, f) == pytest.approx(1.0 - n_expected, rel=1e-14)
+    assert 1.0 - f * REF_SYS.kick_gain(0) == pytest.approx(1.0 - n_expected, rel=1e-14)
 
 
 def test_kick_rest_level_immune():
     sys_ = TwoStateSystem(e0=1.0, e1=1.5)
-    assert noise_kick(sys_, 0.4, 0, 123.0) == 0.4  # p = 0 at e = 1
+    assert 0.4 * (1.0 - 123.0 * sys_.kick_gain(0)) == 0.4  # p = 0 at e = 1
 
 
 def test_kick_too_large_rejected():
     with pytest.raises(NoiseTooLargeError):
-        noise_kick(REF_SYS, 0.5, 0, 5.0)
+        collapse_step(TwoStateAmplitudes(a0=0.5, a1=math.sqrt(0.75)), REF_SYS, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def _scalar_runs(init, base, n_runs, max_steps):
     """Outcome and collapse-step arrays (-1 where unresolved) of scalar runs."""
     outcomes, steps = [], []
     for k in range(n_runs):
-        traj = run_trajectory(init, REF_SYS, base.with_seed(base.seed + k),
+        traj = run_trajectory(init, REF_SYS, dataclasses.replace(base, seed=base.seed + k),
                               max_steps=max_steps, threshold=0.999, history_stride=10**9)
         outcomes.append(-1 if traj.outcome is None else traj.outcome)
         steps.append(-1 if traj.steps_to_collapse is None else traj.steps_to_collapse)
@@ -586,7 +589,8 @@ def test_lambda_general_superposition_vs_linear_model():
         psi = WaveFunction(grid=grid, values=a0 * phi0.values + a1 * phi1.values)
         lam = lambda_general(psi, [phi0, phi1], [e0, e1], f)
         assert abs(lam[1, 0]) > 1e-3  # mixing is genuinely nonlocal across levels
-        kicked = np.array([noise_kick(sys_, a0, 0, f_noise), noise_kick(sys_, a1, 1, f_noise)])
+        kicked = np.array([a0 * (1.0 - f_noise * sys_.kick_gain(0)),
+                           a1 * (1.0 - f_noise * sys_.kick_gain(1))])
         general = lam @ kicked
         general = np.abs(general) / np.linalg.norm(general)
         stepped = collapse_step(TwoStateAmplitudes(a0=a0, a1=a1), sys_, f_noise)

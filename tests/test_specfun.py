@@ -46,18 +46,11 @@ def test_kummer_terminating_against_rational_sum():
     assert kummer_m(-2, -3.5, 2j) == pytest.approx(expected, rel=1e-15)
 
 
-def test_kummer_nonterminating_against_exponential_identity():
-    # M(1, 2, z) = (e^z - 1)/z
-    for z in (0.7, -2.3, 1.2j, 2.0 + 1.0j):
-        expected = (np.exp(z) - 1.0) / z
-        assert kummer_m(1.0, 2.0, z) == pytest.approx(expected, rel=1e-13)
-
-
-def test_kummer_nonterminating_against_erf_identity():
-    # M(1/2, 3/2, -x^2) = sqrt(pi) erf(x) / (2x)
-    for x in (0.5, 1.5, 3.0):
-        expected = SQRT_PI * sp.erf(x) / (2.0 * x)
-        assert kummer_m(0.5, 1.5, -x * x) == pytest.approx(expected, rel=1e-12)
+@pytest.mark.parametrize("a", [1.0, 2, 0.5, -1.5])
+def test_kummer_rejects_non_terminating_a(a):
+    # only the terminating series (a a non-positive integer) is implemented
+    with pytest.raises(ValueError, match=f"a={a}"):
+        kummer_m(a, 2.0, 0.7)
 
 
 def test_kummer_rejections():
@@ -170,8 +163,19 @@ def test_moment_closed_n1_gamma_prefactor():
     assert gamma_half_integer(2) == pytest.approx(3.0 * SQRT_PI / 4.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("n", range(6))
-@pytest.mark.parametrize("eps0", [0.1, 0.5, 1.0, 5.0])
+def test_moment_closed_overflow_raises():
+    # (2 eps0)^n Gamma(...) leaves double range: raise, never return nan
+    with pytest.raises(OverflowError, match="n=6"):
+        kernel_moment_closed(MomentQuery(n=6, eps0=1e300))
+
+
+# The large-eps0, high-n cases are where a contour split into two legs that
+# cancel each other loses its digits.
+@pytest.mark.parametrize(
+    "eps0, n",
+    [(eps0, n) for eps0 in (0.1, 0.5, 1.0, 5.0) for n in range(6)]
+    + [(200.0, 6), (200.0, 9), (200.0, 12), (10000.0, 9), (1e6, 12)],
+)
 def test_moment_contour_certifies_closed_form(n, eps0):
     q = MomentQuery(n=n, eps0=eps0)
     closed = kernel_moment_closed(q)
@@ -184,3 +188,19 @@ def test_moment_contour_n3_tight():
     closed = kernel_moment_closed(q)
     contour = kernel_moment_contour(q)
     assert abs(closed - contour) / abs(closed) < 1e-8
+
+
+@pytest.mark.parametrize("n", [0, 4, 6, 8, 9, 12])
+@pytest.mark.parametrize("eps0", [0.05, 0.3, 1.0, 7.0, 20.0, 200.0, 1e4, 1e6])
+def test_moment_routes_against_mpmath_reference(n, eps0):
+    # third, independent route: expand (s^4 + 2i eps0 s^2)^n binomially and
+    # integrate each power of s against exp(-s^2) exactly, in 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        e = mpmath.mpf(eps0)
+        total = sum(mpmath.binomial(n, k) * (2j * e) ** (n - k) * mpmath.gamma(n + k + 0.5) / 2
+                    for k in range(n + 1))
+        ref = complex(2j * mpmath.exp(-0.25j * mpmath.pi) * mpmath.exp(-1j * e) * total)
+    q = MomentQuery(n=n, eps0=eps0)
+    assert abs(kernel_moment_closed(q) - ref) / abs(ref) < 1e-12
+    assert abs(kernel_moment_contour(q) - ref) / abs(ref) < 1e-12
