@@ -1,8 +1,8 @@
 """Wave-packet propagation under the square-root Hamiltonian.
 
-The spectral splitting applies exp(-i E(p) dt) exactly on the momentum
-grid, so norm conservation and the free-evolution semigroup hold to
-rounding.  The demo tracks a packet's centroid (relativistic group
+A free evolve applies exp(-i E(p) t) exactly on the momentum grid, in one
+spectral multiply per call, so norm conservation and the free-evolution
+semigroup hold to rounding.  The demo tracks a packet's centroid (relativistic group
 velocity p/E, not p/m), compares against quadratic-dispersion evolution
 in both the low-energy and relativistic regimes, and checks the
 normalization identity of the whole-weight operator.

@@ -78,8 +78,8 @@ def _eps0_list(v):
         vals = [float(tok) for tok in str(v).split(",") if tok.strip()]
     except ValueError:
         return "must be a comma-separated list of numbers"
-    if not vals or any(not (x > 0) for x in vals):
-        return "every eps0 must be > 0"
+    if not vals or any(not (0 < x < math.inf) for x in vals):
+        return "every eps0 must be finite and > 0"
     return None
 
 
@@ -216,16 +216,19 @@ def _build_parser():
 
 
 def _coerce(key, typ, value):
-    """typ(value), except that numbers refuse booleans and strings, and an int
-    also refuses non-integral floats."""
+    """typ(value), except that numbers refuse booleans and strings, an int also
+    refuses non-integral floats, and a float refuses nan and +-inf."""
     if typ in (int, float) and isinstance(value, (bool, str)) or (
             typ is int and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if typ is int else "a number"
         raise ValueError(f"{key}: must be {kind} (got {value!r})")
     try:
-        return typ(value)
-    except (TypeError, ValueError):
+        out = typ(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key}: cannot interpret {value!r} as {typ.__name__}") from None
+    if typ is float and not math.isfinite(out):
+        raise ValueError(f"{key}: must be finite (got {value!r})")
+    return out
 
 
 def _run_setting(label, key, value):

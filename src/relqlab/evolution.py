@@ -6,9 +6,10 @@ The evolution law in one dimension (natural units, hbar = c = 1) is
 
 with a uniform vector potential A0 and a real scalar potential V(x).  The
 square root is applied exactly on the discrete momentum basis of a periodic
-grid; V is applied in position space; one step is the Strang splitting
-half-V, kinetic, half-V, which is exact when V vanishes (the half-V factors,
-exactly 1, are then skipped).
+grid.  With V = 0 the propagator is the pure phase e^{-i E(p) t}, so evolve
+propagates a free field exactly, in one spectral multiply per call whatever
+the step count.  With V != 0 it takes Strang steps half-V, kinetic, half-V,
+with V applied in position space.
 
 The whole-weight operator R_hat of the short-time kernel acts diagonally in
 momentum space with symbol
@@ -167,10 +168,10 @@ def free_propagate(psi: WaveFunction, f: FieldConfig, t) -> WaveFunction:
 
 
 def evolve(psi: WaveFunction, f: FieldConfig, dt, steps) -> WaveFunction:
-    """Strang-split propagation: half-V, exact kinetic phase, half-V per step.
-
-    Norm is preserved to machine precision for real V.  Aborts with
-    diagnostics if the state stops being finite.
+    """Propagate psi by steps * dt: for V = 0 exactly, in one spectral multiply
+    per call (free_propagate); for V != 0 by Strang steps half-V, exact kinetic
+    phase, half-V.  Norm is preserved to machine precision for real V.  Raises
+    RuntimeError naming the first step whose state is not finite.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -179,22 +180,27 @@ def evolve(psi: WaveFunction, f: FieldConfig, dt, steps) -> WaveFunction:
     grid = psi.grid
     if f.v_samples.shape != (grid.n,):
         raise ValueError("potential samples must live on the wave function's grid")
+    if not np.any(f.v_samples):
+        # the exact state after step k is non-finite once E(p) k dt overflows
+        e_max = float(np.max(dispersion(grid.p, f)))
+        if not math.isfinite(e_max * (dt * steps)):
+            first = int(min(np.finfo(float).max / (e_max * dt), steps - 1)) + 1
+            raise _non_finite(first, steps, dt, f)
+        return free_propagate(psi, f, dt * steps)
     kin_phase = np.exp(-1j * dispersion(grid.p, f) * dt)
-    half_v = np.exp(-0.5j * f.v_samples * dt) if np.any(f.v_samples) else None
+    half_v = np.exp(-0.5j * f.v_samples * dt)
     values = psi.values
-    for step in range(steps):
+    for step in range(1, steps + 1):
         # Out of place, operands in this order: complex multiply is not bitwise commutative.
-        if half_v is not None:
-            values = half_v * values
-        values = scipy.fft.ifft(kin_phase * scipy.fft.fft(values))
-        if half_v is not None:
-            values = half_v * values
+        values = half_v * scipy.fft.ifft(kin_phase * scipy.fft.fft(half_v * values))
         if not np.all(np.isfinite(values.view(float))):
-            raise RuntimeError(
-                f"evolution produced non-finite samples at step {step + 1} of {steps} "
-                f"(dt={dt}, a0={f.a0}, mass={f.mass})"
-            )
+            raise _non_finite(step, steps, dt, f)
     return WaveFunction(grid=grid, values=values)
+
+
+def _non_finite(step, steps, dt, f):
+    return RuntimeError(f"evolution produced non-finite samples at step {step} of {steps} "
+                        f"(dt={dt}, a0={f.a0}, mass={f.mass})")
 
 
 def r_symbol(p, f: FieldConfig):

@@ -109,6 +109,39 @@ def test_config_rejects_non_integral_and_boolean_integers(tmp_path, capsys, conf
     assert err["message"].startswith(key + ":")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["oracle", "--eps0-list", "inf"], "oracle.eps0_list"),
+    (["oracle", "--eps0-list", "1e400"], "oracle.eps0_list"),
+    (["oracle", "--eps0-list", "0.5,nan"], "oracle.eps0_list"),
+    (["oracle", "--eps0-list", "0.5,-inf"], "oracle.eps0_list"),
+    (["evolve", "--x0", "nan"], "evolve.x0"),
+    (["evolve", "--p0", "inf"], "evolve.p0"),
+    (["evolve", "--dt", "inf"], "evolve.dt"),
+    (["evolve", "--length", "inf"], "evolve.length"),
+    (["evolve", "--a0=-inf"], "evolve.a0"),
+    (["kernel", "--a-line-integral", "1e400"], "kernel.a_line_integral"),
+    (["ab", "--flux", "nan"], "ab.flux"),
+])
+def test_non_finite_float_flags_are_validation_errors(tmp_path, capsys, argv, key):
+    assert run_cli([*argv, "--out", tmp_path / "x"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and err["message"].startswith(key + ":")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+                         ids=["Infinity", "-Infinity", "NaN", "1e400", "int1e400"])
+@pytest.mark.parametrize("section, key", [("evolve", "x0"), ("collapse", "sigma")])
+def test_config_rejects_non_finite_floats(tmp_path, capsys, literal, section, key):
+    # json.loads reads these literals as inf, -inf, nan, inf and an int past float range
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text('{"%s": {"%s": %s}}' % (section, key, literal))
+    assert run_cli([section, "--config", cfg_file, "--out", tmp_path / "x"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert err["message"].startswith(f"{section}.{key}:")
+
+
 @pytest.mark.parametrize("config, key", [
     ({"out": None}, "out"),
     ({"out": 5}, "out"),

@@ -159,10 +159,15 @@ def _strang_reference(psi, f, dt, steps):
     return values
 
 
+# Largest |free evolve - Strang loop| allowed, in units of max|psi|: the loop
+# differs from the exact propagation only by roundoff accumulated per step.
+FREE_VS_STRANG_TOL = 1e-12
+
+
 @pytest.mark.parametrize("n", [1024, 4096])
 @pytest.mark.parametrize("a0", [0.0, 0.7])
 @pytest.mark.parametrize("steps", [1, 37])
-@pytest.mark.parametrize("v_amp", [0.0, 0.05])
+@pytest.mark.parametrize("v_amp", [0.05])
 def test_evolve_matches_explicit_strang_loop_bitwise(n, a0, steps, v_amp):
     grid = SpatialGrid(n=n, length=200.0)
     f = FieldConfig(a0=a0, v_samples=v_amp * np.cos(2 * np.pi * grid.x / grid.length), mass=1.0)
@@ -171,9 +176,40 @@ def test_evolve_matches_explicit_strang_loop_bitwise(n, a0, steps, v_amp):
     assert got.tobytes() == _strang_reference(psi, f, 0.05, steps).tobytes()
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("a0", [0.0, 0.7])
+@pytest.mark.parametrize("steps", [1, 37])
+def test_free_evolve_is_one_exact_propagation(n, a0, steps):
+    grid = SpatialGrid(n=n, length=200.0)
+    f = FieldConfig.free(1.0, grid, a0=a0)
+    psi = gaussian_packet(grid, -40.0, 10.0, 0.5)
+    got = evolve(psi, f, 0.05, steps).values
+    e = dispersion(grid.p, f)
+    exact = np.fft.ifft(np.exp(-1j * e * (0.05 * steps)) * np.fft.fft(psi.values))
+    assert got.tobytes() == exact.tobytes()
+    strang = _strang_reference(psi, f, 0.05, steps)
+    assert np.max(np.abs(got - strang)) <= FREE_VS_STRANG_TOL * np.max(np.abs(psi.values))
+
+
+def test_free_evolve_norm_on_large_grid():
+    # 65536 points and 400 steps: a per-step loop drifts by ~2.5e-14 here
+    grid = SpatialGrid(n=65536, length=200.0)
+    psi = gaussian_packet(grid, -40.0, 10.0, 0.5)
+    out = evolve(psi, FieldConfig.free(1.0, grid), 0.05, 400)
+    assert abs(out.norm() - psi.norm()) <= 1e-14
+
+
 def test_evolve_aborts_on_non_finite_state():
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="at step 1 of 3"):
         evolve(gaussian_packet(GRID, 0.0, 5.0, 0.0), FieldConfig.free(1e200, GRID), 0.05, 3)
+
+
+def test_free_evolve_raises_when_total_time_overflows():
+    # E(p) dt ~ 1.6e307 stays finite; dt * steps = 1e309 does not, and the
+    # exact phase E(p) k dt first overflows at k = 12
+    psi = gaussian_packet(GRID, 0.0, 5.0, 0.0)
+    with pytest.raises(RuntimeError, match="at step 12 of 1000"):
+        evolve(psi, FREE, 1e306, 1000)
 
 
 def test_apply_R_inverse_roundtrip():
