@@ -135,7 +135,7 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
     half = 1.0 / math.sqrt(2.0)
     field = NoiseProcess(delta=cfg.delta, sigma=cfg.b1_amp, seed=0, mode="alternating")
     outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half),
-                          (sys.kick_gain(0), -sys.kick_gain(1)), np.float64(sys.r_ratio),
+                          (sys.kick_gain(0), -sys.kick_gain(1)), sys.r_ratio,
                           field, cfg.n_segments, threshold, cfg.n_segments).outcome
     env = _envelope(xi)
     if outcome is None:

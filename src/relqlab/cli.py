@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -172,18 +172,6 @@ class RunConfig:
     threads: int = 1
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    artifact_version: str
-    subcommand: str
-    parameters: dict
-    seed: int
-    threads: int
-    started_at: str
-    finished_at: str
-    outputs: list = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # parsing and validation
 
@@ -287,6 +275,10 @@ def parse_and_validate(argv) -> RunConfig:
                 raise ValueError(f"{name}.{prm.name}: {msg} (got {value!r})")
         resolved[prm.name] = value
 
+    if name == "flux" and resolved["dt"] > (limit := evolution.flux_dt_limit(
+            resolved["grid_n"], resolved["length"], resolved["mass"])):
+        raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
+                         f"(got {resolved['dt']!r})")
     for key, lowest in (("seed", 0), ("threads", 1)):
         if run[key] < lowest:
             raise ValueError(f"{name}.{key}: must be >= {lowest} (got {run[key]!r})")
@@ -311,24 +303,17 @@ def _write_csv(path: Path, header, columns):
             fh.write("".join(fmt % row for row in zip(*block)))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+def _json_value(obj):
+    """numpy arrays and scalars and paths as JSON values (json.dumps default)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, obj):
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_value)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -343,22 +328,17 @@ def _sha256(path: Path):
 def _run_oracle(cfg: RunConfig):
     params = cfg.parameters
     eps_values = [float(t) for t in params["eps0_list"].split(",") if t.strip()]
-    cols = {k: [] for k in ("n", "eps0", "closed_re", "closed_im",
-                            "contour_re", "contour_im", "rel_err")}
+    rows = []
     for n in range(params["n_max"] + 1):
         for eps0 in eps_values:
             q = specfun.MomentQuery(n=n, eps0=eps0)
             closed = specfun.kernel_moment_closed(q)
             contour = specfun.kernel_moment_contour(q)
-            cols["n"].append(n)
-            cols["eps0"].append(eps0)
-            cols["closed_re"].append(closed.real)
-            cols["closed_im"].append(closed.imag)
-            cols["contour_re"].append(contour.real)
-            cols["contour_im"].append(contour.imag)
-            cols["rel_err"].append(abs(closed - contour) / abs(closed))
+            rows.append((n, eps0, closed.real, closed.imag, contour.real, contour.imag,
+                         abs(closed - contour) / abs(closed)))
     out = cfg.output_dir / "oracle_moments.csv"
-    _write_csv(out, list(cols), list(cols.values()))
+    _write_csv(out, ["n", "eps0", "closed_re", "closed_im", "contour_re", "contour_im",
+                     "rel_err"], list(zip(*rows)))
     return [out]
 
 
@@ -368,9 +348,8 @@ def _run_kernel(cfg: RunConfig):
         raise ValueError("kernel.eta_max: must exceed eta_min")
     scale = pathweight.PhysicalScale(mass=params["mass"])
     etas = np.linspace(params["eta_min"], params["eta_max"], params["eta_count"])
-    values = [pathweight.equal_time_kernel_profile(e, params["a_line_integral"], scale)
-              for e in etas]
-    values = np.asarray(values)
+    values = np.asarray([pathweight.equal_time_kernel_profile(e, params["a_line_integral"],
+                                                              scale) for e in etas])
     out = cfg.output_dir / "kernel_profile.csv"
     _write_csv(out, ["eta", "re", "im", "abs"],
                [etas, values.real, values.imag, np.abs(values)])
@@ -527,23 +506,19 @@ _RUNNERS = {
 }
 
 
-def execute(cfg: RunConfig) -> RunManifest:
-    """Dispatch a validated RunConfig, emit payloads and manifest.json."""
+def execute(cfg: RunConfig) -> dict:
+    """Dispatch a validated RunConfig, emit payloads and manifest.json; return
+    the manifest."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     outputs = _RUNNERS[cfg.subcommand](cfg)
-    finished = datetime.now(timezone.utc).isoformat()
-    manifest = RunManifest(
-        artifact_version=__version__,
-        subcommand=cfg.subcommand,
-        parameters=cfg.parameters,
-        seed=cfg.seed,
-        threads=cfg.threads,
-        started_at=started,
-        finished_at=finished,
-        outputs=[{"path": p.name, "sha256": _sha256(p)} for p in outputs],
-    )
-    _write_json(cfg.output_dir / "manifest.json", manifest.__dict__)
+    manifest = {
+        "artifact_version": __version__, "subcommand": cfg.subcommand,
+        "parameters": cfg.parameters, "seed": cfg.seed, "threads": cfg.threads,
+        "started_at": started, "finished_at": datetime.now(timezone.utc).isoformat(),
+        "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
+    }
+    _write_json(cfg.output_dir / "manifest.json", manifest)
     return manifest
 
 

@@ -16,27 +16,32 @@ of amplitude f updates real amplitudes (a0, a1) in three stages:
                      a1' = (a1/a0)(1 - l11) a0k + l11 a1k
   3. renormalize to a0'^2 + a1'^2 = 1 (the raw recursion does not conserve it).
 
-Zero noise is an exact fixed point; degenerate levels freeze the probability
-vector for any noise; an amplitude below the 1e-9 floor declares the state
-collapsed to the dominant index instead of dividing by it.
+Renormalization cancels in the ratio s = (a1/a0)^2, so both stepping loops
+carry s alone: s' = s phi^2 with phi = (1 - N0 + l11 D)/(1 - N1 - l00 D),
+D = N0 - N1, l00 = (1 + r s)/(1 + s), l11 = (s + 1/r)/(1 + s).  Zero noise
+and degenerate levels give phi = 1 exactly; the threshold and the 1e-9
+amplitude floor become bounds on s.  collapse_step keeps the two-amplitude
+form as the public reference, where an amplitude below the floor declares
+the state collapsed instead of being divided by.
 
 Noise segments are uniform i.i.d. on [-sigma, sigma] (seeded, Philox
 counter-based generator) or the deterministic alternating sequence
 (-1)^n sigma, both drawn by one filler.  Trajectory k of an ensemble uses key
 seed + k, so ensembles are reproducible independently of execution order.
-The scalar loop (width 1, with history) and the lockstep ensemble loop do
-the same arithmetic, so ensembles are bit-identical to scalar runs, however
-they are split into blocks or across worker processes.
+The scalar loop (width 1, with history; Python floats) and the lockstep
+ensemble loop (numpy arrays over step-major noise tiles) call the same step
+function, so ensembles are bit-identical to scalar runs, however they are
+split into blocks or across worker processes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,10 +57,10 @@ AMPLITUDE_FLOOR = 1e-9
 DEFAULT_SIGMA_STAR = 0.55
 
 #: Most trajectories one ensemble block advances in lockstep.  It bounds the
-#: (width, chunk) noise buffer of a block, so memory stops growing with n_runs.
+#: (chunk, width) noise tile of a block, so memory stops growing with n_runs.
 ENSEMBLE_BLOCK = 16384
 
-_ROW_PAD = 8  # doubles appended to each noise-buffer row
+_SLAB = 32  # noise streams an ensemble fills, scales and transposes at a time
 _FIRST_CHUNK = 64  # noise values per trajectory in a run's first chunk
 _TRAJ_CHUNK = 1024  # largest noise chunk of a scalar trajectory
 _U64 = (1 << 64) - 1
@@ -213,92 +218,103 @@ def lambda_two_state(a: TwoStateAmplitudes, sys: TwoStateSystem):
 
 
 def _step_kernel(a0, a1, n0, n1, r):
-    """One full collapse step on raw amplitudes; array-shaped and scalar alike.
-
-    Handles the amplitude floor (declare collapsed, never divide by the
-    vanishing amplitude) and the exact zero-noise fixed point.  Runners and
-    the public stepper share this arithmetic so that all execution modes are
-    bit-identical.  A batch without floor snaps or zero-noise freezes skips
-    the masks; the arithmetic, and so every bit, is the same on both routes.
-    """
-    if isinstance(a0, np.ndarray) or isinstance(n0, np.ndarray):
-        plain = (np.min(a0) >= AMPLITUDE_FLOOR and np.min(a1) >= AMPLITUDE_FLOOR
-                 and (np.all(n0) or np.all(n1)))
-    else:
-        plain = a0 >= AMPLITUDE_FLOOR and a1 >= AMPLITUDE_FLOOR and (n0 != 0.0 or n1 != 0.0)
-    if plain:
-        return _mix(a0, a1, a0, a1, n0, n1, r)
-
-    snap0 = a1 < AMPLITUDE_FLOOR  # level 1 gone: definite level 0
-    snap1 = a0 < AMPLITUDE_FLOOR
-    frozen = (n0 == 0.0) & (n1 == 0.0)
-    b0, b1 = _mix(a0, a1, np.where(snap1, 1.0, a0), np.where(snap0, 1.0, a1), n0, n1, r)
-    b0 = np.where(frozen, a0, b0)
-    b1 = np.where(frozen, a1, b1)
-    b0 = np.where(snap0, 1.0, np.where(snap1, 0.0, b0))
-    b1 = np.where(snap0, 0.0, np.where(snap1, 1.0, b1))
-    return b0, b1
-
-
-def _mix(a0, a1, safe0, safe1, n0, n1, r):
-    """Kick, mix and renormalize; safe0/safe1 stand in for a0/a1 as divisors."""
-    p0 = a0 * a0
-    p1 = a1 * a1
-    l00 = p0 + p1 * r
-    l11 = p1 + p0 / r
-    k0 = a0 * (1.0 - n0)
-    k1 = a1 * (1.0 - n1)
-    b0 = l00 * k0 + (a0 / safe1) * (1.0 - l00) * k1
-    b1 = (a1 / safe0) * (1.0 - l11) * k0 + l11 * k1
-    norm = np.sqrt(b0 * b0 + b1 * b1)
+    """One step of the three stages on raw amplitudes; zero noise is a fixed
+    point, an amplitude below the floor is never divided by."""
+    if a1 < AMPLITUDE_FLOOR:  # level 1 gone: definite level 0
+        return 1.0, 0.0
+    if a0 < AMPLITUDE_FLOOR:
+        return 0.0, 1.0
+    if n0 == 0.0 and n1 == 0.0:
+        return a0, a1
+    p0, p1 = a0 * a0, a1 * a1
+    l00, l11 = p0 + p1 * r, p1 + p0 / r
+    k0, k1 = a0 * (1.0 - n0), a1 * (1.0 - n1)
+    b0 = l00 * k0 + (a0 / a1) * (1.0 - l00) * k1
+    b1 = (a1 / a0) * (1.0 - l11) * k0 + l11 * k1
+    norm = math.sqrt(b0 * b0 + b1 * b1)
     return b0 / norm, b1 / norm
+
+
+def _ratio_coefficients(g0, g1, r):
+    """(A1, A0, B1, B0) with phi = (1 + s + f (A1 s + A0))/(1 + s + f (B1 s + B0)),
+    the module's phi for kick gains g0, g1; equal levels give A = B exactly."""
+    gd = g0 - g1
+    return -g1, gd / r - g0, -(g1 + gd * r), -g0
+
+
+def _ratio_step(s, f, coef):
+    """s' = s phi^2 in plain + - * /, so that Python floats and numpy arrays
+    round alike; f = 0 gives phi = 1 exactly."""
+    a1, a0, b1, b0 = coef
+    u = 1.0 + s
+    phi = (u + f * (a1 * s + a0)) / (u + f * (b1 * s + b0))
+    return s * phi * phi
+
+
+def _initial_ratio(init: TwoStateAmplitudes):
+    """s from the smaller probability p as (1 - p)/p or p/(1 - p), each p at
+    least FLOOR^2: an amplitude below the floor collapses at the first step."""
+    p0, p1 = (max(a * a, AMPLITUDE_FLOOR * AMPLITUDE_FLOOR) for a in (init.a0, init.a1))
+    return (1.0 - p0) / p0 if p0 <= p1 else p1 / (1.0 - p1)
+
+
+def _first_double(pred, lo, hi):
+    """Smallest double in (lo, hi] where pred, monotone, turns true (0 <= lo)."""
+    lo, hi = np.array([lo, hi]).view(np.int64).tolist()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(np.int64(mid).view(np.float64).item()) else (mid, hi)
+    return np.int64(hi).view(np.float64).item()
+
+
+@functools.lru_cache(maxsize=64)
+def _ratio_bounds(threshold):
+    """(lo, hi): s <= lo exactly when the rounded a0^2 = 1/(1 + s) reaches the
+    threshold, s >= hi exactly when a1^2 = 1/(1 + 1/s) does (both monotone)."""
+    lo = _first_double(lambda s: 1.0 / (1.0 + s) < threshold, 0.0, 1.0)
+    hi = _first_double(lambda s: 1.0 / (1.0 + 1.0 / s) >= threshold, 1.0, math.inf)
+    return math.nextafter(lo, 0.0), hi
 
 
 def _check_noise(sys: TwoStateSystem, f_max):
     worst = f_max * max(sys.kick_gain(0), sys.kick_gain(1))
     if worst >= 1.0:
-        raise NoiseTooLargeError(
-            f"noise amplitude gives |N| up to {worst:.3g} >= 1; reduce sigma"
-        )
+        raise NoiseTooLargeError(f"noise amplitude gives |N| up to {worst:.3g} >= 1; reduce sigma")
 
 
 def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStateAmplitudes:
     """Kick with noise value f, mix with the pre-kick linear-model factors,
     renormalize."""
     _check_noise(sys, abs(f))
-    n0 = f * sys.kick_gain(0)
-    n1 = f * sys.kick_gain(1)
-    b0, b1 = _step_kernel(np.float64(a_prev.a0), np.float64(a_prev.a1),
-                          np.float64(n0), np.float64(n1), np.float64(sys.r_ratio))
+    b0, b1 = _step_kernel(a_prev.a0, a_prev.a1, f * sys.kick_gain(0), f * sys.kick_gain(1),
+                          sys.r_ratio)
     return TwoStateAmplitudes(a0=float(b0), a1=float(b1))
 
 
 def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_steps,
                 threshold, history_stride) -> CollapseTrajectory:
-    """The width-1 stepping loop behind run_trajectory, kicking level m by
-    f * gains[m]; noise comes in chunks of _FIRST_CHUNK values doubling up to
-    _TRAJ_CHUNK."""
-    g0, g1 = gains
-    a0 = np.float64(init.a0)
-    a1 = np.float64(init.a1)
-    history = [(0, float(a0 * a0), float(a1 * a1), 0.0)]
-    hit = a0 * a0 >= threshold or a1 * a1 >= threshold
-    step = 0
-    span = _FIRST_CHUNK
+    """The width-1 loop behind run_trajectory, on Python floats, kicking level m
+    by f * gains[m]; noise chunks double from _FIRST_CHUNK to _TRAJ_CHUNK."""
+    coef = _ratio_coefficients(*gains, r)
+    lo, hi = _ratio_bounds(threshold)
+    rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
+    hit = rows[1] >= threshold or rows[2] >= threshold
+    s = _initial_ratio(init)
+    step, span = 0, _FIRST_CHUNK
     while not hit and step < max_steps:
         for f in generate_noise(proc, min(span, max_steps - step), step).tolist():
             step += 1
-            a0, a1 = _step_kernel(a0, a1, np.float64(f * g0), np.float64(f * g1), r)
+            s = _ratio_step(s, f, coef)
             if step % history_stride == 0:
-                history.append((step, float(a0 * a0), float(a1 * a1), f))
-            hit = a0 * a0 >= threshold or a1 * a1 >= threshold
+                rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
+            hit = s <= lo or s >= hi
             if hit:
                 break
         span = min(2 * span, _TRAJ_CHUNK)
-    if history[-1][0] != step:
-        history.append((step, float(a0 * a0), float(a1 * a1), f))
-    outcome = (0 if a0 >= a1 else 1) if hit else None
-    return CollapseTrajectory(history=np.array(history), outcome=outcome,
+    if rows[-4] != step:
+        rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
+    outcome = int(s > 1.0) if hit else None
+    return CollapseTrajectory(history=np.array(rows).reshape(-1, 4), outcome=outcome,
                               steps_to_collapse=step if hit else None)
 
 
@@ -318,8 +334,8 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
         raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
     _check_noise(sys, proc.sigma)
-    return _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), np.float64(sys.r_ratio),
-                       proc, max_steps, threshold, history_stride)
+    return _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc,
+                       max_steps, threshold, history_stride)
 
 
 def wilson_interval(successes, trials, z=_WILSON_Z):
@@ -361,46 +377,49 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
 
     Noise comes in chunks whose length starts at _FIRST_CHUNK and doubles up
     to `chunk` (both rounded to multiples of four, so every stream can be
-    resumed from its counter alone); the chunking never changes a value.
-    Returns the outcome and collapse-step arrays (-1 where unresolved).
-    Module-level so that worker processes can run it.
+    resumed from its counter alone); the chunking never changes a value.  A
+    chunk is filled _SLAB streams at a time into a step-major tile.  Returns
+    the outcome and collapse-step arrays (-1 where unresolved).  Module-level
+    so that worker processes can run it.
     """
     k0, width = block
-    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
-    r = np.float64(sys.r_ratio)
+    coef = _ratio_coefficients(sys.kick_gain(0), sys.kick_gain(1), sys.r_ratio)
+    lo, hi = _ratio_bounds(threshold)
     outcome = np.full(width, -1, dtype=np.int64)
     steps_at = np.full(width, -1, dtype=np.int64)
     gen = proc.make_generator(offset=k0)  # re-keyed per row; validates the lowest key
     chunk = -(-chunk // 4) * 4
-    buf = np.empty(width * (min(chunk, max_steps) + _ROW_PAD))
-    a0 = np.full(width, init.a0, dtype=np.float64)
-    a1 = np.full(width, init.a1, dtype=np.float64)
-    live = np.arange(width)  # block-local indices of the unresolved trajectories
+    tile_buf = np.empty(width * min(chunk, max_steps))
+    slab_buf = np.empty(min(width, _SLAB) * min(chunk, max_steps))
+    s = np.full(width, _initial_ratio(init))
+    live = np.arange(width)  # block-local indices of the trajectories still stepping
     step = 0
     span = min(_FIRST_CHUNK, chunk)
     while live.size and step < max_steps:
         span = min(span, max_steps - step)
-        # Rows are padded by one cache line: a power-of-two row stride makes
-        # the per-step column reads collide in the cache.
-        stride = span + _ROW_PAD
-        noise = buf[:live.size * stride].reshape(live.size, stride)[:, :span]
-        _fill_noise(proc, gen, [proc.seed + k0 + k for k in live.tolist()], step, noise)
-        rows = np.arange(live.size)  # noise rows of the trajectories still stepping
+        tile = tile_buf[:span * live.size].reshape(span, live.size)
+        keys = [proc.seed + k0 + k for k in live.tolist()]
+        for c in range(0, live.size, _SLAB):
+            slab = slab_buf[:span * len(keys[c:c + _SLAB])].reshape(-1, span)
+            _fill_noise(proc, gen, keys[c:c + _SLAB], step, slab)
+            tile[:, c:c + _SLAB] = slab.T
+        cols = None  # tile columns still stepping, once some have stopped
         for j in range(span):
-            f = noise[rows, j]
-            a0, a1 = _step_kernel(a0, a1, f * g0, f * g1, r)
-            hit = (a0 * a0 >= threshold) | (a1 * a1 >= threshold)
-            if hit.any():
-                done = live[rows[hit]]
-                outcome[done] = np.where(a0[hit] >= a1[hit], 0, 1)
+            s = _ratio_step(s, tile[j] if cols is None else tile[j, cols], coef)
+            if s.min() <= lo or s.max() >= hi:
+                hit = (s <= lo) | (s >= hi)
+                stepping = np.arange(live.size) if cols is None else cols
+                done = live[stepping[hit]]
+                outcome[done] = s[hit] > 1.0
                 steps_at[done] = step + j + 1
                 keep = ~hit
-                a0, a1, rows = a0[keep], a1[keep], rows[keep]
-                if not rows.size:
+                s, cols = s[keep], stepping[keep]
+                if not s.size:
                     break
         step += span
         span = min(2 * span, chunk)
-        live = live[rows]
+        if cols is not None:
+            live = live[cols]
     return outcome, steps_at
 
 
@@ -413,16 +432,16 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
         return (np.full(n_runs, 0 if a0 >= a1 else 1, dtype=np.int64),
                 np.zeros(n_runs, dtype=np.int64))
     if proc_base.mode == "alternating":
-        traj = run_trajectory(init, sys, proc_base, max_steps, threshold,
-                              history_stride=max_steps)
+        traj = run_trajectory(init, sys, proc_base, max_steps, threshold, max_steps)
         resolved = traj.outcome is not None
         return (np.full(n_runs, traj.outcome if resolved else -1, dtype=np.int64),
                 np.full(n_runs, traj.steps_to_collapse if resolved else -1, dtype=np.int64))
 
     blocks = _ensemble_blocks(n_runs, n_workers)  # at least n_workers blocks
-    advance = partial(_ensemble_block, init, sys, proc_base, max_steps, threshold, chunk)
+    advance = functools.partial(_ensemble_block, init, sys, proc_base, max_steps, threshold,
+                                chunk)
     if n_workers == 1:
-        parts = [advance(block) for block in blocks]
+        parts = list(map(advance, blocks))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -36,6 +36,7 @@ from scipy.special import gamma as _gamma
 _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
 
 MAX_FLUX_ORDER = 8
+MAX_FLUX_PHASE = 1.0  # radians the fastest grid mode may turn per flux dt
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,11 @@ def spectral_derivative(values, grid: SpatialGrid, order):
     return np.fft.ifft(mult * np.fft.fft(values))
 
 
+def flux_dt_limit(n, length, mass):
+    """Largest dt of density_flux_report: E(p) dt <= MAX_FLUX_PHASE on the grid."""
+    return MAX_FLUX_PHASE / math.hypot(mass, math.pi * n / length)
+
+
 def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxReport:
     """Residual of the truncated density-flux balance for the free square-root
     Hamiltonian,
@@ -309,8 +315,8 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxR
         raise ValueError("density_flux_report is derived for the free case: V = 0, a0 = 0")
     if not isinstance(n_trunc, (int, np.integer)) or not (1 <= n_trunc <= MAX_FLUX_ORDER):
         raise ValueError(f"n_trunc must be an integer in [1, {MAX_FLUX_ORDER}], got {n_trunc!r}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 < dt <= flux_dt_limit(psi.grid.n, psi.grid.length, f.mass):
+        raise ValueError(f"dt must lie in (0, flux_dt_limit] (max E(p) dt <= 1), got {dt!r}")
 
     grid = psi.grid
     rho_plus = free_propagate(psi, f, dt).density()

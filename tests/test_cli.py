@@ -276,6 +276,18 @@ def test_flux_plane_wave_residual_column(tmp_path):
     assert len(residuals) == 5 and np.all(residuals < 1e-12)
 
 
+@pytest.mark.parametrize("dt", ["1e307", "0.71"])
+def test_flux_dt_past_its_domain_is_a_validation_error(tmp_path, capsys, dt):
+    # on the default grid max E(p) = sqrt(2): dt above 1/sqrt(2) turns the
+    # fastest mode by more than one radian per difference step
+    out = tmp_path / "flux"
+    assert run_cli(["flux", "--dt", dt, "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and err["message"].startswith("flux.dt:")
+    assert not out.exists()
+    assert run_cli(["flux", "--dt", "0.7", "--n-trunc-max", "1", "--out", out]) == 0
+
+
 def test_flux_gaussian_monotone(tmp_path):
     out = tmp_path / "fluxg"
     assert run_cli(["flux", "--n-trunc-max", "4", "--out", out]) == 0

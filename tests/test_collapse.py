@@ -4,6 +4,7 @@ determinism, and the general mixing-matrix oracle."""
 import dataclasses
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,6 +221,56 @@ def test_definite_states_absorbing():
         assert a.a1 > a.a0
 
 
+def test_step_below_floor_snaps_to_the_other_level():
+    # an amplitude under the floor is never divided by: the state is definite
+    out = collapse_step(TwoStateAmplitudes(a0=0.5 * AMPLITUDE_FLOOR, a1=1.0), REF_SYS, f=0.3)
+    assert (out.a0, out.a1) == (0.0, 1.0)
+    out = collapse_step(TwoStateAmplitudes(a0=1.0, a1=0.25 * AMPLITUDE_FLOOR), REF_SYS, f=0.0)
+    assert (out.a0, out.a1) == (1.0, 0.0)
+
+
+# Worst distance, in ulp of the exact a0^2, of each route's a0^2 after one
+# step with |N| <= 0.25: the ratio map has about ten roundings, the
+# two-amplitude form about twenty.
+RATIO_STEP_ULP = 8
+COLLAPSE_STEP_ULP = 16
+
+
+def _exact_step_p0(a, sys_, f):
+    """a0^2 after the three stages (kick, mix, renormalize) in exact rational
+    arithmetic on the given amplitudes, gains and ratio."""
+    a0, a1, f, r = Fraction(a.a0), Fraction(a.a1), Fraction(f), Fraction(sys_.r_ratio)
+    p0, p1 = a0 * a0, a1 * a1
+    l00, l11 = p0 + p1 * r, p1 + p0 / r
+    k0 = a0 * (1 - f * Fraction(sys_.kick_gain(0)))
+    k1 = a1 * (1 - f * Fraction(sys_.kick_gain(1)))
+    b0 = l00 * k0 + (a0 / a1) * (1 - l00) * k1
+    b1 = (a1 / a0) * (1 - l11) * k0 + l11 * k1
+    return b0 * b0 / (b0 * b0 + b1 * b1)
+
+
+@pytest.mark.parametrize("e0, e1", [(1.25, 1.75), (1.75, 1.25), (1.0, 1.5), (1.1, 4.0),
+                                    (3.0, 3.2)])
+def test_ratio_step_agrees_with_collapse_step(e0, e1):
+    # one ratio-map step of the engines against the public two-amplitude
+    # step, both against exact arithmetic, over random states and noise
+    sys_ = TwoStateSystem(e0=e0, e1=e1)
+    g0, g1 = sys_.kick_gain(0), sys_.kick_gain(1)
+    coef = collapse._ratio_coefficients(g0, g1, sys_.r_ratio)
+    gen = np.random.default_rng(17)
+    for a0, n in zip(gen.uniform(0.03, 0.999, 300).tolist(), gen.uniform(-0.25, 0.25, 300)):
+        a = TwoStateAmplitudes(a0=a0, a1=math.sqrt(1.0 - a0 * a0))
+        f = float(n) / max(g0, g1)
+        s = collapse._ratio_step(collapse._initial_ratio(a), f, coef)
+        ratio_p0 = 1.0 / (1.0 + s)
+        step_p0 = collapse_step(a, sys_, f).a0 ** 2
+        exact = _exact_step_p0(a, sys_, f)
+        ulp = math.ulp(float(exact))
+        assert abs(Fraction(ratio_p0) - exact) <= RATIO_STEP_ULP * ulp
+        assert abs(Fraction(step_p0) - exact) <= COLLAPSE_STEP_ULP * ulp
+        assert abs(ratio_p0 - step_p0) <= (RATIO_STEP_ULP + COLLAPSE_STEP_ULP) * ulp
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -259,16 +310,17 @@ def test_trajectory_bit_determinism():
 
 
 def _reference_history(init, sys_, proc, max_steps, threshold):
-    """Every step of a trajectory from an explicit loop over one up-front
-    Philox draw: rows (step, a0^2, a1^2, f)."""
+    """Every step of a trajectory from an explicit loop of ratio-map steps
+    over one up-front Philox draw: rows (step, a0^2, a1^2, f)."""
     noise = proc.make_generator().uniform(-proc.sigma, proc.sigma, max_steps)
-    g0, g1, r = sys_.kick_gain(0), sys_.kick_gain(1), np.float64(sys_.r_ratio)
-    a0, a1 = np.float64(init.a0), np.float64(init.a1)
-    rows = [(0, a0 * a0, a1 * a1, 0.0)]
-    for step, f in enumerate(noise, start=1):
-        a0, a1 = collapse._step_kernel(a0, a1, np.float64(f * g0), np.float64(f * g1), r)
-        rows.append((step, a0 * a0, a1 * a1, f))
-        if a0 * a0 >= threshold or a1 * a1 >= threshold:
+    coef = collapse._ratio_coefficients(sys_.kick_gain(0), sys_.kick_gain(1), sys_.r_ratio)
+    lo, hi = collapse._ratio_bounds(threshold)
+    s = collapse._initial_ratio(init)
+    rows = [(0, init.a0 * init.a0, init.a1 * init.a1, 0.0)]
+    for step, f in enumerate(noise.tolist(), start=1):
+        s = collapse._ratio_step(s, f, coef)
+        rows.append((step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f))
+        if s <= lo or s >= hi:
             break
     return np.array(rows, dtype=float)
 
@@ -367,6 +419,72 @@ def test_ensemble_split_matches_scalar_trajectories_bitwise(scalar_reference, mo
     _assert_matches_scalar(scalar_reference, workers, chunk)
 
 
+def _collapse_step_runs(init, base, n_runs, max_steps, threshold):
+    """Outcome and collapse-step arrays (-1 where unresolved) of trajectories
+    stepped by the public collapse_step over generate_noise."""
+    outcomes, steps = np.full(n_runs, -1), np.full(n_runs, -1)
+    for k in range(n_runs):
+        a = init
+        noise = generate_noise(dataclasses.replace(base, seed=base.seed + k), max_steps)
+        for step, f in enumerate(noise.tolist(), start=1):
+            a = collapse_step(a, REF_SYS, f)
+            if a.a0 ** 2 >= threshold or a.a1 ** 2 >= threshold:
+                outcomes[k], steps[k] = (0 if a.a0 >= a.a1 else 1), step
+                break
+    return outcomes, steps
+
+
+# Windows of the (sigma, a0, seed) ensembles used as the engine's reference
+# cases; keys 711..726 of the seed-11 ensemble at a0 = 0.9993 include 720,
+# which collapses to level 0 while the others reach level 1.
+@pytest.mark.parametrize("sigma, a0, seed, n_runs", [(0.55, 0.5, 11, 12), (2.2, 0.5, 7, 64),
+                                                     (1.1, 0.9993, 11 + 700, 16)])
+def test_ensemble_equals_collapse_step_loop(sigma, a0, seed, n_runs):
+    init = TwoStateAmplitudes(a0=a0, a1=math.sqrt(1.0 - a0 * a0))
+    base = uniform_noise(sigma, seed)
+    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, n_runs, 20_000, 0.999,
+                                                 1024, 1)
+    ref_outcome, ref_steps = _collapse_step_runs(init, base, n_runs, 20_000, 0.999)
+    np.testing.assert_array_equal(outcome, ref_outcome)
+    np.testing.assert_array_equal(steps, ref_steps)
+    assert np.all(steps > 0)
+    if a0 == 0.9993:
+        assert set(outcome.tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("threshold", [0.51, 0.999, 0.999999999])
+def test_collapse_reports_a_probability_at_the_threshold(threshold):
+    # the last history row of a collapsed trajectory reports a probability
+    # >= threshold for its outcome, every earlier row both below it; the
+    # ensemble reports the same outcome and step
+    base = uniform_noise(2.2, seed=41)
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 12, 100_000,
+                                                 threshold, 1024, 1)
+    for k in range(12):
+        traj = run_trajectory(SYM_INIT, REF_SYS, dataclasses.replace(base, seed=base.seed + k),
+                              100_000, threshold)
+        probs = traj.history[:, 1:3]
+        assert traj.outcome is not None and probs[-1, traj.outcome] >= threshold
+        assert np.all(probs[:-1] < threshold)
+        assert (outcome[k], steps[k]) == (traj.outcome, traj.steps_to_collapse)
+
+
+@pytest.mark.parametrize("a0, a1, outcome", [(0.0, math.sqrt(1.0 - 5e-10), 1),
+                                              (math.sqrt(1.0 - 5e-10), 1e-10, 0)])
+def test_state_past_the_floor_collapses_at_the_first_step(a0, a1, outcome):
+    # within the normalization tolerance an amplitude may start below the
+    # floor with the other probability short of the threshold: the first
+    # step declares the state collapsed
+    init = TwoStateAmplitudes(a0=a0, a1=a1)
+    threshold = 0.9999999999
+    traj = run_trajectory(init, REF_SYS, uniform_noise(0.55, seed=3), 10, threshold)
+    assert (traj.outcome, traj.steps_to_collapse) == (outcome, 1)
+    assert traj.history[-1, 1 + outcome] >= threshold
+    got = collapse._ensemble_outcomes(init, REF_SYS, uniform_noise(0.55, seed=3), 3, 10,
+                                      threshold, 64, 1)
+    np.testing.assert_array_equal(got, [[outcome] * 3, [1] * 3])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_past_threshold_matches_scalar(workers):
     # an initial state already past the threshold collapses at step 0
@@ -463,37 +581,6 @@ def test_ensemble_single_worker_starts_no_pool(monkeypatch):
     report = run_ensemble(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), n_runs=10,
                           max_steps=200, threshold=0.999, workers=1)
     assert report.n_runs == 10
-
-
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).tobytes()
-
-
-def test_step_kernel_batch_equals_elementwise_bitwise():
-    # snapped, frozen and ordinary elements in one batch take the masked
-    # route; each element alone (ordinary ones take the unmasked route) must
-    # give the same bits, and so must the ordinary elements as a batch
-    gen = np.random.default_rng(12)
-    a0 = gen.uniform(0.05, 0.95, 12)
-    a0[[0, 5]] = [0.5 * AMPLITUDE_FLOOR, 1.0]  # level 0 gone / definite level 0
-    a1 = np.sqrt(1.0 - a0 * a0)
-    a1[5] = 0.25 * AMPLITUDE_FLOOR
-    f = gen.uniform(-0.5, 0.5, 12)
-    f[[3, 8]] = 0.0  # zero-noise freezes
-    g0, g1 = REF_SYS.kick_gain(0), REF_SYS.kick_gain(1)
-    n0, n1 = f * g0, f * g1
-    r = np.float64(REF_SYS.r_ratio)
-    b0, b1 = collapse._step_kernel(a0, a1, n0, n1, r)
-    for i in range(a0.size):
-        s0, s1 = collapse._step_kernel(a0[i], a1[i], n0[i], n1[i], r)
-        w0, w1 = collapse._step_kernel(a0[i:i + 1], a1[i:i + 1], n0[i:i + 1], n1[i:i + 1], r)
-        assert _bits(s0) == _bits(w0) == _bits(b0[i])
-        assert _bits(s1) == _bits(w1) == _bits(b1[i])
-    assert (b0[0], b1[0]) == (0.0, 1.0) and (b0[5], b1[5]) == (1.0, 0.0)
-    assert (b0[3], b1[3]) == (a0[3], a1[3])
-    plain = np.setdiff1d(np.arange(a0.size), [0, 3, 5, 8])
-    p0, p1 = collapse._step_kernel(a0[plain], a1[plain], n0[plain], n1[plain], r)
-    assert _bits(p0) == _bits(b0[plain]) and _bits(p1) == _bits(b1[plain])
 
 
 def test_ensemble_rerun_identical():

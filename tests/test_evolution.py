@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relqlab.evolution import (
+    MAX_FLUX_PHASE,
     FieldConfig,
     SpatialGrid,
     WaveFunction,
@@ -15,6 +16,7 @@ from relqlab.evolution import (
     dispersion,
     evolve,
     flux_coefficient,
+    flux_dt_limit,
     free_propagate,
     gaussian_packet,
     klein_gordon_residual,
@@ -355,6 +357,18 @@ def test_flux_moving_gaussian_monotone_convergence():
                  for n in (1, 2, 3, 4)]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
     assert residuals[0] > 1e-8 and residuals[-1] < 1e-12
+
+
+def test_flux_dt_outside_the_domain_is_rejected():
+    # the grid's fastest mode may turn by at most MAX_FLUX_PHASE per dt
+    psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
+    limit = flux_dt_limit(FLUX_GRID.n, FLUX_GRID.length, 1.0)
+    e_max = float(np.max(dispersion(FLUX_GRID.p, FLUX_FREE)))
+    assert limit == pytest.approx(MAX_FLUX_PHASE / e_max, rel=1e-15)
+    assert density_flux_report(psi, FLUX_FREE, dt=limit, n_trunc=2).residual_l2 < 1e-6
+    for dt in (math.nextafter(limit, math.inf), 1e307, math.inf, math.nan, 0.0, -0.01):
+        with pytest.raises(ValueError, match="dt"):
+            density_flux_report(psi, FLUX_FREE, dt=dt, n_trunc=2)
 
 
 def test_flux_validation():
