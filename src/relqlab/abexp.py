@@ -131,11 +131,11 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
     """
     xi = np.linspace(-2.0 * CENTRAL_WINDOW_FRINGES, 2.0 * CENTRAL_WINDOW_FRINGES,
                      cfg.screen_points)
-    _check_noise(sys, cfg.b1_amp)
+    gains = (sys.kick_gain(0), -sys.kick_gain(1))  # the paths see opposite-sign noise
+    _check_noise(gains, sys.r_ratio, cfg.b1_amp)
     half = 1.0 / math.sqrt(2.0)
     field = NoiseProcess(delta=cfg.delta, sigma=cfg.b1_amp, seed=0, mode="alternating")
-    outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half),
-                          (sys.kick_gain(0), -sys.kick_gain(1)), sys.r_ratio,
+    outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half), gains, sys.r_ratio,
                           field, cfg.n_segments, threshold, cfg.n_segments).outcome
     env = _envelope(xi)
     if outcome is None:

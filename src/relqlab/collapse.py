@@ -53,7 +53,7 @@ AMPLITUDE_FLOOR = 1e-9
 #: The physical segment durations quoted for laboratory noise imply ~1e12
 #: segments per collapse; this value is calibrated so the median collapse
 #: of the reference system lands in the 1e3..1e4 step range instead, with
-#: 4x headroom below the |N| < 1 perturbative guard.
+#: 5x headroom below the noise domain bound (sigma < 2.826 there).
 DEFAULT_SIGMA_STAR = 0.55
 
 #: Most trajectories one ensemble block advances in lockstep.  It bounds the
@@ -66,17 +66,18 @@ _TRAJ_CHUNK = 1024  # largest noise chunk of a scalar trajectory
 _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
-# Ensemble workers fork on Linux: a spawned worker re-imports relqlab, scipy
-# included, which takes longer than its share of a default ensemble.  They
-# run only elementwise numpy and Philox code, never BLAS or other threads.
-# Elsewhere the platform's default start method applies.
+# Ensemble workers fork on Linux: a spawned one imports numpy and relqlab
+# (~0.2 s; not scipy), so a 2-worker pool starts in ~0.4 s, forked in ~0.05 s
+# (2-vCPU Xeon; a default ensemble takes ~0.85 s).  Workers run only numpy and
+# Philox code, never BLAS or threads.  Elsewhere the default method applies.
 _POOL_START_METHOD = "fork" if sys.platform == "linux" else None
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 class NoiseTooLargeError(ValueError):
-    """|N| >= 1: the perturbative derivation of the kick no longer applies."""
+    """f_max max|A1, A0, B1, B0| >= 1: some state and noise value would give a
+    negative mixed amplitude.  The bound includes |N| < 1 (the perturbative kick)."""
 
 
 @dataclass(frozen=True)
@@ -276,18 +277,21 @@ def _ratio_bounds(threshold):
     return math.nextafter(lo, 0.0), hi
 
 
-def _check_noise(sys: TwoStateSystem, f_max):
-    worst = f_max * max(sys.kick_gain(0), sys.kick_gain(1))
+def _check_noise(gains, r, f_max):
+    """phi's numerator and denominator, linear in s >= 0 and in f, stay positive
+    for |f| <= f_max exactly when f_max max|A1, A0, B1, B0| < 1 (A1 = -g1, B0 = -g0)."""
+    worst = f_max * max(map(abs, _ratio_coefficients(*gains, r)))
     if worst >= 1.0:
-        raise NoiseTooLargeError(f"noise amplitude gives |N| up to {worst:.3g} >= 1; reduce sigma")
+        raise NoiseTooLargeError(f"noise amplitude {f_max!r} gives f_max max|A1, A0, B1, B0| = "
+                                 f"{worst:.4g} >= 1: an amplitude can turn negative; reduce sigma")
 
 
 def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStateAmplitudes:
     """Kick with noise value f, mix with the pre-kick linear-model factors,
     renormalize."""
-    _check_noise(sys, abs(f))
-    b0, b1 = _step_kernel(a_prev.a0, a_prev.a1, f * sys.kick_gain(0), f * sys.kick_gain(1),
-                          sys.r_ratio)
+    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
+    _check_noise((g0, g1), sys.r_ratio, abs(f))
+    b0, b1 = _step_kernel(a_prev.a0, a_prev.a1, f * g0, f * g1, sys.r_ratio)
     return TwoStateAmplitudes(a0=float(b0), a1=float(b1))
 
 
@@ -333,9 +337,9 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
         raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
-    _check_noise(sys, proc.sigma)
-    return _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc,
-                       max_steps, threshold, history_stride)
+    gains = (sys.kick_gain(0), sys.kick_gain(1))
+    _check_noise(gains, sys.r_ratio, proc.sigma)
+    return _trajectory(init, gains, sys.r_ratio, proc, max_steps, threshold, history_stride)
 
 
 def wilson_interval(successes, trials, z=_WILSON_Z):
@@ -473,7 +477,7 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
-    _check_noise(sys, proc_base.sigma)
+    _check_noise((sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base.sigma)
     outcome, steps_at = _ensemble_outcomes(init, sys, proc_base, n_runs, max_steps,
                                            threshold, chunk, workers)
 

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.special import gamma as _gamma
 
 _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
 
@@ -193,7 +191,7 @@ def evolve(psi: WaveFunction, f: FieldConfig, dt, steps) -> WaveFunction:
     values = psi.values
     for step in range(1, steps + 1):
         # Out of place, operands in this order: complex multiply is not bitwise commutative.
-        values = half_v * scipy.fft.ifft(kin_phase * scipy.fft.fft(half_v * values))
+        values = half_v * np.fft.ifft(kin_phase * np.fft.fft(half_v * values))
         if not np.all(np.isfinite(values.view(float))):
             raise _non_finite(step, steps, dt, f)
     return WaveFunction(grid=grid, values=values)
@@ -272,7 +270,8 @@ def klein_gordon_residual(p, sign, f: FieldConfig) -> float:
 
 def binom_half(n):
     """Generalized binomial C(1/2, n) = Gamma(3/2)/(Gamma(n+1) Gamma(3/2-n))."""
-    return float(_gamma(1.5) / (_gamma(n + 1.0) * _gamma(1.5 - n)))
+    from scipy.special import gamma  # loaded on first use, like specfun's quadrature
+    return float(gamma(1.5) / (gamma(n + 1.0) * gamma(1.5 - n)))
 
 
 def flux_coefficient(n, mass):

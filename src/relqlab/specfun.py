@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 EULER_GAMMA = float(np.euler_gamma)
 SQRT_I = complex(np.exp(0.25j * np.pi))
@@ -167,6 +166,7 @@ def kernel_moment_closed(q: MomentQuery) -> complex:
 
 
 def _quad_complex(func, a, b, *, limit, points=None, epsabs=1e-13, epsrel=1e-12):
+    from scipy import integrate  # here, not at the top: scipy takes most of the import time
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         value, abserr = integrate.quad(

@@ -16,7 +16,7 @@ from relqlab.abexp import (
     simulate_ab,
     two_state_for_paths,
 )
-from relqlab.collapse import _step_kernel
+from relqlab.collapse import NoiseTooLargeError, _step_kernel
 
 BEAM = dict(p_beam=1.0, a0_main=0.25)
 
@@ -190,3 +190,11 @@ def test_simulate_ab_matches_reference_loop_bitwise(b1_amp, collapses):
     assert pattern.collapse_outcome == outcome
     assert pattern.intensity.tobytes() == expected.tobytes()
     assert pattern.collapsed_fraction == (1.0 if collapses else 0.0)
+
+
+def test_ab_field_past_the_noise_domain_is_rejected():
+    # opposite-sign kicks put the domain of the default beam at b1_amp < 2.094
+    sys_ = two_state_for_paths(**BEAM)
+    simulate_ab(make_config(b1_amp=2.09), sys_)
+    with pytest.raises(NoiseTooLargeError):
+        simulate_ab(make_config(b1_amp=2.1), sys_)

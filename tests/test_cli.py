@@ -2,6 +2,9 @@
 
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,15 @@ def test_module_error_surfaces_as_json(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
+
+
+def test_noise_past_its_domain_is_a_module_error(tmp_path, capsys):
+    code = run_cli(["ensemble", "--e0", "1.1", "--e1", "4.0", "--sigma", "2.5",
+                    "--n-runs", "200", "--out", tmp_path / "e"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NoiseTooLargeError"
+    assert not (tmp_path / "e" / "ensemble_report.json").exists()
 
 
 @pytest.mark.parametrize("config, key", [
@@ -237,6 +249,41 @@ def test_write_json_refuses_non_finite(tmp_path):
     with pytest.raises(ValueError, match="JSON"):
         cli._write_json(path, {"norm_drift": float("nan")})
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+# Run in a fresh interpreter (argv[1]: output root).  Prints, as JSON, each
+# stage's name, exit code and the scipy modules loaded after it.
+_SCIPY_ON_FIRST_USE = """
+import json
+import sys
+import relqlab.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = [("import", 0, scipy_modules())]
+for argv in (["ensemble", "--n-runs", "200"], ["collapse"], ["ab"], ["evolve"], ["kernel"],
+             ["flux"], ["oracle", "--n-max", "2"]):
+    rc = cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}"])
+    stages.append((argv[0], rc, scipy_modules()))
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_is_loaded_only_by_quadrature_and_flux(tmp_path):
+    # a subprocess, because other test modules have loaded scipy into this one
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           _SCIPY_ON_FIRST_USE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert [rc for _, rc, _ in stages] == [0] * 8, proc.stderr
+    assert [name for name, _, loaded in stages if loaded] == ["flux", "oracle"]
+    assert {"scipy.integrate", "scipy.special"} <= set(stages[-1][2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""Property test of the CLI manifest: the parameters, seed and threads it
+records, fed back as a config file, resolve to the same run."""
+
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from relqlab import cli, evolution  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Unions wide enough that every schema check (intervals, lower bounds, powers
+# of two, small integer ranges) accepts a fair share of the draws; a draw the
+# check refuses stands in for the default.
+FLOATS = st.one_of(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+                   st.floats(1.0, 1e6), st.floats(-1e6, 1e6), st.floats(1e-300, 1e-3))
+INTS = st.one_of(st.integers(0, 16), st.integers(0, 10**6), st.integers(4, 20).map(lambda k: 1 << k))
+EPS0_LISTS = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5).map(
+    lambda xs: ",".join(map(repr, xs)))
+
+
+def _strategy(prm: cli.Param):
+    if prm.choices:
+        return st.sampled_from(prm.choices)
+    base = {float: FLOATS, int: INTS, str: EPS0_LISTS}[prm.type]
+    return base if prm.check is None else base.map(
+        lambda v: v if prm.check(v) is None else prm.default)
+
+
+def _draw_parameters(data, name):
+    params = {prm.name: data.draw(_strategy(prm), label=prm.name) for prm in cli.SCHEMAS[name]}
+    if name == "flux":  # dt is bounded by the grid, mass and length drawn above
+        limit = evolution.flux_dt_limit(params["grid_n"], params["length"], params["mass"])
+        params["dt"] = limit * data.draw(st.floats(1e-6, 1.0), label="dt / limit")
+    return params
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(cli.SUBCOMMANDS), seed=st.integers(0, 2**64),
+       threads=st.integers(1, 8), data=st.data())
+def test_manifest_parameters_replay_as_a_config_file(name, seed, threads, data):
+    params = _draw_parameters(data, name)
+    argv = [name, "--seed", str(seed), "--threads", str(threads)]
+    # --flag=value: argparse takes a lone "-1e-05" for an option
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in params.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        first = cli.parse_and_validate([*argv, "--out", str(Path(tmp) / "run")])
+        assert first.parameters == params
+        # The manifest does not depend on the computation, which is skipped.
+        with mock.patch.dict(cli._RUNNERS, {name: lambda cfg: []}):
+            manifest = cli.execute(first)
+        written = json.loads((first.output_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert written["parameters"] == manifest["parameters"]
+        replay = Path(tmp) / "replay.json"
+        replay.write_text(json.dumps({name: written["parameters"], "seed": written["seed"],
+                                      "threads": written["threads"]}), encoding="utf-8")
+        second = cli.parse_and_validate([name, "--config", str(replay)])
+    assert second.parameters == first.parameters
+    # the same types and signs of zero too
+    assert json.dumps(second.parameters) == json.dumps(first.parameters)
+    assert (second.seed, second.threads) == (first.seed, first.threads)

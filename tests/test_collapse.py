@@ -158,6 +158,49 @@ def test_kick_too_large_rejected():
         collapse_step(TwoStateAmplitudes(a0=0.5, a1=math.sqrt(0.75)), REF_SYS, 5.0)
 
 
+def test_noise_that_turns_an_amplitude_negative_is_rejected():
+    # |N| = 0.7 < 1, yet with r = 2.36 the mixed amplitude a0 (1 - N1 - l00 D) is negative
+    far = TwoStateSystem(e0=1.1, e1=4.0)
+    with pytest.raises(NoiseTooLargeError, match="reduce sigma"):
+        collapse_step(SYM_INIT, far, 2.5042)
+    with pytest.raises(NoiseTooLargeError):
+        run_trajectory(SYM_INIT, far, uniform_noise(2.5, 0), max_steps=10, threshold=0.999)
+    with pytest.raises(NoiseTooLargeError):
+        run_ensemble(SYM_INIT, far, uniform_noise(2.5, 0), n_runs=200, max_steps=10,
+                     threshold=0.999)
+
+
+def test_noise_domain_at_the_reference_levels():
+    # the bound f_max max|A1, A0, B1, B0| < 1 puts the sigma limit at 2.826 (|N| < 1: 2.885)
+    run_ensemble(SYM_INIT, REF_SYS, uniform_noise(2.82, 0), n_runs=2, max_steps=10,
+                 threshold=0.999)
+    with pytest.raises(NoiseTooLargeError):
+        run_ensemble(SYM_INIT, REF_SYS, uniform_noise(2.83, 0), n_runs=2, max_steps=10,
+                     threshold=0.999)
+
+
+@pytest.mark.parametrize("e0, e1, sign", [(1.25, 1.75, 1), (1.1, 4.0, 1), (3.0, 1.2, 1),
+                                          (1.0, 1.5, 1), (1.25, 1.75, -1)])
+def test_noise_domain_is_where_the_two_amplitude_step_stays_positive(e0, e1, sign):
+    # the step's own three stages, over states from s = 1e-12 to 1e12 and both
+    # signs of f: positive just inside the limit, negative somewhere just past it
+    sys_ = TwoStateSystem(e0=e0, e1=e1)
+    gains = (sys_.kick_gain(0), sign * sys_.kick_gain(1))
+    limit = 1.0 / max(map(abs, collapse._ratio_coefficients(*gains, sys_.r_ratio)))
+    s = np.geomspace(1e-12, 1e12, 241)
+    states = list(zip((1.0 / np.sqrt(1.0 + s)).tolist(), (1.0 / np.sqrt(1.0 + 1.0 / s)).tolist()))
+
+    def lowest_amplitude(f):
+        return min(min(collapse._step_kernel(a0, a1, f * gains[0], f * gains[1], sys_.r_ratio))
+                   for a0, a1 in states)
+
+    assert lowest_amplitude(0.999 * limit) > 0.0 and lowest_amplitude(-0.999 * limit) > 0.0
+    assert min(lowest_amplitude(1.01 * limit), lowest_amplitude(-1.01 * limit)) < 0.0
+    collapse._check_noise(gains, sys_.r_ratio, 0.999 * limit)
+    with pytest.raises(NoiseTooLargeError):
+        collapse._check_noise(gains, sys_.r_ratio, 1.001 * limit)
+
+
 # ---------------------------------------------------------------------------
 # linear-model factors
 
