@@ -70,7 +70,6 @@ from .abexp import (
     EnvelopeOnlyPatternError,
     ScreenPattern,
     ab_phase,
-    alternating_field,
     fringe_visibility,
     simulate_ab,
     two_state_for_paths,

@@ -96,23 +96,15 @@ def ab_phase(flux):
     return -flux
 
 
-def alternating_field(cfg: ABConfig, t):
-    """Field value (-1)^n b1_amp on segment n = floor(t / delta)."""
-    if not (0.0 <= t < cfg.tau_flight):
-        raise ValueError(f"t must lie in [0, tau_flight), got {t!r}")
-    n = int(t // cfg.delta)
-    return cfg.b1_amp if n % 2 == 0 else -cfg.b1_amp
-
-
-def two_state_for_paths(p_beam, a0_main, mass=1.0) -> TwoStateSystem:
+def two_state_for_paths(p_beam, a0_main) -> TwoStateSystem:
     """Two-state system of the left/right paths under a uniform potential.
 
     The left path runs with the potential, the right against it, so their
     dispersions are shifted to p +- a0; level 0 is the left (higher-momentum)
-    path.  Energies are returned in units of m c^2 as TwoStateSystem expects.
+    path.  Momenta in units of m c give energies in units of m c^2, as TwoStateSystem expects.
     """
-    e_left = math.sqrt(mass * mass + (p_beam + a0_main) ** 2) / mass
-    e_right = math.sqrt(mass * mass + (p_beam - a0_main) ** 2) / mass
+    e_left = math.sqrt(1.0 + (p_beam + a0_main) ** 2)
+    e_right = math.sqrt(1.0 + (p_beam - a0_main) ** 2)
     return TwoStateSystem(e0=e_left, e1=e_right)
 
 
@@ -151,8 +143,8 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
                          collapse_outcome=outcome)
 
 
-def fringe_visibility(positions, intensity, period=1.0):
-    """(Imax - Imin)/(Imax + Imin) over the central +-2 fringe periods.
+def fringe_visibility(positions, intensity):
+    """(Imax - Imin)/(Imax + Imin) over the central +-2 fringes (positions in fringe units).
 
     Requires at least 3 interior local extrema in the window; a pattern
     without them is envelope-only and the caller records visibility 0.
@@ -161,7 +153,7 @@ def fringe_visibility(positions, intensity, period=1.0):
     intensity = np.asarray(intensity, dtype=float)
     if np.any(intensity < -1e-12):
         raise ValueError("intensity must be non-negative")
-    window = np.abs(positions) <= CENTRAL_WINDOW_FRINGES * period
+    window = np.abs(positions) <= CENTRAL_WINDOW_FRINGES
     vals = intensity[window]
     if vals.size < 5:
         raise ValueError("too few screen samples inside the central window")

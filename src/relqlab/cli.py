@@ -87,6 +87,16 @@ def _energy(v):
     return None if v >= 1.0 else "must be >= 1 (units of m c^2)"
 
 
+_THRESHOLD = Param("threshold", float, 0.999, "collapse threshold", _open_interval(0.5, 1.0))
+_TWO_STATE = [  # the two-state system, its noise and its initial state
+    Param("e0", float, 1.25, "level-0 energy (units of m c^2)", _energy),
+    Param("e1", float, 1.75, "level-1 energy (units of m c^2)", _energy),
+    Param("sigma", float, collapse.DEFAULT_SIGMA_STAR, "noise amplitude", _non_negative),
+    Param("delta", float, 1.0, "noise segment duration (units of tau0)", _positive),
+    Param("mode", str, "uniform", "noise mode", choices=("uniform", "alternating")),
+    Param("a0_init", float, 0.5, "initial a0 (a1 = sqrt(1 - a0^2))", _unit_interval),
+]
+
 SCHEMAS = {
     "oracle": [
         Param("n_max", int, 5, "highest moment order", _int_range(0, specfun.MAX_MOMENT_ORDER)),
@@ -112,26 +122,16 @@ SCHEMAS = {
         Param("snapshot_stride", int, 100, "steps between snapshots", _int_min(1)),
     ],
     "collapse": [
-        Param("e0", float, 1.25, "level-0 energy (units of m c^2)", _energy),
-        Param("e1", float, 1.75, "level-1 energy (units of m c^2)", _energy),
-        Param("sigma", float, collapse.DEFAULT_SIGMA_STAR, "noise amplitude", _non_negative),
-        Param("delta", float, 1.0, "noise segment duration (units of tau0)", _positive),
-        Param("mode", str, "uniform", "noise mode", choices=("uniform", "alternating")),
-        Param("a0_init", float, 0.5, "initial a0 (a1 = sqrt(1 - a0^2))", _unit_interval),
+        *_TWO_STATE,
         Param("max_steps", int, 100_000, "step budget", _int_min(1)),
-        Param("threshold", float, 0.999, "collapse threshold", _open_interval(0.5, 1.0)),
+        _THRESHOLD,
         Param("history_stride", int, 1, "steps between history records", _int_min(1)),
     ],
     "ensemble": [
-        Param("e0", float, 1.25, "level-0 energy (units of m c^2)", _energy),
-        Param("e1", float, 1.75, "level-1 energy (units of m c^2)", _energy),
-        Param("sigma", float, collapse.DEFAULT_SIGMA_STAR, "noise amplitude", _non_negative),
-        Param("delta", float, 1.0, "noise segment duration (units of tau0)", _positive),
-        Param("mode", str, "uniform", "noise mode", choices=("uniform", "alternating")),
-        Param("a0_init", float, 0.5, "initial a0 (a1 = sqrt(1 - a0^2))", _unit_interval),
+        *_TWO_STATE,
         Param("n_runs", int, 10_000, "number of trajectories", _int_min(1)),
         Param("max_steps", int, 100_000, "step budget per trajectory", _int_min(1)),
-        Param("threshold", float, 0.999, "collapse threshold", _open_interval(0.5, 1.0)),
+        _THRESHOLD,
     ],
     "ab": [
         Param("flux", float, 0.0, "enclosed flux (AB phase = -flux)"),
@@ -143,7 +143,7 @@ SCHEMAS = {
         Param("screen_points", int, 256, "screen samples", _int_min(64)),
         Param("p_beam", float, 1.0, "beam momentum (units of m c)", _positive),
         Param("a0_main", float, 0.25, "uniform potential magnitude", _positive),
-        Param("threshold", float, 0.999, "collapse threshold", _open_interval(0.5, 1.0)),
+        _THRESHOLD,
     ],
     "flux": [
         Param("grid_n", int, 512, "grid size (power of two)", _power_of_two),
@@ -176,8 +176,13 @@ class RunConfig:
 # parsing and validation
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a validation error (JSON, exit 2), not usage text; --help exits 0
+        raise ValueError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relqlab",
         description="relativistic path-weight / collapse numerical laboratory",
     )

@@ -62,7 +62,7 @@ ENSEMBLE_BLOCK = 16384
 
 _SLAB = 32  # noise streams an ensemble fills, scales and transposes at a time
 _FIRST_CHUNK = 64  # noise values per trajectory in a run's first chunk
-_TRAJ_CHUNK = 1024  # largest noise chunk of a scalar trajectory
+_CHUNK = 1024  # largest noise chunk per trajectory, a multiple of four, in both loops
 _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
@@ -71,8 +71,6 @@ _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 # (2-vCPU Xeon; a default ensemble takes ~0.85 s).  Workers run only numpy and
 # Philox code, never BLAS or threads.  Elsewhere the default method applies.
 _POOL_START_METHOD = "fork" if sys.platform == "linux" else None
-
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 class NoiseTooLargeError(ValueError):
@@ -298,13 +296,13 @@ def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStat
 def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_steps,
                 threshold, history_stride) -> CollapseTrajectory:
     """The width-1 loop behind run_trajectory, on Python floats, kicking level m
-    by f * gains[m]; noise chunks double from _FIRST_CHUNK to _TRAJ_CHUNK."""
+    by f * gains[m]; noise chunks double from _FIRST_CHUNK to _CHUNK."""
     coef = _ratio_coefficients(*gains, r)
     lo, hi = _ratio_bounds(threshold)
     rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
     hit = rows[1] >= threshold or rows[2] >= threshold
     s = _initial_ratio(init)
-    step, span = 0, _FIRST_CHUNK
+    step, span = 0, min(_FIRST_CHUNK, _CHUNK)
     while not hit and step < max_steps:
         for f in generate_noise(proc, min(span, max_steps - step), step).tolist():
             step += 1
@@ -314,7 +312,7 @@ def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_step
             hit = s <= lo or s >= hi
             if hit:
                 break
-        span = min(2 * span, _TRAJ_CHUNK)
+        span = min(2 * span, _CHUNK)
     if rows[-4] != step:
         rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
     outcome = int(s > 1.0) if hit else None
@@ -342,10 +340,11 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     return _trajectory(init, gains, sys.r_ratio, proc, max_steps, threshold, history_stride)
 
 
-def wilson_interval(successes, trials, z=_WILSON_Z):
+def wilson_interval(successes, trials):
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("wilson_interval needs at least one trial")
+    z = 1.959963984540054  # two-sided 95%
     p_hat = successes / trials
     z2n = z * z / trials
     center = (p_hat + 0.5 * z2n) / (1.0 + z2n)
@@ -375,16 +374,16 @@ def _ensemble_blocks(n_runs, workers):
 
 
 def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
-                    max_steps, threshold, chunk, block):
+                    max_steps, threshold, block):
     """Advance trajectories k0 .. k0 + width - 1 of a uniform-noise ensemble
     from an initial state short of the threshold.
 
     Noise comes in chunks whose length starts at _FIRST_CHUNK and doubles up
-    to `chunk` (both rounded to multiples of four, so every stream can be
-    resumed from its counter alone); the chunking never changes a value.  A
-    chunk is filled _SLAB streams at a time into a step-major tile.  Returns
-    the outcome and collapse-step arrays (-1 where unresolved).  Module-level
-    so that worker processes can run it.
+    to _CHUNK (multiples of four, so every stream can be resumed from its
+    counter alone); the chunking never changes a value.  A chunk is filled
+    _SLAB streams at a time into a step-major tile.  Returns the outcome and
+    collapse-step arrays (-1 where unresolved).  Module-level so that worker
+    processes can run it.
     """
     k0, width = block
     coef = _ratio_coefficients(sys.kick_gain(0), sys.kick_gain(1), sys.r_ratio)
@@ -392,13 +391,12 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     outcome = np.full(width, -1, dtype=np.int64)
     steps_at = np.full(width, -1, dtype=np.int64)
     gen = proc.make_generator(offset=k0)  # re-keyed per row; validates the lowest key
-    chunk = -(-chunk // 4) * 4
-    tile_buf = np.empty(width * min(chunk, max_steps))
-    slab_buf = np.empty(min(width, _SLAB) * min(chunk, max_steps))
+    tile_buf = np.empty(width * min(_CHUNK, max_steps))
+    slab_buf = np.empty(min(width, _SLAB) * min(_CHUNK, max_steps))
     s = np.full(width, _initial_ratio(init))
     live = np.arange(width)  # block-local indices of the trajectories still stepping
     step = 0
-    span = min(_FIRST_CHUNK, chunk)
+    span = min(_FIRST_CHUNK, _CHUNK)
     while live.size and step < max_steps:
         span = min(span, max_steps - step)
         tile = tile_buf[:span * live.size].reshape(span, live.size)
@@ -421,14 +419,14 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
                 if not s.size:
                     break
         step += span
-        span = min(2 * span, chunk)
+        span = min(2 * span, _CHUNK)
         if cols is not None:
             live = live[cols]
     return outcome, steps_at
 
 
 def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: NoiseProcess,
-                       n_runs, max_steps, threshold, chunk, workers):
+                       n_runs, max_steps, threshold, workers):
     """Per-trajectory outcome and collapse-step arrays (-1 where unresolved)."""
     n_workers = worker_count(workers, n_runs)  # a block holds at least one trajectory
     a0, a1 = init.a0, init.a1
@@ -442,8 +440,7 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
                 np.full(n_runs, traj.steps_to_collapse if resolved else -1, dtype=np.int64))
 
     blocks = _ensemble_blocks(n_runs, n_workers)  # at least n_workers blocks
-    advance = functools.partial(_ensemble_block, init, sys, proc_base, max_steps, threshold,
-                                chunk)
+    advance = functools.partial(_ensemble_block, init, sys, proc_base, max_steps, threshold)
     if n_workers == 1:
         parts = list(map(advance, blocks))
     else:
@@ -457,14 +454,14 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
 
 
 def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: NoiseProcess,
-                 n_runs, max_steps, threshold, chunk=1024, workers=1) -> EnsembleReport:
+                 n_runs, max_steps, threshold, workers=1) -> EnsembleReport:
     """Repeat the trajectory with seeds seed + k, k = 0..n_runs-1.
 
     Uniform-noise trajectories advance in vectorized lockstep, in blocks of
     at most ENSEMBLE_BLOCK that up to `workers` processes share (see
     worker_count); each consumes its own Philox stream, so the
     per-trajectory results equal scalar run_trajectory calls bit for bit and
-    are independent of chunk, blocks and workers.  Alternating noise is
+    are independent of chunks, blocks and workers.  Alternating noise is
     deterministic: one trajectory is run and its result stands for all.
     """
     if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
@@ -475,11 +472,9 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     if not (0.5 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     _check_noise((sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base.sigma)
     outcome, steps_at = _ensemble_outcomes(init, sys, proc_base, n_runs, max_steps,
-                                           threshold, chunk, workers)
+                                           threshold, workers)
 
     counts = {0: int(np.sum(outcome == 0)), 1: int(np.sum(outcome == 1))}
     unresolved = int(np.sum(outcome < 0))
@@ -491,16 +486,15 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
                           unresolved=unresolved, median_steps=median_steps)
 
 
-def lambda_general(psi: evolution.WaveFunction, basis, energies, f: evolution.FieldConfig,
-                   denominator_floor=1e-12):
+def lambda_general(psi: evolution.WaveFunction, basis, energies, f: evolution.FieldConfig):
     """Mixing matrix from its defining form: lambda_nm = <phi_n| RR(x) R^-1 |phi_m>
     with RR(x) = psi(x) / (R^-1 psi)(x).
 
     basis must be orthonormal eigenmodes on psi's grid (Gram matrix within
     1e-10 of the identity) and energies their dispersion eigenvalues.  Grid
-    points where |R^-1 psi| falls below the floor are excluded; a warning is
-    issued when the excluded probability mass exceeds 1e-6.  Used to validate
-    the two-state linear model against the defining formula.
+    points where |R^-1 psi| falls below 1e-12 of its maximum are excluded; a
+    warning is issued when the excluded probability mass exceeds 1e-6.  Used
+    to validate the two-state linear model against the defining formula.
     """
     grid = psi.grid
     dx = grid.dx
@@ -513,7 +507,7 @@ def lambda_general(psi: evolution.WaveFunction, basis, energies, f: evolution.Fi
         raise ValueError("need one energy per basis mode")
 
     rinv_psi = evolution.apply_R(psi, f, inverse=True).values
-    keep = np.abs(rinv_psi) >= denominator_floor * np.max(np.abs(rinv_psi))
+    keep = np.abs(rinv_psi) >= 1e-12 * np.max(np.abs(rinv_psi))
     excluded_mass = float(np.sum(np.abs(psi.values[~keep]) ** 2) * dx)
     if excluded_mass > 1e-6:
         warnings.warn(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import MomentQuery, _quad_complex, kernel_moment_closed
+from .specfun import MAX_MOMENT_ORDER, MomentQuery, _quad_complex, kernel_moment_closed
 
 _UNIFORM_STEP_RTOL = 1e-12
 
@@ -57,11 +57,6 @@ class PhysicalScale:
     @property
     def tau0(self):
         """Compton time 1/m."""
-        return 1.0 / self.mass
-
-    @property
-    def lambda_c(self):
-        """Compton length 1/m."""
         return 1.0 / self.mass
 
 
@@ -136,10 +131,6 @@ class SampledField:
             raise ValueError("field sample positions must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def constant(cls, value, x_min, x_max):
-        return cls(np.array([x_min, x_max]), np.array([float(value), float(value)]))
 
     def __call__(self, xq):
         xq = np.asarray(xq, dtype=float)
@@ -248,29 +239,28 @@ def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * (real_leg + tail)
 
 
-def short_time_plane_wave_series(p_momentum, eps0, scale: PhysicalScale, *, n_max=12,
-                                 rel_tol=1e-10) -> complex:
+def short_time_plane_wave_series(p_momentum, eps0, scale: PhysicalScale) -> complex:
     """Short-time amplitude summed term by term over the closed kernel moments.
 
     The Taylor route in p: amplitude = 2 sqrt(tau0) sum_n (-1)^n (p tau0)^{2n}
     / (2n)! M_n(eps0).  Its radius of convergence is |p| = m (the branch
     points of the closed form), so it serves as a cross-check at small p;
-    a SeriesTruncationError is raised when the n = n_max term still
-    contributes more than rel_tol relatively.
+    a SeriesTruncationError is raised when the last term, n = MAX_MOMENT_ORDER,
+    still contributes more than 1e-10 relatively.
     """
     tau0 = scale.tau0
     ptau = p_momentum * tau0
     total = 0.0 + 0.0j
     coeff = 1.0  # (-1)^n (p tau0)^(2n) / (2n)!
     last_rel = np.inf
-    for n in range(n_max + 1):
+    for n in range(MAX_MOMENT_ORDER + 1):
         term = coeff * kernel_moment_closed(MomentQuery(n=n, eps0=eps0))
         total += term
         last_rel = abs(term) / max(abs(total), 1e-300)
         coeff *= -ptau * ptau / ((2 * n + 1) * (2 * n + 2))
-    if last_rel > rel_tol:
+    if last_rel > 1e-10:
         raise SeriesTruncationError(
-            f"moment series still contributing {last_rel:.2e} relatively at n={n_max}; "
+            f"moment series still contributing {last_rel:.2e} relatively at n={MAX_MOMENT_ORDER}; "
             f"|p| tau0 = {abs(ptau):.3g} is too large for the Taylor route"
         )
     return 2.0 * math.sqrt(tau0) * total
@@ -290,7 +280,7 @@ def equal_time_kernel_profile(eta, a_line_integral, scale: PhysicalScale) -> com
     return (1j * aeta) ** -0.5 * np.exp(-scale.mass * aeta - 1j * a_line_integral)
 
 
-def straight_path(v, duration, n_segments=1, t0=0.0, x0=0.0) -> Path:
-    """Constant-velocity path sampled with n_segments equal segments."""
-    times = t0 + np.linspace(0.0, duration, n_segments + 1)
-    return Path(times=times, positions=x0 + v * (times - t0))
+def straight_path(v, duration, n_segments=1) -> Path:
+    """Constant-velocity path from x = 0 at t = 0, in n_segments equal segments."""
+    times = np.linspace(0.0, duration, n_segments + 1)
+    return Path(times=times, positions=v * times)

@@ -165,12 +165,12 @@ def kernel_moment_closed(q: MomentQuery) -> complex:
     return value
 
 
-def _quad_complex(func, a, b, *, limit, points=None, epsabs=1e-13, epsrel=1e-12):
+def _quad_complex(func, a, b, *, limit, points=None):
     from scipy import integrate  # here, not at the top: scipy takes most of the import time
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         value, abserr = integrate.quad(
-            func, a, b, complex_func=True, epsabs=epsabs, epsrel=epsrel,
+            func, a, b, complex_func=True, epsabs=1e-13, epsrel=1e-12,
             limit=limit, points=points,
         )
     for w in caught:

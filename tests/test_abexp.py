@@ -1,22 +1,22 @@
-"""Two-path interference harness: phases, the alternating field, visibility,
-and the collapse-driven interference destruction."""
+"""Two-path interference harness: phases, the alternating field the engine
+applies, visibility, and the collapse-driven interference destruction."""
 
 import math
 
 import numpy as np
 import pytest
 
+from relqlab import abexp
 from relqlab.abexp import (
     ABConfig,
     DEFAULT_B1_STAR,
     EnvelopeOnlyPatternError,
     ab_phase,
-    alternating_field,
     fringe_visibility,
     simulate_ab,
     two_state_for_paths,
 )
-from relqlab.collapse import NoiseTooLargeError, _step_kernel
+from relqlab.collapse import NoiseTooLargeError, _step_kernel, generate_noise
 
 BEAM = dict(p_beam=1.0, a0_main=0.25)
 
@@ -37,26 +37,43 @@ def test_ab_phase_values():
     assert ab_phase(math.pi) == -math.pi
 
 
-def test_alternating_field_segments():
-    cfg = make_config(b1_amp=0.4)
-    assert alternating_field(cfg, 0.0) == 0.4
-    assert alternating_field(cfg, 0.999) == 0.4
-    assert alternating_field(cfg, 1.0) == -0.4
-    with pytest.raises(ValueError):
-        alternating_field(cfg, cfg.tau_flight)
+def _applied_field(cfg, monkeypatch):
+    """The noise process simulate_ab hands to the collapse loop for cfg."""
+    seen = []
+
+    def spy(init, gains, r, proc, *rest):
+        seen.append(proc)
+        return trajectory(init, gains, r, proc, *rest)
+
+    trajectory = abexp._trajectory
+    monkeypatch.setattr(abexp, "_trajectory", spy)
+    simulate_ab(cfg, two_state_for_paths(**BEAM))
+    assert len(seen) == 1 and seen[0].mode == "alternating"
+    return seen[0]
 
 
-def test_alternating_field_integrates_to_zero():
+def test_alternating_field_segments(monkeypatch):
+    # segment n carries (-1)^n b1_amp, also past the first noise chunk (64)
+    field = _applied_field(make_config(b1_amp=0.4), monkeypatch)
+    assert generate_noise(field, 6).tolist() == [0.4, -0.4] * 3
+    assert generate_noise(field, 6, start=64).tolist() == [0.4, -0.4] * 3
+    whole = generate_noise(field, 192)
+    np.testing.assert_array_equal(whole, np.where(np.arange(192) % 2 == 0, 0.4, -0.4))
+    np.testing.assert_array_equal(whole[64:], generate_noise(field, 128, start=64))
+
+
+def test_alternating_field_integrates_to_zero(monkeypatch):
     cfg = make_config(b1_amp=0.7)
-    # piecewise-constant: the integral over [0, 2 delta] is the segment sum
-    total = sum(alternating_field(cfg, (n + 0.5) * cfg.delta) * cfg.delta
-                for n in range(cfg.n_segments))
-    assert total == 0.0
+    # piecewise-constant: the integral over the flight is the segment sum
+    values = generate_noise(_applied_field(cfg, monkeypatch), cfg.n_segments)
+    assert values.size == 6000
+    assert sum(values.tolist()) * cfg.delta == 0.0
 
 
-def test_zero_amplitude_field():
+def test_zero_amplitude_field(monkeypatch):
     cfg = make_config(b1_amp=0.0)
-    assert alternating_field(cfg, 1234.5) == 0.0
+    values = generate_noise(_applied_field(cfg, monkeypatch), cfg.n_segments)
+    assert np.all(values == 0.0)
 
 
 def test_config_validation():

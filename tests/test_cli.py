@@ -188,6 +188,29 @@ def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
     assert err["error"] == "validation" and err["message"].startswith("collapse.seed:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--x0", "-1e-05"], "argument --x0: expected one argument"),
+    (["evolve", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag 1"),
+])
+def test_argparse_rejections_are_validation_errors(tmp_path, capsys, argv, message):
+    # argparse's own rejections keep the error contract: one JSON line, exit 2
+    assert run_cli([*argv, "--out", tmp_path / "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "validation", "message": message}
+    assert "usage" not in captured.err
+    assert not (tmp_path / "x").exists()
+    # a negative exponent float is taken when attached with "="
+    assert cli.parse_and_validate(["evolve", "--x0=-1e-05"]).parameters["x0"] == -1e-05
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["collapse", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: relqlab collapse")
+
+
 def test_ensemble_keys_past_128_bits_fail_before_any_output(tmp_path, capsys):
     out = tmp_path / "e"
     seed = 2**128 - 6  # keys seed .. seed + 9 would pass 2**128 - 1

@@ -432,14 +432,14 @@ def scalar_reference():
     return _scalar_runs(SYM_INIT, _REF_BASE, 16, 50_000)
 
 
-def _assert_matches_scalar(reference, workers, chunk):
+def _assert_matches_scalar(reference, workers):
     ref_outcome, ref_steps = reference
     outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, _REF_BASE, 16, 50_000,
-                                                 0.999, chunk, workers)
+                                                 0.999, workers)
     np.testing.assert_array_equal(outcome, ref_outcome)
     np.testing.assert_array_equal(steps, ref_steps)
     report = run_ensemble(SYM_INIT, REF_SYS, _REF_BASE, n_runs=16, max_steps=50_000,
-                          threshold=0.999, chunk=chunk, workers=workers)
+                          threshold=0.999, workers=workers)
     assert report.counts[0] == int(np.sum(ref_outcome == 0))
     assert report.counts[1] == int(np.sum(ref_outcome == 1))
     assert report.median_steps == float(np.median(ref_steps[ref_steps >= 0]))
@@ -448,18 +448,20 @@ def _assert_matches_scalar(reference, workers, chunk):
 def test_ensemble_matches_scalar_trajectories_bitwise(scalar_reference):
     # trajectory k of the ensemble consumes the stream keyed seed + k; the
     # vectorized lockstep must reproduce scalar runs exactly
-    _assert_matches_scalar(scalar_reference, workers=1, chunk=1024)
+    _assert_matches_scalar(scalar_reference, workers=1)
 
 
 @pytest.mark.parametrize("block_cap", [collapse.ENSEMBLE_BLOCK, 5])
-@pytest.mark.parametrize("chunk", [1, 7, 1024])
+@pytest.mark.parametrize("min_chunk", [1, 7, 1024])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_split_matches_scalar_trajectories_bitwise(scalar_reference, monkeypatch,
-                                                            workers, chunk, block_cap):
+                                                            workers, min_chunk, block_cap):
     # the same, whatever the chunk length, the block split and the number
-    # of worker processes
+    # of worker processes; a chunk is whole Philox blocks of four values, so
+    # min_chunk 1, 7 and 1024 give chunks of 4, 8 and 1024
+    monkeypatch.setattr(collapse, "_CHUNK", -(-min_chunk // 4) * 4)
     monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", block_cap)
-    _assert_matches_scalar(scalar_reference, workers, chunk)
+    _assert_matches_scalar(scalar_reference, workers)
 
 
 def _collapse_step_runs(init, base, n_runs, max_steps, threshold):
@@ -485,8 +487,7 @@ def _collapse_step_runs(init, base, n_runs, max_steps, threshold):
 def test_ensemble_equals_collapse_step_loop(sigma, a0, seed, n_runs):
     init = TwoStateAmplitudes(a0=a0, a1=math.sqrt(1.0 - a0 * a0))
     base = uniform_noise(sigma, seed)
-    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, n_runs, 20_000, 0.999,
-                                                 1024, 1)
+    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, n_runs, 20_000, 0.999, 1)
     ref_outcome, ref_steps = _collapse_step_runs(init, base, n_runs, 20_000, 0.999)
     np.testing.assert_array_equal(outcome, ref_outcome)
     np.testing.assert_array_equal(steps, ref_steps)
@@ -502,7 +503,7 @@ def test_collapse_reports_a_probability_at_the_threshold(threshold):
     # ensemble reports the same outcome and step
     base = uniform_noise(2.2, seed=41)
     outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 12, 100_000,
-                                                 threshold, 1024, 1)
+                                                 threshold, 1)
     for k in range(12):
         traj = run_trajectory(SYM_INIT, REF_SYS, dataclasses.replace(base, seed=base.seed + k),
                               100_000, threshold)
@@ -524,7 +525,7 @@ def test_state_past_the_floor_collapses_at_the_first_step(a0, a1, outcome):
     assert (traj.outcome, traj.steps_to_collapse) == (outcome, 1)
     assert traj.history[-1, 1 + outcome] >= threshold
     got = collapse._ensemble_outcomes(init, REF_SYS, uniform_noise(0.55, seed=3), 3, 10,
-                                      threshold, 64, 1)
+                                      threshold, 1)
     np.testing.assert_array_equal(got, [[outcome] * 3, [1] * 3])
 
 
@@ -533,7 +534,7 @@ def test_ensemble_past_threshold_matches_scalar(workers):
     # an initial state already past the threshold collapses at step 0
     init = TwoStateAmplitudes(a0=math.sqrt(0.0005), a1=math.sqrt(0.9995))
     base = uniform_noise(0.55, seed=4)
-    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, 6, 100, 0.999, 7, workers)
+    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, 6, 100, 0.999, workers)
     ref_outcome, ref_steps = _scalar_runs(init, base, 6, 100)
     np.testing.assert_array_equal(outcome, ref_outcome)
     np.testing.assert_array_equal(steps, ref_steps)
@@ -544,9 +545,9 @@ def test_ensemble_past_threshold_matches_scalar(workers):
 def test_ensemble_zero_noise_matches_scalar(workers, monkeypatch):
     # sigma = 0 freezes every trajectory (the masked kernel route)
     monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", 3)
+    monkeypatch.setattr(collapse, "_CHUNK", 64)
     base = uniform_noise(0.0, seed=8)
-    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 7, 300, 0.999, 64,
-                                                 workers)
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 7, 300, 0.999, workers)
     ref_outcome, ref_steps = _scalar_runs(SYM_INIT, base, 7, 300)
     np.testing.assert_array_equal(outcome, ref_outcome)
     np.testing.assert_array_equal(steps, ref_steps)
@@ -555,11 +556,11 @@ def test_ensemble_zero_noise_matches_scalar(workers, monkeypatch):
     assert report.unresolved == 7 and report.median_steps is None
 
 
-def test_ensemble_keys_crossing_64_bits_match_scalar():
+def test_ensemble_keys_crossing_64_bits_match_scalar(monkeypatch):
     # Philox keys are 128-bit; the block runner re-keys one generator per row
+    monkeypatch.setattr(collapse, "_CHUNK", 64)
     base = uniform_noise(0.55, seed=2**64 - 3)
-    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 6, 20_000, 0.999,
-                                                 64, 1)
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, 6, 20_000, 0.999, 1)
     ref_outcome, ref_steps = _scalar_runs(SYM_INIT, base, 6, 20_000)
     np.testing.assert_array_equal(outcome, ref_outcome)
     np.testing.assert_array_equal(steps, ref_steps)

@@ -23,18 +23,19 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, d
 @given(seed=st.integers(0, 2**128 - 16), n_runs=st.integers(1, 9),
        sigma=st.floats(0.8, 2.5), a0=st.floats(0.05, 0.95),
        threshold=st.floats(0.51, 0.99999), max_steps=st.integers(1, 3000),
-       chunk=st.integers(1, 2048), block_cap=st.integers(1, 8), workers=st.sampled_from([1, 2]))
+       chunk=st.integers(1, 512).map(lambda q: 4 * q), block_cap=st.integers(1, 8),
+       workers=st.sampled_from([1, 2]))
 def test_lockstep_equals_scalar_trajectories(seed, n_runs, sigma, a0, threshold, max_steps,
                                              chunk, block_cap, workers):
     init = TwoStateAmplitudes(a0=a0, a1=math.sqrt(1.0 - a0 * a0))
     base = NoiseProcess(delta=1.0, sigma=sigma, seed=seed)
-    saved = collapse.ENSEMBLE_BLOCK
-    collapse.ENSEMBLE_BLOCK = block_cap
+    saved = collapse.ENSEMBLE_BLOCK, collapse._CHUNK
+    collapse.ENSEMBLE_BLOCK, collapse._CHUNK = block_cap, chunk
     try:
         outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, n_runs, max_steps,
-                                                     threshold, chunk, workers)
+                                                     threshold, workers)
     finally:
-        collapse.ENSEMBLE_BLOCK = saved
+        collapse.ENSEMBLE_BLOCK, collapse._CHUNK = saved
     for k in range(n_runs):
         traj = run_trajectory(init, REF_SYS, dataclasses.replace(base, seed=seed + k),
                               max_steps, threshold, history_stride=max_steps)

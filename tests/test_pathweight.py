@@ -31,7 +31,7 @@ M1 = PhysicalScale(mass=1.0)
 
 def test_physical_scale():
     s = PhysicalScale(mass=2.0)
-    assert s.tau0 == 0.5 and s.lambda_c == 0.5
+    assert s.tau0 == 0.5
     assert s.tau0 * s.mass == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         PhysicalScale(mass=0.0)
@@ -169,14 +169,14 @@ def test_action_with_constant_vector_potential():
     # S = -2 sqrt(0.75) + a for v = 0.5, T = 2, A = a, V = 0
     a = 0.7
     p = straight_path(v=0.5, duration=2.0, n_segments=8)
-    af = SampledField.constant(a, -1.0, 2.0)
+    af = SampledField(np.array([-1.0, 2.0]), np.array([a, a]))
     got = path_action(p, M1, a_field=af)
     assert got == pytest.approx(-2.0 * math.sqrt(0.75) + a, rel=1e-13)
 
 
 def test_action_field_domain_error():
     p = straight_path(v=1.5, duration=2.0)
-    af = SampledField.constant(1.0, -0.5, 0.5)
+    af = SampledField(np.array([-0.5, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         path_action(p, M1, a_field=af)
 
