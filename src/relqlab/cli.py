@@ -15,6 +15,7 @@ manifest.json, which also records a sha256 digest of every emitted file.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -181,6 +182,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # built on first use, not at import; parse_args keeps no state
 def _build_parser():
     parser = _Parser(
         prog="relqlab",

@@ -172,11 +172,12 @@ class EnsembleReport:
     median_steps: float | None
 
 
-def _philox_at(key, blocks_drawn):
-    """Philox state of stream `key` after 4 * blocks_drawn doubles (numpy
-    Philox: one counter increment per four 64-bit outputs, buffer spent)."""
+def _philox_at(blocks_drawn):
+    """Philox state after 4 * blocks_drawn doubles of a stream whose key the
+    caller sets (numpy Philox: one counter increment per four 64-bit outputs,
+    buffer spent)."""
     return {"bit_generator": "Philox",
-            "state": {"counter": (blocks_drawn, 0, 0, 0), "key": (key & _U64, key >> 64)},
+            "state": {"counter": (blocks_drawn, 0, 0, 0), "key": (0, 0)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
@@ -188,8 +189,10 @@ def _fill_noise(proc: NoiseProcess, gen, keys, start, out):
         out[:] = np.where((start + np.arange(out.shape[1])) % 2 == 0, proc.sigma, -proc.sigma)
         return
     bitgen = gen.bit_generator
+    state = _philox_at(start // 4)  # the counter is the same for every row; only the key changes
     for row, key in zip(out, keys):
-        bitgen.state = _philox_at(key, start // 4)
+        state["state"]["key"] = (key & _U64, key >> 64)
+        bitgen.state = state
         gen.random(out=row)
     # uniform(-s, s) is -s + (s - (-s)) * random(): fill, scale, shift.
     out *= proc.sigma - (-proc.sigma)

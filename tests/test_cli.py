@@ -21,6 +21,11 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def child_env():
+    """This environment, with relqlab importable in a child interpreter."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def payload_bytes(outdir):
     """Everything except the manifest (timestamps live only there)."""
     out = {}
@@ -205,10 +210,36 @@ def test_argparse_rejections_are_validation_errors(tmp_path, capsys, argv, messa
 
 
 def test_help_still_exits_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["collapse", "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: relqlab collapse")
+    for _ in range(2):  # also from the parser a first --help has used
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["collapse", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: relqlab collapse")
+    assert cli.parse_and_validate(["collapse"]).parameters["sigma"] == collapse.DEFAULT_SIGMA_STAR
+
+
+def test_shared_parser_carries_nothing_between_calls():
+    # one parser serves every call in a process, so no call may see another's flags
+    given = cli.parse_and_validate(["collapse", "--sigma", "0.3", "--seed", "5", "--threads", "2"])
+    assert (given.parameters["sigma"], given.seed, given.threads) == (0.3, 5, 2)
+
+    def defaults(name):
+        return cli.RunConfig(name, {p.name: p.default for p in cli.SCHEMAS[name]}, seed=0,
+                             output_dir=Path("runs", name), threads=1)
+
+    assert cli.parse_and_validate(["collapse"]) == defaults("collapse")
+    with pytest.raises(ValueError, match="expected one argument"):
+        cli.parse_and_validate(["evolve", "--x0", "-1e-05"])
+    assert cli.parse_and_validate(["evolve", "--x0", "0.5"]).parameters["x0"] == 0.5
+    assert cli.parse_and_validate(["evolve"]) == defaults("evolve")
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run([sys.executable, "-c", "import relqlab.cli as c; "
+                           "print(c._build_parser.cache_info().currsize)"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_ensemble_keys_past_128_bits_fail_before_any_output(tmp_path, capsys):
@@ -298,10 +329,9 @@ print(json.dumps(stages))
 
 def test_scipy_is_loaded_only_by_quadrature_and_flux(tmp_path):
     # a subprocess, because other test modules have loaded scipy into this one
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
                            _SCIPY_ON_FIRST_USE, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert [rc for _, rc, _ in stages] == [0] * 8, proc.stderr
@@ -466,3 +496,18 @@ def test_threads_flag_does_not_change_results(tmp_path):
     assert run_cli(args + ["--threads", "1", "--out", a]) == 0
     assert run_cli(args + ["--threads", "4", "--out", b]) == 0
     assert payload_bytes(a) == payload_bytes(b)
+
+
+@pytest.mark.parametrize("argv", [["collapse"], ["ensemble", "--n-runs", "2000"],
+                                  ["oracle", "--n-max", "2"]])
+def test_repeat_runs_in_one_process_match_a_fresh_process(tmp_path, argv):
+    # the benchmark's pattern: many cli.main calls share one process and its parser
+    for run in ("first", "second"):
+        assert run_cli([*argv, "--out", tmp_path / run]) == 0
+    proc = subprocess.run([sys.executable, "-m", "relqlab.cli", *argv, "--out",
+                           str(tmp_path / "fresh")],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fresh = payload_bytes(tmp_path / "fresh")
+    assert fresh and payload_bytes(tmp_path / "first") == fresh
+    assert payload_bytes(tmp_path / "second") == fresh

@@ -112,6 +112,21 @@ def test_noise_window_equals_one_philox_uniform_draw(seed, start, n):
     assert generate_noise(uniform_noise(sigma, seed), n, start).tobytes() == whole[start:].tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 3, collapse._SLAB + 1])
+@pytest.mark.parametrize("start", [0, 1024])
+def test_one_fill_over_several_keys_equals_one_philox_draw_per_key(rows, start):
+    # one Philox state serves the whole fill, so its key must change on every row
+    sigma, n = 0.55, 37
+    keys = [0, 2**64 - 3, 2**64, 2**127 + 5]
+    keys = [keys[i % 4] + i // 4 for i in range(rows)]
+    proc = uniform_noise(sigma, seed=keys[0])
+    out = np.empty((rows, n))
+    collapse._fill_noise(proc, proc.make_generator(), keys, start, out)
+    for key, row in zip(keys, out):
+        whole = np.random.Generator(np.random.Philox(key=key)).uniform(-sigma, sigma, start + n)
+        assert row.tobytes() == whole[start:].tobytes()
+
+
 @pytest.mark.parametrize("start", [0, 3, 4, 7, 8])
 def test_alternating_noise_sign_follows_the_absolute_index(start):
     proc = NoiseProcess(delta=1.0, sigma=0.3, seed=0, mode="alternating")

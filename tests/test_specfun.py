@@ -1,17 +1,23 @@
 """Special-function oracles: terminating Kummer sums, small-argument Bessel
 expansions, and the closed-vs-contour kernel moment pairing."""
 
+import collections
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy import integrate
 
+from relqlab import pathweight, specfun
+from relqlab.pathweight import PhysicalScale, short_time_plane_wave
 from relqlab.specfun import (
     EULER_GAMMA,
     SQRT_I,
     MomentQuery,
+    QuadratureConvergenceError,
     bessel_j1_y1_small,
     gamma_half_integer,
     kernel_moment_closed,
@@ -204,3 +210,91 @@ def test_moment_routes_against_mpmath_reference(n, eps0):
     q = MomentQuery(n=n, eps0=eps0)
     assert abs(kernel_moment_closed(q) - ref) / abs(ref) < 1e-12
     assert abs(kernel_moment_contour(q) - ref) / abs(ref) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# _quad_complex: scipy's complex quadrature, one integrand call per node
+
+QUAD_TOLERANCES = {"epsabs": 1e-13, "epsrel": 1e-12}
+
+
+def bits(z):
+    return np.complex128(z).tobytes()
+
+
+def quadratures_made_by(call, monkeypatch):
+    """(func, a, b, limit, points) of every _quad_complex call that call() makes."""
+    made = []
+    quad_complex = specfun._quad_complex
+
+    def record(func, a, b, *, limit, points=None):
+        made.append((func, a, b, limit, points))
+        return quad_complex(func, a, b, limit=limit, points=points)
+
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_quad_complex", record)
+        m.setattr(pathweight, "_quad_complex", record)
+        call()
+    return made
+
+
+@pytest.mark.parametrize("route, arg, eps0",
+                         [("moment", n, eps0) for n in (0, 3, 8) for eps0 in (0.05, 1.0, 20.0)]
+                         + [("plane_wave", p, 0.5) for p in (0.75, 3.0)])
+def test_quad_complex_is_scipy_complex_quad_with_one_call_per_node(monkeypatch, route, arg, eps0):
+    if route == "moment":
+        made = quadratures_made_by(lambda: kernel_moment_contour(MomentQuery(n=arg, eps0=eps0)),
+                                   monkeypatch)
+    else:  # the finite leg and the rotated tail
+        made = quadratures_made_by(lambda: short_time_plane_wave(arg, eps0, PhysicalScale(1.0)),
+                                   monkeypatch)
+    assert len(made) == (1 if route == "moment" else 2)
+    scipy_quad = integrate.quad
+    for func, a, b, limit, points in made:
+        scipy_nodes = []
+
+        def logged(x):
+            scipy_nodes.append(x)
+            return func(x)
+
+        ref_value, ref_err = scipy_quad(logged, a, b, complex_func=True, limit=limit,
+                                        points=points, **QUAD_TOLERANCES)
+        calls = collections.Counter()
+        passes = []
+
+        def counted(x):
+            calls[x] += 1
+            return func(x)
+
+        def quad_spy(*args, **kwargs):
+            passes.append(scipy_quad(*args, **kwargs))
+            return passes[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(integrate, "quad", quad_spy)
+            value = specfun._quad_complex(counted, a, b, limit=limit, points=points)
+        assert bits(value) == bits(ref_value)
+        (_, real_err), (_, imag_err) = passes
+        assert bits(real_err + 1j * imag_err) == bits(ref_err)  # scipy's abserr, formed its way
+        assert set(calls) == set(scipy_nodes) and set(calls.values()) == {1}
+        assert len(scipy_nodes) > len(calls)  # scipy's imaginary pass revisits nodes
+
+
+def test_quad_complex_raises_when_only_the_imaginary_pass_runs_out_of_budget():
+    def func(x):  # smooth real part, a kink at 1/3 in the imaginary part
+        return math.exp(-x) + 1j * math.sqrt(abs(x - 1.0 / 3.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        integrate.quad(lambda x: func(x).real, 0.0, 1.0, limit=3, **QUAD_TOLERANCES)
+    with pytest.raises(QuadratureConvergenceError, match="refinement budget"):
+        specfun._quad_complex(func, 0.0, 1.0, limit=3)
+
+
+def test_quad_complex_raises_on_a_large_error_estimate(monkeypatch):
+    # quad's own success test keeps a converged estimate inside this gate, so
+    # a stub stands in for a quad that reports a loose estimate without warning
+    passes = iter([(1.0, 1e-15), (1.0, 1e-6)])
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: next(passes))
+    with pytest.raises(QuadratureConvergenceError, match="error estimate 1.00e-06 too large"):
+        specfun._quad_complex(math.cos, 0.0, 1.0, limit=10)
