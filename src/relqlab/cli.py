@@ -8,13 +8,16 @@ mistyped and out-of-range values are rejected with the offending key named.
 
 Data payloads are deterministic for a fixed seed and parameter set: CSV
 cells are written in scientific notation with 17 significant digits, JSON
-summaries are sorted and timestamp-free.  Timestamps live only in
-manifest.json, which also records a sha256 digest of every emitted file.
+summaries are sorted and timestamp-free.  Each subcommand yields its
+payloads by file name; execute() writes them in that order, then
+manifest.json, which alone holds timestamps and records a sha256 digest of
+every emitted file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -28,7 +31,6 @@ import numpy as np
 
 from . import __version__, abexp, collapse, evolution, pathweight, specfun
 
-SUBCOMMANDS = ("oracle", "kernel", "evolve", "collapse", "ensemble", "ab", "flux")
 CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by _write_csv
 
 
@@ -74,9 +76,14 @@ def _unit_interval(v):
     return None if 0.0 <= v <= 1.0 else "must lie in [0, 1]"
 
 
+def _eps0_values(text):
+    """The numbers of a comma-separated eps0 list; empty entries are skipped."""
+    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+
+
 def _eps0_list(v):
     try:
-        vals = [float(tok) for tok in str(v).split(",") if tok.strip()]
+        vals = _eps0_values(v)
     except ValueError:
         return "must be a comma-separated list of numbers"
     if not vals or any(not (0 < x < math.inf) for x in vals):
@@ -93,7 +100,6 @@ _TWO_STATE = [  # the two-state system, its noise and its initial state
     Param("e0", float, 1.25, "level-0 energy (units of m c^2)", _energy),
     Param("e1", float, 1.75, "level-1 energy (units of m c^2)", _energy),
     Param("sigma", float, collapse.DEFAULT_SIGMA_STAR, "noise amplitude", _non_negative),
-    Param("delta", float, 1.0, "noise segment duration (units of tau0)", _positive),
     Param("mode", str, "uniform", "noise mode", choices=("uniform", "alternating")),
     Param("a0_init", float, 0.5, "initial a0 (a1 = sqrt(1 - a0^2))", _unit_interval),
 ]
@@ -160,6 +166,7 @@ SCHEMAS = {
               _int_range(1, evolution.MAX_FLUX_ORDER)),
     ],
 }
+SUBCOMMANDS = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -311,11 +318,9 @@ def _write_csv(path: Path, header, columns):
 
 
 def _json_value(obj):
-    """numpy arrays and scalars and paths as JSON values (json.dumps default)."""
+    """numpy arrays and scalars as JSON values (json.dumps default)."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -324,17 +329,14 @@ def _write_json(path: Path, obj):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _sha256(path: Path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns the list of emitted files
+# subcommand implementations; each yields (file name, payload) pairs: a
+# (header, columns) pair for a .csv name, a JSON value for a .json name
 
 
 def _run_oracle(cfg: RunConfig):
     params = cfg.parameters
-    eps_values = [float(t) for t in params["eps0_list"].split(",") if t.strip()]
+    eps_values = _eps0_values(params["eps0_list"])
     rows = []
     for n in range(params["n_max"] + 1):
         for eps0 in eps_values:
@@ -343,10 +345,8 @@ def _run_oracle(cfg: RunConfig):
             contour = specfun.kernel_moment_contour(q)
             rows.append((n, eps0, closed.real, closed.imag, contour.real, contour.imag,
                          abs(closed - contour) / abs(closed)))
-    out = cfg.output_dir / "oracle_moments.csv"
-    _write_csv(out, ["n", "eps0", "closed_re", "closed_im", "contour_re", "contour_im",
-                     "rel_err"], list(zip(*rows)))
-    return [out]
+    yield "oracle_moments.csv", (["n", "eps0", "closed_re", "closed_im", "contour_re",
+                                  "contour_im", "rel_err"], list(zip(*rows)))
 
 
 def _run_kernel(cfg: RunConfig):
@@ -357,100 +357,67 @@ def _run_kernel(cfg: RunConfig):
     etas = np.linspace(params["eta_min"], params["eta_max"], params["eta_count"])
     values = np.asarray([pathweight.equal_time_kernel_profile(e, params["a_line_integral"],
                                                               scale) for e in etas])
-    out = cfg.output_dir / "kernel_profile.csv"
-    _write_csv(out, ["eta", "re", "im", "abs"],
-               [etas, values.real, values.imag, np.abs(values)])
-    return [out]
+    yield "kernel_profile.csv", (["eta", "re", "im", "abs"],
+                                 [etas, values.real, values.imag, np.abs(values)])
 
 
 def _run_evolve(cfg: RunConfig):
+    """Yields each snapshot before evolving to the next, so one state at a
+    time is held."""
     params = cfg.parameters
     grid = evolution.SpatialGrid(n=params["grid_n"], length=params["length"])
     f = evolution.FieldConfig.free(params["mass"], grid, a0=params["a0"])
-    psi = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
-    stride = params["snapshot_stride"]
-    steps = params["steps"]
-    outputs = []
-
-    def snap(index, state):
-        path = cfg.output_dir / f"evolve_snap_{index:04d}.csv"
-        _write_csv(path, ["x", "re", "im", "abs2"],
-                   [grid.x, state.values.real, state.values.imag, state.density()])
-        outputs.append(path)
-
-    norm0 = psi.norm()
-    centroids = [(0.0, psi.centroid())]
-    snap(0, psi)
+    state = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
+    steps, dt = params["steps"], params["dt"]
+    norm0 = state.norm()
+    centroids = []
     done = 0
-    index = 1
-    state = psi
-    while done < steps:
-        span = min(stride, steps - done)
-        state = evolution.evolve(state, f, params["dt"], span)
-        done += span
-        centroids.append((done * params["dt"], state.centroid()))
-        snap(index, state)
-        index += 1
-    summary = {
+    for index, end in enumerate([*range(0, steps, params["snapshot_stride"]), steps]):
+        if end > done:
+            state = evolution.evolve(state, f, dt, end - done)
+            done = end
+        centroids.append((done * dt, state.centroid()))
+        yield f"evolve_snap_{index:04d}.csv", (["x", "re", "im", "abs2"], [
+            grid.x, state.values.real, state.values.imag, state.density()])
+    yield "evolve_summary.json", {
         "norm_initial": norm0,
         "norm_final": state.norm(),
         "norm_drift": abs(state.norm() - norm0),
         "centroid_trajectory": centroids,
-        "group_velocity_estimate": (centroids[-1][1] - centroids[0][1]) / (steps * params["dt"]),
+        "group_velocity_estimate": (centroids[-1][1] - centroids[0][1]) / (steps * dt),
     }
-    out = cfg.output_dir / "evolve_summary.json"
-    _write_json(out, summary)
-    outputs.append(out)
-    return outputs
 
 
 def _collapse_pieces(params, seed):
-    sys_ = collapse.TwoStateSystem(e0=params["e0"], e1=params["e1"])
+    """The (initial state, system, noise) arguments of the collapse engines."""
     a0 = params["a0_init"]
     init = collapse.TwoStateAmplitudes(a0=a0, a1=math.sqrt(max(0.0, 1.0 - a0 * a0)))
-    proc = collapse.NoiseProcess(delta=params["delta"], sigma=params["sigma"],
-                                 seed=seed, mode=params["mode"])
-    return sys_, init, proc
+    sys_ = collapse.TwoStateSystem(e0=params["e0"], e1=params["e1"])
+    proc = collapse.NoiseProcess(sigma=params["sigma"], seed=seed, mode=params["mode"])
+    return init, sys_, proc
 
 
 def _run_collapse(cfg: RunConfig):
     params = cfg.parameters
-    sys_, init, proc = _collapse_pieces(params, cfg.seed)
-    traj = collapse.run_trajectory(init, sys_, proc, params["max_steps"],
+    traj = collapse.run_trajectory(*_collapse_pieces(params, cfg.seed), params["max_steps"],
                                    params["threshold"], params["history_stride"])
     hist = traj.history
-    hist_path = cfg.output_dir / "collapse_history.csv"
-    _write_csv(hist_path, ["step", "a0sq", "a1sq", "f"],
-               [hist[:, 0].astype(int), hist[:, 1], hist[:, 2], hist[:, 3]])
-    summary = {
+    yield "collapse_history.csv", (["step", "a0sq", "a1sq", "f"],
+                                   [hist[:, 0].astype(int), hist[:, 1], hist[:, 2], hist[:, 3]])
+    yield "collapse_summary.json", {
         "outcome": traj.outcome,
         "steps_to_collapse": traj.steps_to_collapse,
         "records": len(hist),
     }
-    sum_path = cfg.output_dir / "collapse_summary.json"
-    _write_json(sum_path, summary)
-    return [hist_path, sum_path]
 
 
 def _run_ensemble(cfg: RunConfig):
     params = cfg.parameters
-    sys_, init, proc = _collapse_pieces(params, cfg.seed)
-    report = collapse.run_ensemble(init, sys_, proc, params["n_runs"],
+    report = collapse.run_ensemble(*_collapse_pieces(params, cfg.seed), params["n_runs"],
                                    params["max_steps"], params["threshold"],
                                    workers=cfg.threads)
-    payload = {
-        "n_runs": report.n_runs,
-        "counts": report.counts,
-        "freq": report.freq,
-        "wilson_ci95": report.wilson_ci95,
-        "unresolved": report.unresolved,
-        "median_steps": report.median_steps,
-        "params": params,
-        "seed": cfg.seed,
-    }
-    out = cfg.output_dir / "ensemble_report.json"
-    _write_json(out, payload)
-    return [out]
+    yield "ensemble_report.json", {**dataclasses.asdict(report), "params": params,
+                                   "seed": cfg.seed}
 
 
 def _run_ab(cfg: RunConfig):
@@ -462,19 +429,14 @@ def _run_ab(cfg: RunConfig):
     )
     sys_ = abexp.two_state_for_paths(params["p_beam"], params["a0_main"])
     pattern = abexp.simulate_ab(ab_cfg, sys_, threshold=params["threshold"])
-    csv_path = cfg.output_dir / "ab_pattern.csv"
-    _write_csv(csv_path, ["x", "intensity"], [pattern.positions, pattern.intensity])
-    summary = {
+    yield "ab_pattern.csv", (["x", "intensity"], [pattern.positions, pattern.intensity])
+    yield "ab_summary.json", {
         "visibility": pattern.visibility,
         "collapsed_fraction": pattern.collapsed_fraction,
         "collapse_outcome": pattern.collapse_outcome,
         "ab_phase": abexp.ab_phase(params["flux"]),
         "params": params,
-        "seed": cfg.seed,
     }
-    json_path = cfg.output_dir / "ab_summary.json"
-    _write_json(json_path, summary)
-    return [csv_path, json_path]
 
 
 def _run_flux(cfg: RunConfig):
@@ -485,21 +447,16 @@ def _run_flux(cfg: RunConfig):
         psi = evolution.plane_wave(grid, params["k_index"])
     else:
         psi = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
-    rows_n, rows_res, rows_term = [], [], []
-    for n_trunc in range(1, params["n_trunc_max"] + 1):
-        report = evolution.density_flux_report(psi, f, params["dt"], n_trunc)
-        rows_n.append(n_trunc)
-        rows_res.append(report.residual_l2)
-        rows_term.append(report.term_magnitudes[-1])
-    csv_path = cfg.output_dir / "flux_residuals.csv"
-    _write_csv(csv_path, ["n_trunc", "residual_l2", "term_l2"], [rows_n, rows_res, rows_term])
-    json_path = cfg.output_dir / "flux_summary.json"
-    _write_json(json_path, {
-        "residuals": dict(zip(map(str, rows_n), rows_res)),
-        "monotone_decreasing": all(b < a for a, b in zip(rows_res, rows_res[1:])),
+    reports = [evolution.density_flux_report(psi, f, params["dt"], n_trunc)
+               for n_trunc in range(1, params["n_trunc_max"] + 1)]
+    residuals = [r.residual_l2 for r in reports]
+    yield "flux_residuals.csv", (["n_trunc", "residual_l2", "term_l2"], [
+        [r.n_trunc for r in reports], residuals, [r.term_magnitudes[-1] for r in reports]])
+    yield "flux_summary.json", {
+        "residuals": {str(r.n_trunc): r.residual_l2 for r in reports},
+        "monotone_decreasing": all(b < a for a, b in zip(residuals, residuals[1:])),
         "params": params,
-    })
-    return [csv_path, json_path]
+    }
 
 
 _RUNNERS = {
@@ -514,16 +471,24 @@ _RUNNERS = {
 
 
 def execute(cfg: RunConfig) -> dict:
-    """Dispatch a validated RunConfig, emit payloads and manifest.json; return
-    the manifest."""
+    """Run a validated RunConfig, write each payload its subcommand yields
+    under cfg.output_dir as it comes, then manifest.json; return the
+    manifest."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    outputs = _RUNNERS[cfg.subcommand](cfg)
+    outputs = []
+    for name, payload in _RUNNERS[cfg.subcommand](cfg):
+        path = cfg.output_dir / name
+        if name.endswith(".csv"):
+            _write_csv(path, *payload)
+        else:
+            _write_json(path, payload)
+        outputs.append({"path": name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
     manifest = {
         "artifact_version": __version__, "subcommand": cfg.subcommand,
         "parameters": cfg.parameters, "seed": cfg.seed, "threads": cfg.threads,
         "started_at": started, "finished_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
+        "outputs": outputs,
     }
     _write_json(cfg.output_dir / "manifest.json", manifest)
     return manifest

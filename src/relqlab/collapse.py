@@ -129,13 +129,18 @@ class TwoStateAmplitudes:
 
 @dataclass(frozen=True)
 class NoiseProcess:
-    """Piecewise-constant potential noise: segment duration delta (units of
-    tau0), amplitude scale sigma, seed, and mode 'uniform' or 'alternating'."""
+    """Piecewise-constant potential noise: amplitude scale sigma, seed, and
+    mode 'uniform' or 'alternating'.
 
-    delta: float
+    No computation reads the segment duration delta (units of tau0): the
+    engines count segments, not time.  It is kept, validated, only until
+    bench/workloads.py stops passing it.
+    """
+
     sigma: float
     seed: int
     mode: str = "uniform"
+    delta: float = 1.0
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -432,12 +437,11 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
                        n_runs, max_steps, threshold, workers):
     """Per-trajectory outcome and collapse-step arrays (-1 where unresolved)."""
     n_workers = worker_count(workers, n_runs)  # a block holds at least one trajectory
-    a0, a1 = init.a0, init.a1
-    if a0 * a0 >= threshold or a1 * a1 >= threshold:
-        return (np.full(n_runs, 0 if a0 >= a1 else 1, dtype=np.int64),
-                np.zeros(n_runs, dtype=np.int64))
-    if proc_base.mode == "alternating":
-        traj = run_trajectory(init, sys, proc_base, max_steps, threshold, max_steps)
+    if (proc_base.mode == "alternating" or init.a0 * init.a0 >= threshold
+            or init.a1 * init.a1 >= threshold):
+        # deterministic noise, or a state collapsed at step 0: one run stands for all
+        traj = _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base,
+                           max_steps, threshold, max_steps)
         resolved = traj.outcome is not None
         return (np.full(n_runs, traj.outcome if resolved else -1, dtype=np.int64),
                 np.full(n_runs, traj.steps_to_collapse if resolved else -1, dtype=np.int64))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relqlab import cli, collapse
+from relqlab import cli, collapse, evolution
 
 
 def run_cli(args):
@@ -196,6 +196,8 @@ def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["evolve", "--x0", "-1e-05"], "argument --x0: expected one argument"),
     (["evolve", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag 1"),
+    (["collapse", "--delta", "7"], "unrecognized arguments: --delta 7"),
+    (["ensemble", "--delta", "7"], "unrecognized arguments: --delta 7"),
 ])
 def test_argparse_rejections_are_validation_errors(tmp_path, capsys, argv, message):
     # argparse's own rejections keep the error contract: one JSON line, exit 2
@@ -442,6 +444,7 @@ def test_ab_outputs(tmp_path):
     pattern = (out / "ab_pattern.csv").read_text().strip().splitlines()
     assert pattern[0] == "x,intensity"
     assert len(pattern) == 1 + 256
+    assert "seed" not in summary  # the alternating field takes no seed
 
 
 def test_ensemble_report_fields(tmp_path):
@@ -449,6 +452,8 @@ def test_ensemble_report_fields(tmp_path):
     assert run_cli(["ensemble", "--n-runs", "40", "--max-steps", "20000",
                     "--seed", "3", "--out", out]) == 0
     report = read_json(out / "ensemble_report.json")
+    assert set(report) == {"n_runs", "counts", "freq", "wilson_ci95", "unresolved",
+                           "median_steps", "params", "seed"}
     assert report["n_runs"] == 40
     assert report["counts"]["0"] + report["counts"]["1"] + report["unresolved"] == 40
     for k in ("0", "1"):
@@ -468,13 +473,51 @@ def test_same_seed_byte_identical(tmp_path):
     assert payload_bytes(a) == payload_bytes(b)
 
 
-def test_manifest_digests_match_files(tmp_path):
+def test_every_subcommand_has_a_runner():
+    assert set(cli.SCHEMAS) == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["oracle", "--n-max", "1"], ["oracle_moments.csv"]),
+    (["kernel", "--eta-count", "8"], ["kernel_profile.csv"]),
+    (["evolve", "--grid-n", "64", "--steps", "5", "--snapshot-stride", "2"],
+     ["evolve_snap_0000.csv", "evolve_snap_0001.csv", "evolve_snap_0002.csv",
+      "evolve_snap_0003.csv", "evolve_summary.json"]),
+    (["collapse", "--max-steps", "50"], ["collapse_history.csv", "collapse_summary.json"]),
+    (["ensemble", "--n-runs", "20", "--max-steps", "50"], ["ensemble_report.json"]),
+    (["ab", "--screen-points", "64"], ["ab_pattern.csv", "ab_summary.json"]),
+    (["flux", "--grid-n", "64", "--n-trunc-max", "2"],
+     ["flux_residuals.csv", "flux_summary.json"]),
+], ids=["oracle", "kernel", "evolve", "collapse", "ensemble", "ab", "flux"])
+def test_manifest_digests_match_files(tmp_path, argv, names):
+    # the manifest lists exactly the payloads on disk, in the order written
     out = tmp_path / "m"
-    assert run_cli(["kernel", "--out", out]) == 0
+    assert run_cli([*argv, "--out", out]) == 0
     manifest = read_json(out / "manifest.json")
+    assert [entry["path"] for entry in manifest["outputs"]] == names
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+    written = [(out / name).stat().st_mtime_ns for name in names]
+    assert written == sorted(written)
     for entry in manifest["outputs"]:
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+def test_evolve_writes_each_snapshot_before_the_next_step(tmp_path, monkeypatch):
+    # snapshots stream to disk: one state is held at a time, whatever steps is
+    out = tmp_path / "ev"
+    calls = []
+    real_evolve = evolution.evolve
+
+    def evolve(*args, **kwargs):
+        calls.append(len(list(out.glob("evolve_snap_*.csv"))))
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolve", evolve)
+    assert run_cli(["evolve", "--grid-n", "64", "--steps", "7", "--snapshot-stride", "2",
+                    "--out", out]) == 0
+    assert calls == [1, 2, 3, 4]
+    assert len(list(out.glob("evolve_snap_*.csv"))) == 5
 
 
 def test_manifest_roundtrip_reproduces_outputs(tmp_path):

@@ -556,6 +556,16 @@ def test_ensemble_past_threshold_matches_scalar(workers):
     assert np.all(steps == 0) and np.all(outcome == 1)
 
 
+@pytest.mark.parametrize("mode", ["uniform", "alternating"])
+@pytest.mark.parametrize("p0, expected", [(0.9995, 0), (0.0005, 1)])
+def test_ensemble_past_threshold_on_either_level_collapses_at_step_0(mode, p0, expected):
+    # the dominant level is the outcome, at step 0, whatever the noise
+    init = TwoStateAmplitudes(a0=math.sqrt(p0), a1=math.sqrt(1.0 - p0))
+    proc = NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=4, mode=mode)
+    outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, proc, 5, 100, 0.999, 1)
+    assert outcome.tolist() == [expected] * 5 and steps.tolist() == [0] * 5
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_zero_noise_matches_scalar(workers, monkeypatch):
     # sigma = 0 freezes every trajectory (the masked kernel route)
