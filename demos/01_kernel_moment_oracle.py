@@ -33,7 +33,7 @@ print()
 print("=" * 72)
 print("Why a constant path weight fails: Y1's logarithmic term")
 print("=" * 72)
-print(f"{'eps0':>6} {'J1 trunc':>12} {'J1 series':>12} {'Y1 trunc':>14} {'Y1 series':>14}")
+print(f"{'eps0':>6} {'J1 trunc':>12} {'J1 scipy':>12} {'Y1 trunc':>14} {'Y1 scipy':>14}")
 for eps0 in (0.01, 0.05, 0.1, 0.3):
     j1, y1, j1_ref, y1_ref = bessel_j1_y1_small(eps0)
     print(f"{eps0:>6} {j1:>12.6g} {j1_ref:>12.6g} {y1:>14.6g} {y1_ref:>14.6g}")

@@ -14,11 +14,12 @@ time vanishes exactly because the flight spans an even number of segments,
 so a phase-only theory predicts no effect on the fringes.  Being
 deterministic, the field gives every electron the same trajectory.
 
-Screen coordinates are dimensionless fringe units: xi = (transverse
-position) * d_slit / (wavelength * screen distance), so the two-slit
-intensity is 1 + cos(2 pi xi + phase) and one fringe spans Delta xi = 1.
-The single-slit envelope uses an effective slit width of d_slit/4 and its
-lateral offset between the two slits is neglected (far-field limit).
+Screen coordinates are dimensionless fringe units: xi is the transverse
+position over the far-field fringe spacing, so the two-slit intensity is
+1 + cos(2 pi xi + phase) and one fringe spans Delta xi = 1.  The geometry
+enters only through that unit: the single-slit envelope sinc^2(xi / 4)
+belongs to slits a quarter of their separation wide, and its lateral offset
+between the two slits is neglected (far-field limit).
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import (NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _check_noise,
-                       _trajectory)
+from .collapse import NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _trajectory
 
 ENVELOPE_WIDTH_FRINGES = 4.0  # first zero of the single-slit envelope, in fringe units
 CENTRAL_WINDOW_FRINGES = 2.0  # visibility window: +-2 fringe periods
@@ -45,7 +45,8 @@ class EnvelopeOnlyPatternError(ValueError):
 
 @dataclass(frozen=True)
 class ABConfig:
-    """Geometry and field parameters of the two-path experiment.
+    """Field and screen parameters of the two-path experiment (screen in
+    fringe units, see the module docstring).
 
     tau_flight must be an even multiple of delta so the alternating field
     integrates to zero over every flight.
@@ -55,23 +56,23 @@ class ABConfig:
     b1_amp: float
     delta: float
     tau_flight: float
-    d_slit: float
-    wavelength: float
     screen_points: int = 256
 
     def __post_init__(self):
+        if not math.isfinite(self.flux):
+            raise ValueError(f"flux must be finite, got {self.flux!r}")
         if not (self.b1_amp >= 0 and math.isfinite(self.b1_amp)):
             raise ValueError(f"b1_amp must be non-negative, got {self.b1_amp!r}")
         if not (self.delta > 0 and self.tau_flight > 0):
             raise ValueError("delta and tau_flight must be positive")
         ratio = self.tau_flight / self.delta
+        if not math.isfinite(ratio):
+            raise ValueError(f"tau_flight/delta must be finite, got {ratio!r}")
         if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) % 2 != 0 or round(ratio) < 2:
             raise ValueError(
                 f"tau_flight must be an even multiple of delta (got ratio {ratio!r}); "
                 "otherwise the alternating field does not integrate to zero"
             )
-        if not (self.d_slit > 0 and self.wavelength > 0):
-            raise ValueError("d_slit and wavelength must be positive")
         if self.screen_points < 64:
             raise ValueError(f"screen_points must be >= 64, got {self.screen_points!r}")
 
@@ -87,8 +88,8 @@ class ScreenPattern:
     positions: np.ndarray
     intensity: np.ndarray
     visibility: float
-    collapsed_fraction: float = 0.0
-    collapse_outcome: int | None = None
+    collapsed_fraction: float
+    collapse_outcome: int | None
 
 
 def ab_phase(flux):
@@ -117,14 +118,13 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
     """Screen pattern of a flight, which every electron shares.
 
     Unresolved, it is envelope * (1 + cos(2 pi xi + phase_AB)) with
-    collapsed_fraction 0.0; collapsed, the surviving path's envelope alone
-    with collapsed_fraction 1.0.  The visibility is zero, by convention,
-    when the pattern carries no fringes.
+    collapsed_fraction 0.0 and its measured fringe visibility; collapsed, the
+    surviving path's envelope alone with collapsed_fraction 1.0 and, since
+    it carries no fringes, visibility 0.0.  threshold must lie in (0.5, 1).
     """
     xi = np.linspace(-2.0 * CENTRAL_WINDOW_FRINGES, 2.0 * CENTRAL_WINDOW_FRINGES,
                      cfg.screen_points)
     gains = (sys.kick_gain(0), -sys.kick_gain(1))  # the paths see opposite-sign noise
-    _check_noise(gains, sys.r_ratio, cfg.b1_amp)
     half = 1.0 / math.sqrt(2.0)
     field = NoiseProcess(sigma=cfg.b1_amp, seed=0, mode="alternating")
     outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half), gains, sys.r_ratio,
@@ -132,12 +132,9 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
     env = _envelope(xi)
     if outcome is None:
         intensity = env * (1.0 + np.cos(2.0 * np.pi * xi + ab_phase(cfg.flux)))
-    else:
-        intensity = env.copy()
-    try:
         vis = fringe_visibility(xi, intensity)
-    except EnvelopeOnlyPatternError:
-        vis = 0.0
+    else:
+        intensity, vis = env, 0.0
     return ScreenPattern(positions=xi, intensity=intensity, visibility=vis,
                          collapsed_fraction=0.0 if outcome is None else 1.0,
                          collapse_outcome=outcome)
@@ -147,7 +144,7 @@ def fringe_visibility(positions, intensity):
     """(Imax - Imin)/(Imax + Imin) over the central +-2 fringes (positions in fringe units).
 
     Requires at least 3 interior local extrema in the window; a pattern
-    without them is envelope-only and the caller records visibility 0.
+    without them is envelope-only and raises EnvelopeOnlyPatternError.
     """
     positions = np.asarray(positions, dtype=float)
     intensity = np.asarray(intensity, dtype=float)

@@ -145,8 +145,6 @@ SCHEMAS = {
         Param("b1_amp", float, abexp.DEFAULT_B1_STAR, "alternating field amplitude", _non_negative),
         Param("delta", float, 1.0, "field segment duration", _positive),
         Param("tau_flight", float, 6000.0, "flight time (even multiple of delta)", _positive),
-        Param("d_slit", float, 10.0, "slit separation", _positive),
-        Param("wavelength", float, 1.0, "de Broglie wavelength", _positive),
         Param("screen_points", int, 256, "screen samples", _int_min(64)),
         Param("p_beam", float, 1.0, "beam momentum (units of m c)", _positive),
         Param("a0_main", float, 0.25, "uniform potential magnitude", _positive),
@@ -424,8 +422,7 @@ def _run_ab(cfg: RunConfig):
     params = cfg.parameters
     ab_cfg = abexp.ABConfig(
         flux=params["flux"], b1_amp=params["b1_amp"], delta=params["delta"],
-        tau_flight=params["tau_flight"], d_slit=params["d_slit"],
-        wavelength=params["wavelength"], screen_points=params["screen_points"],
+        tau_flight=params["tau_flight"], screen_points=params["screen_points"],
     )
     sys_ = abexp.two_state_for_paths(params["p_beam"], params["a0_main"])
     pattern = abexp.simulate_ab(ab_cfg, sys_, threshold=params["threshold"])

@@ -304,7 +304,15 @@ def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStat
 def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_steps,
                 threshold, history_stride) -> CollapseTrajectory:
     """The width-1 loop behind run_trajectory, on Python floats, kicking level m
-    by f * gains[m]; noise chunks double from _FIRST_CHUNK to _CHUNK."""
+    by f * gains[m]; noise chunks double from _FIRST_CHUNK to _CHUNK.  It
+    checks its own arguments, so every caller gets run_trajectory's domain."""
+    if not (0.5 < threshold < 1.0):
+        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
+    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
+    if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
+        raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
+    _check_noise(gains, r, proc.sigma)
     coef = _ratio_coefficients(*gains, r)
     lo, hi = _ratio_bounds(threshold)
     rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
@@ -337,15 +345,8 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     history_stride steps, and at termination.  Outcome is the dominant index
     on collapse, None if max_steps is exhausted first.
     """
-    if not (0.5 < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
-    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
-    if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
-        raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
-    gains = (sys.kick_gain(0), sys.kick_gain(1))
-    _check_noise(gains, sys.r_ratio, proc.sigma)
-    return _trajectory(init, gains, sys.r_ratio, proc, max_steps, threshold, history_stride)
+    return _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc,
+                       max_steps, threshold, history_stride)
 
 
 def wilson_interval(successes, trials):

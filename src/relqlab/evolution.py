@@ -269,9 +269,13 @@ def klein_gordon_residual(p, sign, f: FieldConfig) -> float:
 
 
 def binom_half(n):
-    """Generalized binomial C(1/2, n) = Gamma(3/2)/(Gamma(n+1) Gamma(3/2-n))."""
-    from scipy.special import gamma  # loaded on first use, like specfun's quadrature
-    return float(gamma(1.5) / (gamma(n + 1.0) * gamma(1.5 - n)))
+    """Generalized binomial C(1/2, n) = prod_{k<n} (1/2 - k)/(k + 1), exact in
+    double precision for n <= MAX_FLUX_ORDER (every partial product is a
+    dyadic rational that fits the mantissa)."""
+    value = 1.0
+    for k in range(n):
+        value = value * (0.5 - k) / (k + 1)
+    return value
 
 
 def flux_coefficient(n, mass):

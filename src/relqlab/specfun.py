@@ -107,47 +107,18 @@ def bessel_j1_y1_small(eps0):
         Y1(eps0) ~ -2/(pi eps0) + eps0 (-1 + 2 gamma_E - 2 ln 2 + 2 ln eps0)/(2 pi)
 
     whose eps0*ln(eps0) term is the obstruction to an integer-power expansion.
-    The reference pair comes from the ascending series summed to machine
-    convergence, kept independent of the truncation it checks.
+    The reference pair is scipy's j1 and y1, kept independent of the
+    truncation it checks.
     """
     if not (0.0 < eps0 < 0.5):
         raise ValueError(f"bessel_j1_y1_small requires 0 < eps0 < 0.5, got {eps0!r}")
+    from scipy.special import j1, y1  # loaded on first use, like the quadrature
 
     j1_trunc = 0.5 * eps0
     y1_trunc = -2.0 / (math.pi * eps0) + eps0 * (
         -1.0 + 2.0 * EULER_GAMMA - 2.0 * math.log(2.0) + 2.0 * math.log(eps0)
     ) / (2.0 * math.pi)
-
-    # Ascending series (Abramowitz & Stegun 9.1.10/9.1.11 at order one).
-    half = 0.5 * eps0
-    j1_ref = 0.0
-    term = half  # k = 0 term of sum (-1)^k / (k! (k+1)!) half^{2k+1}
-    k = 0
-    while True:
-        j1_ref += term
-        nxt = -term * half * half / ((k + 1) * (k + 2))
-        if abs(nxt) <= 1e-18 * abs(j1_ref):
-            break
-        term = nxt
-        k += 1
-
-    psi1 = -EULER_GAMMA  # digamma(1)
-    psi2 = 1.0 - EULER_GAMMA
-    series = 0.0
-    coeff = half  # half^{2k+1}/(k!(k+1)!) at k = 0
-    k = 0
-    while True:
-        contrib = (-1) ** k * (psi1 + psi2) * coeff
-        series += contrib
-        if abs(contrib) <= 1e-18 * max(abs(series), 1e-300):
-            break
-        k += 1
-        psi1 += 1.0 / k
-        psi2 += 1.0 / (k + 1)
-        coeff *= half * half / (k * (k + 1))
-    y1_ref = (2.0 / math.pi) * math.log(half) * j1_ref - 2.0 / (math.pi * eps0) - series / math.pi
-
-    return j1_trunc, y1_trunc, j1_ref, y1_ref
+    return j1_trunc, y1_trunc, float(j1(eps0)), float(y1(eps0))
 
 
 def kernel_moment_closed(q: MomentQuery) -> complex:

@@ -22,8 +22,7 @@ BEAM = dict(p_beam=1.0, a0_main=0.25)
 
 
 def make_config(**overrides):
-    params = dict(flux=0.0, b1_amp=0.0, delta=1.0, tau_flight=6000.0,
-                  d_slit=10.0, wavelength=1.0, screen_points=256)
+    params = dict(flux=0.0, b1_amp=0.0, delta=1.0, tau_flight=6000.0, screen_points=256)
     params.update(overrides)
     return ABConfig(**params)
 
@@ -83,6 +82,19 @@ def test_config_validation():
         make_config(screen_points=32)
     with pytest.raises(ValueError):
         make_config(b1_amp=-0.1)
+
+
+def test_config_rejects_non_finite_flux():
+    # a nan flux would give an all-nan screen with visibility 0.0
+    with pytest.raises(ValueError, match="flux"):
+        make_config(flux=math.nan)
+
+
+@pytest.mark.parametrize("delta, tau_flight", [(1.0, math.inf), (1e-300, 1e10)])
+def test_config_rejects_non_finite_segment_count(delta, tau_flight):
+    # ValueError, not the OverflowError of round(inf)
+    with pytest.raises(ValueError, match="tau_flight/delta"):
+        make_config(delta=delta, tau_flight=tau_flight)
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +227,11 @@ def test_ab_field_past_the_noise_domain_is_rejected():
     simulate_ab(make_config(b1_amp=2.09), sys_)
     with pytest.raises(NoiseTooLargeError):
         simulate_ab(make_config(b1_amp=2.1), sys_)
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 1.0, 1.5, math.nan])
+def test_simulate_ab_rejects_thresholds_outside_the_open_interval(threshold):
+    # with no field at all, such a threshold would report a collapse (<= 0.5)
+    # or none (>= 1, nan) instead of raising
+    with pytest.raises(ValueError, match="threshold"):
+        simulate_ab(make_config(b1_amp=0.0), two_state_for_paths(**BEAM), threshold=threshold)

@@ -57,6 +57,9 @@ def test_parse_rejects_unknown_config_key(tmp_path):
     cfg_file.write_text(json.dumps({"ensemble": {"sigmaz": 0.1}}))
     with pytest.raises(ValueError, match="sigmaz"):
         cli.parse_and_validate(["ensemble", "--config", str(cfg_file)])
+    cfg_file.write_text(json.dumps({"ab": {"d_slit": 10.0}}))  # ab works in fringe units
+    with pytest.raises(ValueError, match="d_slit"):
+        cli.parse_and_validate(["ab", "--config", str(cfg_file)])
 
 
 def test_parse_rejects_out_of_range(tmp_path):
@@ -198,6 +201,8 @@ def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
     (["evolve", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag 1"),
     (["collapse", "--delta", "7"], "unrecognized arguments: --delta 7"),
     (["ensemble", "--delta", "7"], "unrecognized arguments: --delta 7"),
+    (["ab", "--d-slit", "5"], "unrecognized arguments: --d-slit 5"),
+    (["ab", "--wavelength", "2"], "unrecognized arguments: --wavelength 2"),
 ])
 def test_argparse_rejections_are_validation_errors(tmp_path, capsys, argv, message):
     # argparse's own rejections keep the error contract: one JSON line, exit 2
@@ -329,15 +334,15 @@ print(json.dumps(stages))
 """
 
 
-def test_scipy_is_loaded_only_by_quadrature_and_flux(tmp_path):
+def test_scipy_is_loaded_only_by_oracle(tmp_path):
     # a subprocess, because other test modules have loaded scipy into this one
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+    proc = subprocess.run([sys.executable, "-W", "error", "-c",
                            _SCIPY_ON_FIRST_USE, str(tmp_path)],
                           env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert [rc for _, rc, _ in stages] == [0] * 8, proc.stderr
-    assert [name for name, _, loaded in stages if loaded] == ["flux", "oracle"]
+    assert [name for name, _, loaded in stages if loaded] == ["oracle"]
     assert {"scipy.integrate", "scipy.special"} <= set(stages[-1][2])
 
 

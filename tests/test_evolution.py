@@ -1,11 +1,13 @@
 """Spectral evolution, the whole-weight operator, and the density-flux series."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from relqlab.evolution import (
+    MAX_FLUX_ORDER,
     MAX_FLUX_PHASE,
     FieldConfig,
     SpatialGrid,
@@ -304,11 +306,11 @@ def test_klein_gordon_requires_uniform_potential():
 
 
 def test_binomial_half_values():
-    np.testing.assert_allclose(
-        [binom_half(n) for n in range(5)],
-        [1.0, 0.5, -0.125, 0.0625, -5.0 / 128.0],
-        rtol=1e-13,
-    )
+    # exact: C(1/2, n) = (-1)^(n+1) C(2n, n) / (4^n (2n - 1)), a dyadic
+    # rational that a double holds for these n
+    for n in range(MAX_FLUX_ORDER + 1):
+        assert Fraction(binom_half(n)) == Fraction((-1) ** (n + 1) * math.comb(2 * n, n),
+                                                   4 ** n * (2 * n - 1))
 
 
 def test_flux_coefficient_reproduces_current_term():

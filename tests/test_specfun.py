@@ -112,11 +112,15 @@ def test_bessel_truncation_close_to_reference():
     assert abs(y1 - y1_ref) < 1e-3
 
 
-@pytest.mark.parametrize("eps0", [0.01, 0.05, 0.2, 0.45])
+@pytest.mark.parametrize("eps0", [0.01, 0.05, 0.2, 0.45, 0.499])
 def test_bessel_reference_matches_scipy(eps0):
+    # the reference is scipy's j1/y1, itself checked against mpmath
+    mpmath = pytest.importorskip("mpmath")
     _, _, j1_ref, y1_ref = bessel_j1_y1_small(eps0)
-    assert j1_ref == pytest.approx(float(sp.j1(eps0)), rel=1e-12)
-    assert y1_ref == pytest.approx(float(sp.y1(eps0)), rel=1e-12)
+    assert (j1_ref, y1_ref) == (float(sp.j1(eps0)), float(sp.y1(eps0)))
+    with mpmath.workdps(40):
+        assert j1_ref == pytest.approx(float(mpmath.besselj(1, eps0)), rel=1e-14, abs=0.0)
+        assert y1_ref == pytest.approx(float(mpmath.bessely(1, eps0)), rel=1e-14, abs=0.0)
 
 
 def test_bessel_domain_guard():
