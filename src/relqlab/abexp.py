@@ -109,6 +109,11 @@ def two_state_for_paths(p_beam, a0_main) -> TwoStateSystem:
     return TwoStateSystem(e0=e_left, e1=e_right)
 
 
+def path_gains(sys: TwoStateSystem):
+    """The kick gains (g0, -g1) of the two paths, which see opposite-sign noise."""
+    return sys.kick_gain(0), -sys.kick_gain(1)
+
+
 def _envelope(xi):
     s = np.sinc(xi / ENVELOPE_WIDTH_FRINGES)
     return s * s
@@ -124,10 +129,9 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
     """
     xi = np.linspace(-2.0 * CENTRAL_WINDOW_FRINGES, 2.0 * CENTRAL_WINDOW_FRINGES,
                      cfg.screen_points)
-    gains = (sys.kick_gain(0), -sys.kick_gain(1))  # the paths see opposite-sign noise
     half = 1.0 / math.sqrt(2.0)
     field = NoiseProcess(sigma=cfg.b1_amp, seed=0, mode="alternating")
-    outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half), gains, sys.r_ratio,
+    outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half), path_gains(sys), sys.r_ratio,
                           field, cfg.n_segments, threshold, cfg.n_segments).outcome
     env = _envelope(xi)
     if outcome is None:

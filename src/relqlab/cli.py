@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -287,16 +288,42 @@ def parse_and_validate(argv) -> RunConfig:
                 raise ValueError(f"{name}.{prm.name}: {msg} (got {value!r})")
         resolved[prm.name] = value
 
-    if name == "flux" and resolved["dt"] > (limit := evolution.flux_dt_limit(
-            resolved["grid_n"], resolved["length"], resolved["mass"])):
-        raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
-                         f"(got {resolved['dt']!r})")
     for key, lowest in (("seed", 0), ("threads", 1)):
         if run[key] < lowest:
             raise ValueError(f"{name}.{key}: must be >= {lowest} (got {run[key]!r})")
+    _check_domain(name, resolved, run["seed"])
     output_dir = Path(run["out"]) if run["out"] is not None else Path("runs") / name
     return RunConfig(subcommand=name, parameters=resolved, seed=run["seed"],
                      output_dir=output_dir, threads=run["threads"])
+
+
+def _check_domain(name, params, seed):
+    """The domain checks that need the parameters alone, made where possible
+    by the library's own code, so that a run past its domain fails here
+    rather than after its output directory exists."""
+    def check(key, fn, *args):
+        try:
+            return fn(*args)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{name}.{key}: {exc}") from None
+
+    if name == "flux" and params["dt"] > (limit := evolution.flux_dt_limit(
+            params["grid_n"], params["length"], params["mass"])):
+        raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
+                         f"(got {params['dt']!r})")
+    if name == "kernel" and params["eta_max"] <= params["eta_min"]:
+        raise ValueError(f"kernel.eta_max: must exceed eta_min (got {params['eta_max']!r})")
+    if name in ("collapse", "ensemble"):
+        _, sys_, _ = check("seed", _collapse_pieces, params, seed)
+        check("sigma", collapse._check_noise, (sys_.kick_gain(0), sys_.kick_gain(1)),
+              sys_.r_ratio, params["sigma"])
+    if name == "ensemble":
+        check("seed", collapse._check_keys, seed, params["n_runs"])
+    if name == "ab":
+        check("tau_flight", _ab_config, params)
+        sys_ = check("p_beam", abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
+        check("b1_amp", collapse._check_noise, abexp.path_gains(sys_), sys_.r_ratio,
+              params["b1_amp"])
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +332,19 @@ def parse_and_validate(argv) -> RunConfig:
 
 def _write_csv(path: Path, header, columns):
     """Integer and bool columns as %d, all others as %.16e, streamed in row
-    blocks so the text of a large snapshot never sits in memory at once."""
+    blocks so the text of a large snapshot never sits in memory at once;
+    returns the sha256 of the bytes written."""
+    from . import _csvtext  # on first use: runs that write only JSON never load it
+
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.16e" for c in columns) + "\n"
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-            fh.write("".join(fmt % row for row in zip(*block)))
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        blocks = (_csvtext.format_rows([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+                  for start in range(0, len(columns[0]), CSV_BLOCK_ROWS))
+        for chunk in itertools.chain([(",".join(header) + "\n").encode()], blocks):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _json_value(obj):
@@ -323,8 +355,11 @@ def _json_value(obj):
 
 
 def _write_json(path: Path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_value)
-    path.write_text(text + "\n", encoding="utf-8")
+    """Sorted, indented JSON; returns the sha256 of the bytes written."""
+    data = (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                       default=_json_value) + "\n").encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +384,6 @@ def _run_oracle(cfg: RunConfig):
 
 def _run_kernel(cfg: RunConfig):
     params = cfg.parameters
-    if params["eta_max"] <= params["eta_min"]:
-        raise ValueError("kernel.eta_max: must exceed eta_min")
     scale = pathweight.PhysicalScale(mass=params["mass"])
     etas = np.linspace(params["eta_min"], params["eta_max"], params["eta_count"])
     values = np.asarray([pathweight.equal_time_kernel_profile(e, params["a_line_integral"],
@@ -418,14 +451,15 @@ def _run_ensemble(cfg: RunConfig):
                                    "seed": cfg.seed}
 
 
+def _ab_config(params):
+    return abexp.ABConfig(flux=params["flux"], b1_amp=params["b1_amp"], delta=params["delta"],
+                          tau_flight=params["tau_flight"], screen_points=params["screen_points"])
+
+
 def _run_ab(cfg: RunConfig):
     params = cfg.parameters
-    ab_cfg = abexp.ABConfig(
-        flux=params["flux"], b1_amp=params["b1_amp"], delta=params["delta"],
-        tau_flight=params["tau_flight"], screen_points=params["screen_points"],
-    )
     sys_ = abexp.two_state_for_paths(params["p_beam"], params["a0_main"])
-    pattern = abexp.simulate_ab(ab_cfg, sys_, threshold=params["threshold"])
+    pattern = abexp.simulate_ab(_ab_config(params), sys_, threshold=params["threshold"])
     yield "ab_pattern.csv", (["x", "intensity"], [pattern.positions, pattern.intensity])
     yield "ab_summary.json", {
         "visibility": pattern.visibility,
@@ -476,11 +510,8 @@ def execute(cfg: RunConfig) -> dict:
     outputs = []
     for name, payload in _RUNNERS[cfg.subcommand](cfg):
         path = cfg.output_dir / name
-        if name.endswith(".csv"):
-            _write_csv(path, *payload)
-        else:
-            _write_json(path, payload)
-        outputs.append({"path": name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
+        digest = _write_csv(path, *payload) if name.endswith(".csv") else _write_json(path, payload)
+        outputs.append({"path": name, "sha256": digest})
     manifest = {
         "artifact_version": __version__, "subcommand": cfg.subcommand,
         "parameters": cfg.parameters, "seed": cfg.seed, "threads": cfg.threads,

@@ -292,6 +292,12 @@ def _check_noise(gains, r, f_max):
                                  f"{worst:.4g} >= 1: an amplitude can turn negative; reduce sigma")
 
 
+def _check_keys(seed, n_runs):
+    """Trajectory k of an ensemble keys its Philox stream seed + k."""
+    if seed + n_runs - 1 >= _KEY_LIMIT:
+        raise ValueError(f"seed + n_runs - 1 must be < 2**128, got seed {seed!r}")
+
+
 def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStateAmplitudes:
     """Kick with noise value f, mix with the pre-kick linear-model factors,
     renormalize."""
@@ -474,8 +480,7 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     """
     if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
-    if proc_base.seed + n_runs - 1 >= _KEY_LIMIT:
-        raise ValueError(f"seed + n_runs - 1 must be < 2**128, got seed {proc_base.seed!r}")
+    _check_keys(proc_base.seed, n_runs)
     if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     if not (0.5 < threshold < 1.0):

@@ -1,10 +1,12 @@
 """CLI contract: validation, precedence, deterministic payloads, manifests."""
 
-import json
+import functools
 import hashlib
+import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -86,19 +88,38 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 
 def test_module_error_surfaces_as_json(tmp_path, capsys):
-    code = run_cli(["kernel", "--eta-min", "2.0", "--eta-max", "1.0", "--out", tmp_path / "k"])
+    # the moments overflow only once computed
+    code = run_cli(["oracle", "--eps0-list", "1e300", "--out", tmp_path / "o"])
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ValueError"
+    assert err["error"] == "OverflowError"
 
 
-def test_noise_past_its_domain_is_a_module_error(tmp_path, capsys):
+def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     code = run_cli(["ensemble", "--e0", "1.1", "--e1", "4.0", "--sigma", "2.5",
                     "--n-runs", "200", "--out", tmp_path / "e"])
-    assert code == 1
+    assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "NoiseTooLargeError"
-    assert not (tmp_path / "e" / "ensemble_report.json").exists()
+    assert err["error"] == "validation" and err["message"].startswith("ensemble.sigma:")
+    assert "f_max max|A1, A0, B1, B0|" in err["message"]
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["kernel", "--eta-max", "0.05"], "kernel.eta_max"),
+    (["ab", "--tau-flight", "5999"], "ab.tau_flight"),
+    (["ab", "--b1-amp", "2.5"], "ab.b1_amp"),
+    (["ab", "--p-beam", "1e200"], "ab.p_beam"),
+    (["collapse", "--sigma", "3"], "collapse.sigma"),
+    (["ensemble", "--sigma", "3"], "ensemble.sigma"),
+    (["collapse", "--seed", str(2**128)], "collapse.seed"),
+])
+def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
+    # checks that need the parameters alone run at validation: exit 2, no directory
+    assert run_cli([*argv, "--out", tmp_path / "x"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and err["message"].startswith(key + ":")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("config, key", [
@@ -252,10 +273,10 @@ def test_parser_is_not_built_at_import():
 def test_ensemble_keys_past_128_bits_fail_before_any_output(tmp_path, capsys):
     out = tmp_path / "e"
     seed = 2**128 - 6  # keys seed .. seed + 9 would pass 2**128 - 1
-    assert run_cli(["ensemble", "--seed", seed, "--n-runs", "10", "--out", out]) == 1
+    assert run_cli(["ensemble", "--seed", seed, "--n-runs", "10", "--out", out]) == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ValueError" and "seed" in err["message"]
-    assert not (out / "ensemble_report.json").exists()
+    assert err["error"] == "validation" and err["message"].startswith("ensemble.seed:")
+    assert not out.exists()
 
 
 def test_config_accepts_integral_floats(tmp_path):
@@ -289,20 +310,144 @@ SPECIAL_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                   1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.5e-300]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
-                                    cli.CSV_BLOCK_ROWS + 1])
-def test_write_csv_matches_per_cell_formatter(tmp_path, n_rows):
+def _mixed_columns(n_rows):
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     floats[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n_rows]
     ints = rng.integers(-2**62, 2**62, n_rows)
     ints[:2] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max][:n_rows]
     header = ["i64", "i32", "flag", "x", "py_int", "py_float"]
-    columns = [ints, ints.astype(np.int32), rng.random(n_rows) < 0.5, floats,
-               [int(v) for v in rng.integers(-5, 5, n_rows)], floats[::-1].tolist()]
-    cli._write_csv(tmp_path / "new.csv", header, columns)
+    return header, [ints, ints.astype(np.int32), rng.random(n_rows) < 0.5, floats,
+                    [int(v) for v in rng.integers(-5, 5, n_rows)], floats[::-1].tolist()]
+
+
+def _with_ulp_neighbours(values, ulps=3):
+    """values and the doubles up to ulps steps either side, with both signs."""
+    bits = np.abs(np.asarray(values, dtype=np.float64)).view(np.int64)
+    near = np.concatenate([bits + j for j in range(-ulps, ulps + 1)]).view(np.float64)
+    return np.concatenate([near, -near])
+
+
+def _powers_of_ten():
+    return ["x"], [_with_ulp_neighbours([float(f"1e{k}") for k in range(-300, 301)])]
+
+
+def _rounding_boundaries():
+    # the largest 17-digit mantissa, and the decimal halfway from it to the next power
+    tops = [float(f"{m}e{k}") for m in ("9.9999999999999999", "9.99999999999999995")
+            for k in range(-300, 301)]
+    return ["x"], [_with_ulp_neighbours(tops)]
+
+
+def _dyadic_ties():
+    """Odd m / 2^t for t <= 70; where m 5^t has 18 digits the decimal value
+    ends in a 5 just past the 17th digit, an exact rounding tie."""
+    rng = np.random.default_rng(70)
+    values = []
+    for t in range(1, 71):
+        lo, hi = -(-10**17 // 5**t), min(10**18 // 5**t, 2**53)
+        odd = [m | 1 for m in range(lo, hi, max(1, (hi - lo) // 40))] if lo < hi else []
+        odd += [int(m) | 1 for m in rng.integers(1, 2**53, 10)]
+        values += [m / 2**t for m in odd if m < 2**53]
+    ties = [v for v in values if len(Decimal(v).as_tuple().digits) == 18]
+    assert len(ties) > 500 and all(Decimal(v).as_tuple().digits[-1] == 5 for v in ties)
+    return ["x"], [np.array(values + [-v for v in values])]
+
+
+def _random_bit_patterns():
+    rng = np.random.default_rng(64)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    floats = bits.view(np.float64).copy()
+    floats[:5] = [np.inf, -np.inf, np.nan, -np.nan, -0.0]
+    return ["x", "reversed"], [floats, floats[::-1]]
+
+
+def _integer_extremes():
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    tens = [10**j + d for j in range(19) for d in (-1, 0, 1)]
+    signed = np.array([i64.min, i64.min + 1, i64.max, -1, 0, 1, *tens, *(-t for t in tens)])
+    unsigned = np.array([u64.max, u64.max - 1, 2**63, 2**63 - 1, 10**19, *tens, 0, 1] * 3,
+                        dtype=np.uint64)[:len(signed)]
+    return (["i64", "u64", "i32", "u8", "flag"],
+            [signed, unsigned, signed.astype(np.int32), unsigned.astype(np.uint8),
+             signed % 2 == 0])
+
+
+CSV_CASES = {
+    **{str(n): functools.partial(_mixed_columns, n) for n in
+       (0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1)},
+    "powers-of-ten": _powers_of_ten,
+    "rounding-boundaries": _rounding_boundaries,
+    "dyadic-ties": _dyadic_ties,
+    "random-bit-patterns": _random_bit_patterns,
+    "integer-extremes": _integer_extremes,
+}
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_write_csv_matches_per_cell_formatter(tmp_path, case):
+    header, columns = CSV_CASES[case]()
+    digest = cli._write_csv(tmp_path / "new.csv", header, columns)
     _write_csv_reference(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert digest == hashlib.sha256((tmp_path / "old.csv").read_bytes()).hexdigest()
+
+
+def test_number_tables_are_not_built_at_import():
+    proc = subprocess.run([sys.executable, "-c", "import relqlab.cli, relqlab._csvtext as t; "
+                           "print([f.cache_info().currsize for f in (t._pow10_table, t._quads)])"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0]"
+
+
+# Run in a fresh interpreter (argv[1]: CSV path).  Writes a fixed CSV built
+# from integer bit patterns and Python's correctly rounded float parsing, so
+# its inputs do not depend on numpy's SIMD target, and prints the dispatched
+# CPU features in force.
+_WRITE_FIXED_CSV = """
+import json
+import sys
+from pathlib import Path
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from relqlab import cli
+
+bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
+floats = np.concatenate([bits.view(np.float64),
+                         [float(f"{m}e{k}") for m in ("1", "9.99999999999999995")
+                          for k in range(-300, 301)]])
+ints = bits.view(np.int64)
+cli._write_csv(Path(sys.argv[1]), ["x", "i"], [floats, np.resize(ints, len(floats))])
+print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))
+"""
+
+
+def _dispatch_masks():
+    """NPY_DISABLE_CPU_FEATURES values that switch off, in turn, each higher
+    run-time dispatch target this numpy build offers on this CPU."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+    return [enabled[i:] for i in range(len(enabled))]
+
+
+def test_csv_bytes_are_independent_of_the_simd_target(tmp_path):
+    masks = _dispatch_masks()
+    if not masks:
+        pytest.skip("this numpy build dispatches no optional CPU features on this CPU")
+    children = []
+    for i, mask in enumerate([[], *masks]):
+        env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
+        children.append((mask, tmp_path / f"{i}.csv", subprocess.Popen(
+            [sys.executable, "-W", "error", "-c", _WRITE_FIXED_CSV, str(tmp_path / f"{i}.csv")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
+    reference = None
+    for mask, path, proc in children:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert not set(mask) & set(json.loads(out)), f"numpy ignored the mask {mask}"
+        reference = reference or path.read_bytes()
+        assert path.read_bytes() == reference, f"bytes differ with {mask} switched off"
 
 
 def test_write_json_refuses_non_finite(tmp_path):

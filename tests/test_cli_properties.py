@@ -1,17 +1,19 @@
-"""Property test of the CLI manifest: the parameters, seed and threads it
-records, fed back as a config file, resolve to the same run."""
+"""Property tests of the CLI: the parameters, seed and threads a manifest
+records, fed back as a config file, resolve to the same run; the CSV writer
+formats any float and int64 as Python's % does."""
 
 import json
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from relqlab import cli, evolution  # noqa: E402
+from relqlab import _csvtext, cli, evolution  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -38,6 +40,17 @@ def _draw_parameters(data, name):
     if name == "flux":  # dt is bounded by the grid, mass and length drawn above
         limit = evolution.flux_dt_limit(params["grid_n"], params["length"], params["mass"])
         params["dt"] = limit * data.draw(st.floats(1e-6, 1.0), label="dt / limit")
+    if name == "kernel":
+        params["eta_max"] = params["eta_min"] * data.draw(st.floats(1.5, 1e3), label="eta ratio")
+    if name == "ab":  # the alternating field needs an even number of segments
+        params["tau_flight"] = params["delta"] * 2 * data.draw(st.integers(1, 10**4),
+                                                               label="segment pairs")
+    noise = {"collapse": "sigma", "ensemble": "sigma", "ab": "b1_amp"}.get(name)
+    if noise:
+        try:
+            cli._check_domain(name, params, 0)
+        except ValueError:  # noise past the domain of the levels drawn stands in as none
+            params[noise] = 0.0
     return params
 
 
@@ -65,3 +78,13 @@ def test_manifest_parameters_replay_as_a_config_file(name, seed, threads, data):
     # the same types and signs of zero too
     assert json.dumps(second.parameters) == json.dumps(first.parameters)
     assert (second.seed, second.threads) == (first.seed, first.threads)
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1)), min_size=1,
+                     max_size=40))
+def test_csv_rows_match_python_formatting(rows):
+    floats = np.array([x for x, _ in rows], dtype=np.float64)
+    ints = np.array([i for _, i in rows], dtype=np.int64)
+    assert _csvtext.format_rows([floats, ints]) == "".join(
+        "%.16e,%d\n" % row for row in rows).encode()
