@@ -92,16 +92,13 @@ def _eps0_list(v):
     return None
 
 
-def _energy(v):
-    return None if v >= 1.0 else "must be >= 1 (units of m c^2)"
-
-
 _THRESHOLD = Param("threshold", float, 0.999, "collapse threshold", _open_interval(0.5, 1.0))
 _TWO_STATE = [  # the two-state system, its noise and its initial state
-    Param("e0", float, 1.25, "level-0 energy (units of m c^2)", _energy),
-    Param("e1", float, 1.75, "level-1 energy (units of m c^2)", _energy),
+    Param("e0", float, 1.25, "level-0 energy (units of m c^2)", collapse.level_error),
+    Param("e1", float, 1.75, "level-1 energy (units of m c^2)", collapse.level_error),
     Param("sigma", float, collapse.DEFAULT_SIGMA_STAR, "noise amplitude", _non_negative),
-    Param("mode", str, "uniform", "noise mode", choices=("uniform", "alternating")),
+    Param("mode", str, "uniform", "noise mode: uniform or alternating",
+          choices=("uniform", "alternating")),
     Param("a0_init", float, 0.5, "initial a0 (a1 = sqrt(1 - a0^2))", _unit_interval),
 ]
 
@@ -155,7 +152,8 @@ SCHEMAS = {
         Param("grid_n", int, 512, "grid size (power of two)", _power_of_two),
         Param("length", float, 512.0 * math.pi, "periodic box length", _positive),
         Param("mass", float, 1.0, "mass scale", _positive),
-        Param("packet", str, "gaussian", "state type", choices=("gaussian", "plane")),
+        Param("packet", str, "gaussian", "state type: gaussian or plane",
+              choices=("gaussian", "plane")),
         Param("x0", float, 0.0, "packet center (gaussian)"),
         Param("sigma", float, 62.5, "packet width (gaussian)", _positive),
         Param("p0", float, 0.05, "packet momentum (gaussian)"),
@@ -166,6 +164,12 @@ SCHEMAS = {
     ],
 }
 SUBCOMMANDS = tuple(SCHEMAS)
+RUN_SETTINGS = [  # every subcommand's; RunConfig holds them beside its parameters
+    Param("seed", int, 0, "base RNG seed", _int_min(0)),
+    Param("out", str, None, "output directory; runs/<subcommand> when not given"),
+    Param("threads", int, 1, "worker processes that share an ensemble, capped at the usable "
+          "CPUs; other subcommands ignore it; results are independent of it", _int_min(1)),
+]
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ class RunConfig:
     parameters: dict
     seed: int
     output_dir: Path
-    threads: int = 1
+    threads: int
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +201,20 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, params in SCHEMAS.items():
         p = sub.add_parser(name, help=f"run the {name} computation")
-        for prm in params:
-            flag = "--" + prm.name.replace("_", "-")
-            kwargs = {"help": f"{prm.help} (default: {prm.default})", "default": None}
-            if prm.choices:
-                kwargs["choices"] = prm.choices
-            else:
-                kwargs["type"] = prm.type
-            p.add_argument(flag, dest=prm.name, **kwargs)
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed (default: 0)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory (default: runs/<subcommand>)")
+        for prm in [*params, *RUN_SETTINGS]:
+            p.add_argument("--" + prm.name.replace("_", "-"), dest=prm.name, type=prm.type,
+                           default=None, help=f"{prm.help} (default: {prm.default})")
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes that share an ensemble, capped at the usable "
-                            "CPUs; other subcommands ignore it; results are independent "
-                            "of it (default: 1)")
     return parser
 
 
 def _coerce(key, typ, value):
-    """typ(value), except that numbers refuse booleans and strings, an int also
-    refuses non-integral floats, and a float refuses nan and +-inf."""
-    if typ in (int, float) and isinstance(value, (bool, str)) or (
+    """typ(value), except that a string setting takes only strings, numbers
+    refuse booleans and strings, an int also refuses non-integral floats, and
+    a float refuses nan and +-inf."""
+    if (typ is str) != isinstance(value, str) or isinstance(value, bool) or (
             typ is int and isinstance(value, float) and not value.is_integer()):
-        kind = "an integer" if typ is int else "a number"
+        kind = {int: "an integer", float: "a number", str: "a string"}[typ]
         raise ValueError(f"{key}: must be {kind} (got {value!r})")
     try:
         out = typ(value)
@@ -232,22 +225,15 @@ def _coerce(key, typ, value):
     return out
 
 
-def _run_setting(label, key, value):
-    """A config file's out (a string), seed or threads (integers)."""
-    if key == "out" and not isinstance(value, str):
-        raise ValueError(f"{label}: must be a string (got {value!r})")
-    return value if key == "out" else _coerce(label, int, value)
-
-
 def parse_and_validate(argv) -> RunConfig:
-    """Resolve defaults, config file, and flags into a validated RunConfig."""
+    """Resolve defaults, config file, and flags into a validated RunConfig.
+    Each given value is typed where it is read, so a mistyped config value is
+    an error even when a flag overrides it; the resolved values are then
+    checked."""
     args = _build_parser().parse_args(argv)
     name = args.subcommand
-    schema = SCHEMAS[name]
-    known = {p.name for p in schema}
-
-    resolved = {p.name: p.default for p in schema}
-    run = {"seed": 0, "out": None, "threads": 1}  # settings outside the schema
+    params = {p.name: p for p in [*SCHEMAS[name], *RUN_SETTINGS]}
+    resolved = {key: prm.default for key, prm in params.items()}
 
     if args.config is not None:
         try:
@@ -256,45 +242,34 @@ def parse_and_validate(argv) -> RunConfig:
             raise ValueError(f"config file {args.config!r} unreadable: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object keyed by subcommand")
+        top_level = {prm.name: prm for prm in RUN_SETTINGS if prm.name in raw}
         for section in raw:
-            if section not in SUBCOMMANDS and section not in run:
+            if section not in SCHEMAS and section not in top_level:
                 raise ValueError(f"config section {section!r} is not a subcommand")
         section = raw.get(name, {})
         if not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be an object")
         for key, value in section.items():
-            if key in run:
-                run[key] = _run_setting(f"{name}.{key}", key, value)
-            elif key in known:
-                resolved[key] = value
-            else:
+            if key not in params:
                 raise ValueError(f"unknown key {key!r} in config section {name!r}")
-        for key in run:  # the top level wins over the section
-            if key in raw:
-                run[key] = _run_setting(key, key, raw[key])
+            resolved[key] = _coerce(f"{name}.{key}", params[key].type, value)
+        for key, prm in top_level.items():  # the top level wins over the section
+            resolved[key] = _coerce(key, prm.type, raw[key])
 
-    for key in [*known, *run]:
-        given = getattr(args, key)
-        if given is not None:
-            (resolved if key in known else run)[key] = given
-
-    for prm in schema:
-        value = _coerce(f"{name}.{prm.name}", prm.type, resolved[prm.name])
+    for key, prm in params.items():
+        label = f"{name}.{key}"
+        if (given := getattr(args, key)) is not None:
+            resolved[key] = _coerce(label, prm.type, given)
+        value = resolved[key]
         if prm.choices and value not in prm.choices:
-            raise ValueError(f"{name}.{prm.name}: must be one of {prm.choices}, got {value!r}")
-        if prm.check is not None:
-            msg = prm.check(value)
-            if msg:
-                raise ValueError(f"{name}.{prm.name}: {msg} (got {value!r})")
-        resolved[prm.name] = value
+            raise ValueError(f"{label}: must be one of {prm.choices}, got {value!r}")
+        if prm.check is not None and (msg := prm.check(value)):
+            raise ValueError(f"{label}: {msg} (got {value!r})")
 
-    for key, lowest in (("seed", 0), ("threads", 1)):
-        if run[key] < lowest:
-            raise ValueError(f"{name}.{key}: must be >= {lowest} (got {run[key]!r})")
-    _check_domain(name, resolved, run["seed"])
-    output_dir = Path(run["out"]) if run["out"] is not None else Path("runs") / name
-    return RunConfig(subcommand=name, parameters=resolved, seed=run["seed"],
-                     output_dir=output_dir, threads=run["threads"])
+    seed, out, threads = (resolved.pop(prm.name) for prm in RUN_SETTINGS)
+    _check_domain(name, resolved, seed)
+    return RunConfig(subcommand=name, parameters=resolved, seed=seed,
+                     output_dir=Path("runs", name) if out is None else Path(out), threads=threads)
 
 
 def _check_domain(name, params, seed):
@@ -347,17 +322,9 @@ def _write_csv(path: Path, header, columns):
     return digest.hexdigest()
 
 
-def _json_value(obj):
-    """numpy arrays and scalars as JSON values (json.dumps default)."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(path: Path, obj):
     """Sorted, indented JSON; returns the sha256 of the bytes written."""
-    data = (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                       default=_json_value) + "\n").encode()
+    data = (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
 

@@ -78,6 +78,21 @@ class NoiseTooLargeError(ValueError):
     negative mixed amplitude.  The bound includes |N| < 1 (the perturbative kick)."""
 
 
+def _kick_gain(e):
+    """N / f of a level of energy e: its linear response to the noise amplitude."""
+    p = math.sqrt(e * e - 1.0)
+    return p * (2.0 + e) / (2.0 * e * e * (1.0 + e))
+
+
+def level_error(e):
+    """Why e cannot be a level energy (units of m c^2), or None.  Past about
+    1.3e154 p = sqrt(e^2 - 1) overflows and the kick gain is nan; r_ratio is
+    finite for any two levels that pass."""
+    if not (e >= 1.0 and math.isfinite(e)):
+        return "must be >= 1 (units of m c^2)"
+    return None if math.isfinite(_kick_gain(e)) else "must be small enough for a finite kick gain"
+
+
 @dataclass(frozen=True)
 class TwoStateSystem:
     """Two positive-energy levels; energies in units of m c^2 (e_n >= 1)."""
@@ -87,8 +102,8 @@ class TwoStateSystem:
 
     def __post_init__(self):
         for name, e in (("e0", self.e0), ("e1", self.e1)):
-            if not (e >= 1.0 and math.isfinite(e)):
-                raise ValueError(f"{name} must be >= 1 (units of m c^2), got {e!r}")
+            if msg := level_error(e):
+                raise ValueError(f"{name} {msg}, got {e!r}")
 
     @property
     def p0(self):
@@ -105,8 +120,7 @@ class TwoStateSystem:
 
     def kick_gain(self, level):
         """N_m / f: the level's linear response to the noise amplitude."""
-        e, p = (self.e0, self.p0) if level == 0 else (self.e1, self.p1)
-        return p * (2.0 + e) / (2.0 * e * e * (1.0 + e))
+        return _kick_gain(self.e0 if level == 0 else self.e1)
 
 
 @dataclass(frozen=True)
@@ -286,10 +300,11 @@ def _ratio_bounds(threshold):
 def _check_noise(gains, r, f_max):
     """phi's numerator and denominator, linear in s >= 0 and in f, stay positive
     for |f| <= f_max exactly when f_max max|A1, A0, B1, B0| < 1 (A1 = -g1, B0 = -g0)."""
-    worst = f_max * max(map(abs, _ratio_coefficients(*gains, r)))
-    if worst >= 1.0:
+    worst = f_max * float(np.max(np.abs(_ratio_coefficients(*gains, r))))  # nan if one is
+    if not worst < 1.0:
         raise NoiseTooLargeError(f"noise amplitude {f_max!r} gives f_max max|A1, A0, B1, B0| = "
-                                 f"{worst:.4g} >= 1: an amplitude can turn negative; reduce sigma")
+                                 f"{worst:.4g}, not < 1: an amplitude can turn negative; "
+                                 "reduce sigma")
 
 
 def _check_keys(seed, n_runs):

@@ -113,6 +113,9 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     (["collapse", "--sigma", "3"], "collapse.sigma"),
     (["ensemble", "--sigma", "3"], "ensemble.sigma"),
     (["collapse", "--seed", str(2**128)], "collapse.seed"),
+    (["collapse", "--e0", "1e300"], "collapse.e0"),  # p0 = sqrt(e0^2 - 1) overflows
+    (["ensemble", "--e0", "1e300", "--n-runs", "10", "--max-steps", "100"], "ensemble.e0"),
+    (["collapse", "--mode", "foo"], "collapse.mode"),
 ])
 def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
     # checks that need the parameters alone run at validation: exit 2, no directory
@@ -187,12 +190,19 @@ def test_config_rejects_non_finite_floats(tmp_path, capsys, literal, section, ke
     ({"out": None}, "out"),
     ({"out": 5}, "out"),
     ({"ensemble": {"out": ["x"]}}, "ensemble.out"),
+    ({"oracle": {"eps0_list": 0.5}}, "oracle.eps0_list"),
+    ({"collapse": {"mode": 1}}, "collapse.mode"),
+    ({"ensemble": {"sigma": "x"}}, "ensemble.sigma"),
 ])
 def test_config_out_must_be_a_string(tmp_path, capsys, config, key):
+    # every setting must have its JSON type: out, eps0_list and mode a string, sigma a number
     cfg_file = tmp_path / "conf.json"
     cfg_file.write_text(json.dumps(config))
+    name, _, setting = key.rpartition(".")
+    flag = {"out": [], "eps0_list": ["--eps0-list", "1"], "mode": ["--mode", "uniform"],
+            "sigma": ["--sigma", "0.1"]}[setting]
     # the flag would win, but the file is checked first
-    assert run_cli(["ensemble", "--config", cfg_file, "--out", tmp_path / "x"]) == 2
+    assert run_cli([name or "ensemble", "--config", cfg_file, *flag, "--out", tmp_path / "x"]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation" and err["message"].startswith(key + ":")
 

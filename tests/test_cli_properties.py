@@ -71,8 +71,12 @@ def test_manifest_parameters_replay_as_a_config_file(name, seed, threads, data):
         written = json.loads((first.output_dir / "manifest.json").read_text(encoding="utf-8"))
         assert written["parameters"] == manifest["parameters"]
         replay = Path(tmp) / "replay.json"
-        replay.write_text(json.dumps({name: written["parameters"], "seed": written["seed"],
-                                      "threads": written["threads"]}), encoding="utf-8")
+        section = dict(written["parameters"])
+        config = {name: section}
+        for key in ("seed", "threads"):  # either home; the top level would win over the section
+            home = config if data.draw(st.booleans(), label=f"{key} at top level") else section
+            home[key] = written[key]
+        replay.write_text(json.dumps(config), encoding="utf-8")
         second = cli.parse_and_validate([name, "--config", str(replay)])
     assert second.parameters == first.parameters
     # the same types and signs of zero too
