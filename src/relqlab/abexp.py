@@ -104,8 +104,11 @@ def two_state_for_paths(p_beam, a0_main) -> TwoStateSystem:
     dispersions are shifted to p +- a0; level 0 is the left (higher-momentum)
     path.  Momenta in units of m c give energies in units of m c^2, as TwoStateSystem expects.
     """
-    e_left = math.sqrt(1.0 + (p_beam + a0_main) ** 2)
-    e_right = math.sqrt(1.0 + (p_beam - a0_main) ** 2)
+    try:
+        e_left = math.sqrt(1.0 + (p_beam + a0_main) ** 2)
+        e_right = math.sqrt(1.0 + (p_beam - a0_main) ** 2)
+    except OverflowError:
+        raise OverflowError(f"(p_beam +- a0_main)^2 leaves double range (got {p_beam!r})") from None
     return TwoStateSystem(e0=e_left, e1=e_right)
 
 

@@ -85,12 +85,13 @@ def _kick_gain(e):
 
 
 def level_error(e):
-    """Why e cannot be a level energy (units of m c^2), or None.  Past about
-    1.3e154 p = sqrt(e^2 - 1) overflows and the kick gain is nan; r_ratio is
-    finite for any two levels that pass."""
+    """Why e cannot be a level energy (units of m c^2), or None.  The kick gain is
+    0.0 past ~4.5e102, where 2 e^2 (1 + e) overflows, and nan past ~1.3e154, where
+    p does; only e = 1 has a true gain of 0.  r_ratio is finite for passing levels."""
     if not (e >= 1.0 and math.isfinite(e)):
         return "must be >= 1 (units of m c^2)"
-    return None if math.isfinite(_kick_gain(e)) else "must be small enough for a finite kick gain"
+    ok = e == 1.0 or _kick_gain(e) > 0.0  # false for a nan gain too
+    return None if ok else "must be small enough for a finite kick gain (not underflowed to 0)"
 
 
 @dataclass(frozen=True)

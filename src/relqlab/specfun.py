@@ -1,4 +1,4 @@
-"""Special-function evaluators and quadrature oracles for the short-time kernel.
+"""Special-function evaluators and quadrature rules for the short-time kernel.
 
 The central object is the dimensionless kernel moment
 
@@ -13,14 +13,15 @@ steepest-descent ray u = i t; with t = s^2 / eps0 the moment becomes
 
     M_n(eps0) = 2 i^(1/2) exp(-i eps0) Int_0^inf (s^4 + 2 i eps0 s^2)^n exp(-s^2) ds
 
-whose integrand does not oscillate, so nothing cancels at large eps0.  The
-same moment has the closed form
+whose integrand, a polynomial of degree 4n times exp(-s^2), does not oscillate
+(nothing cancels at large eps0) and is integrated exactly by K Gauss-Hermite
+nodes once 2K - 1 >= 4n (A&S 25.4.46).  The same moment has the closed form
 
     M_n(eps0) = i^(1/2) exp(-i eps0) Gamma(2n + 1/2) M(-n, 1/2 - 2n, 2i eps0)
 
 with M(a, b, z) the confluent hypergeometric function of the first kind,
-here always a terminating polynomial because a = -n.  Both routes are
-implemented independently so each certifies the other.
+here always a terminating polynomial because a = -n.  The two routes share
+no code, so each checks the other.
 
 Conventions: i^(1/2) is the principal branch exp(i pi/4); half-integer
 Gamma values are produced by the exact recurrence from Gamma(1/2) = sqrt(pi).
@@ -28,6 +29,7 @@ Gamma values are produced by the exact recurrence from Gamma(1/2) = sqrt(pi).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -171,14 +173,18 @@ def _quad_complex(func, a, b, *, limit, points=None):
     return value
 
 
+@functools.cache
+def _hermite_half_rule():
+    """(s^2, w) at the 16 positive nodes of the K = 32 rule, exact for n <= 12."""
+    nodes, weights = np.polynomial.hermite.hermgauss(32)
+    return tuple((s * s, w) for s, w in zip(nodes.tolist(), weights.tolist()) if s > 0.0)
+
+
 def kernel_moment_contour(q: MomentQuery) -> complex:
-    """Kernel moment by quadrature along the steepest-descent ray u = i s^2 / eps0."""
-    n, eps0 = q.n, q.eps0
-
-    def f(s):
-        s2 = s * s
-        return (s2 * (s2 + 2j * eps0)) ** n * np.exp(-s2)
-
+    """Kernel moment on the ray u = i s^2 / eps0 by the 32-node Gauss-Hermite rule."""
+    total = 0j
+    for s2, w in _hermite_half_rule():  # on Python numbers: no numpy SIMD target alters a bit
+        total += w * (s2 * (s2 + 2j * q.eps0)) ** q.n
     # Two exp factors: folding pi/4 into a large eps0 would round it away.
-    phase = 2j * np.exp(-0.25j * np.pi) * np.exp(-1j * eps0)
-    return phase * _quad_complex(f, 0.0, np.inf, limit=200)
+    phase = 2j * np.exp(-0.25j * np.pi) * np.exp(-1j * q.eps0)
+    return phase * total
