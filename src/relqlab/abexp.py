@@ -107,8 +107,9 @@ def two_state_for_paths(p_beam, a0_main) -> TwoStateSystem:
     try:
         e_left = math.sqrt(1.0 + (p_beam + a0_main) ** 2)
         e_right = math.sqrt(1.0 + (p_beam - a0_main) ** 2)
-    except OverflowError:
-        raise OverflowError(f"(p_beam +- a0_main)^2 leaves double range (got {p_beam!r})") from None
+    except OverflowError:  # named by the larger of the two, which drives the square
+        big = max(p_beam, a0_main, key=abs)
+        raise OverflowError(f"(p_beam +- a0_main)^2 leaves double range (got {big!r})") from None
     return TwoStateSystem(e0=e_left, e1=e_right)
 
 

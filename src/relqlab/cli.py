@@ -282,6 +282,18 @@ def _check_domain(name, params, seed):
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{name}.{key}: {exc}") from None
 
+    if name in ("evolve", "flux"):  # E(p) and the packet fit the grid
+        n, length = params["grid_n"], params["length"]
+        sizes = {"mass": params["mass"], "a0": abs(params.get("a0", 0.0)),
+                 "length": math.pi * n / length}  # the terms of E(p) on the grid
+        e_max = check(max(sizes, key=sizes.get), evolution.max_energy, n, length,
+                      params["mass"], params.get("a0", 0.0))
+        if name == "evolve" and not math.isfinite(e_max * (params["dt"] * params["steps"])):
+            raise ValueError(f"evolve.dt: max E(p) dt steps must be finite (got {params['dt']!r})")
+        if params.get("packet") != "plane" and (
+                msg := evolution.packet_error(n, length, params["x0"], params["sigma"])):
+            key = "sigma" if abs(params["x0"]) <= length / 2 else "x0"  # off the grid
+            raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
     if name == "flux" and params["dt"] > (limit := evolution.flux_dt_limit(
             params["grid_n"], params["length"], params["mass"])):
         raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
@@ -296,7 +308,8 @@ def _check_domain(name, params, seed):
         check("seed", collapse._check_keys, seed, params["n_runs"])
     if name == "ab":
         check("tau_flight", _ab_config, params)
-        sys_ = check("p_beam", abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
+        big = "a0_main" if params["a0_main"] > params["p_beam"] else "p_beam"  # drives the levels
+        sys_ = check(big, abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
         check("b1_amp", collapse._check_noise, abexp.path_gains(sys_), sys_.r_ratio,
               params["b1_amp"])
 
@@ -445,13 +458,13 @@ def _run_flux(cfg: RunConfig):
         psi = evolution.plane_wave(grid, params["k_index"])
     else:
         psi = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
-    reports = [evolution.density_flux_report(psi, f, params["dt"], n_trunc)
-               for n_trunc in range(1, params["n_trunc_max"] + 1)]
-    residuals = [r.residual_l2 for r in reports]
-    yield "flux_residuals.csv", (["n_trunc", "residual_l2", "term_l2"], [
-        [r.n_trunc for r in reports], residuals, [r.term_magnitudes[-1] for r in reports]])
+    report = evolution.density_flux_report(psi, f, params["dt"], params["n_trunc_max"])
+    residuals = report.residual_l2.tolist()
+    orders = range(1, len(residuals) + 1)
+    yield "flux_residuals.csv", (["n_trunc", "residual_l2", "term_l2"],
+                                 [orders, residuals, report.term_magnitudes])
     yield "flux_summary.json", {
-        "residuals": {str(r.n_trunc): r.residual_l2 for r in reports},
+        "residuals": {str(k): r for k, r in zip(orders, residuals)},
         "monotone_decreasing": all(b < a for a, b in zip(residuals, residuals[1:])),
         "params": params,
     }

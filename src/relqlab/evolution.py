@@ -130,15 +130,31 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class FluxReport:
-    """Truncated density-flux balance: residual and per-term L2 norms."""
+    """Truncated density-flux balance order by order: entry k - 1 holds the
+    residual L2 norm at truncation order k and the L2 norm of the term it adds."""
 
-    n_trunc: int
-    residual_l2: float
+    residual_l2: np.ndarray
     term_magnitudes: np.ndarray
 
 
+def packet_error(n, length, x0, sigma):
+    """Why gaussian_packet cannot sample its packet on an n-point grid of the
+    given length, or None: the sample nearest x0, squared and times dx, must be
+    a normal double, or the norm underflows (a packet much narrower than dx, or
+    centred off the grid)."""
+    dx = length / n
+    d = round(min(max(x0 / dx, -(n // 2)), n // 2 - 1)) * dx - x0
+    width2 = 4.0 * sigma * sigma
+    if width2 > 0.0 and -2.0 * (d * d) / width2 + math.log(dx) >= math.log(np.finfo(float).tiny):
+        return None
+    return "must keep the packet's largest sample on the grid, squared and times dx, a normal double"
+
+
 def gaussian_packet(grid: SpatialGrid, x0, sigma, p0) -> WaveFunction:
-    """Normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i p0 x)."""
+    """Normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i p0 x); ValueError
+    where packet_error finds it underflows on the grid."""
+    if msg := packet_error(grid.n, grid.length, x0, sigma):
+        raise ValueError(f"sigma {msg}, got sigma={sigma!r} at x0={x0!r}")
     x = grid.x
     values = np.exp(-((x - x0) ** 2) / (4.0 * sigma * sigma) + 1j * p0 * x)
     values /= math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
@@ -157,6 +173,16 @@ def dispersion(p, f: FieldConfig):
     p = np.asarray(p, dtype=float)
     out = np.sqrt(f.mass * f.mass + (p - f.a0) ** 2)
     return float(out) if out.ndim == 0 else out
+
+
+def max_energy(n, length, mass, a0=0.0):
+    """A bound on E(p) over an n-point grid of the given length, exact for
+    a0 <= 0, computed without overflow.  ValueError past about 1.34e154, where
+    dispersion, which squares mass and p - a0, overflows."""
+    e_max = math.hypot(mass, abs(a0) + math.pi * n / length)
+    if not math.isfinite(e_max * e_max):
+        raise ValueError(f"mass^2 + (p - a0)^2 leaves double range on the grid (max E(p) {e_max!r})")
+    return e_max
 
 
 def free_propagate(psi: WaveFunction, f: FieldConfig, t) -> WaveFunction:
@@ -298,18 +324,20 @@ def spectral_derivative(values, grid: SpatialGrid, order):
 
 def flux_dt_limit(n, length, mass):
     """Largest dt of density_flux_report: E(p) dt <= MAX_FLUX_PHASE on the grid."""
-    return MAX_FLUX_PHASE / math.hypot(mass, math.pi * n / length)
+    return MAX_FLUX_PHASE / max_energy(n, length, mass)
 
 
 def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxReport:
     """Residual of the truncated density-flux balance for the free square-root
-    Hamiltonian,
+    Hamiltonian at every order k = 1..n_trunc,
 
-        d(rho)/dt + div j + sum_{n=2..n_trunc} c_n Q_{2n} = 0,
+        d(rho)/dt + div j + sum_{n=2..k} c_n Q_{2n} = 0,
 
     with j = 1/(2 i m) Q_1 and c_n = flux_coefficient(n, m).  d(rho)/dt is a
-    centered difference of exactly propagated states at +-dt.  term_magnitudes
-    holds the L2 norms of the n = 1..n_trunc terms (n = 1 being div j).
+    centered difference of exactly propagated states at +-dt.  Each order adds
+    one term to the residual of the order before, so residual_l2[:k] does not
+    depend on n_trunc >= k.  term_magnitudes holds the L2 norms of the
+    n = 1..n_trunc terms (n = 1 being div j).
 
     High-order Q functionals amplify spectral roundoff like p_max^(2n); use
     grids whose momentum range is O(m) when pushing n_trunc up.
@@ -322,24 +350,18 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxR
         raise ValueError(f"dt must lie in (0, flux_dt_limit] (max E(p) dt <= 1), got {dt!r}")
 
     grid = psi.grid
+    def l2(values):
+        return math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
     rho_plus = free_propagate(psi, f, dt).density()
     rho_minus = free_propagate(psi, f, -dt).density()
-    drho_dt = (rho_plus - rho_minus) / (2.0 * dt)
-
     values = psi.values
     q1 = np.conj(values) * spectral_derivative(values, grid, 1)
-    q1 = q1 - np.conj(q1)
-    div_j = spectral_derivative(q1, grid, 1) / (2j * f.mass)
-
-    residual = drho_dt + div_j.real
-    term_norms = [math.sqrt(float(np.sum(np.abs(div_j) ** 2) * grid.dx))]
-    for n in range(2, n_trunc + 1):
-        d2n = spectral_derivative(values, grid, 2 * n)
-        q2n = np.conj(values) * d2n - values * np.conj(d2n)
-        term = flux_coefficient(n, f.mass) * q2n
+    term = spectral_derivative(q1 - np.conj(q1), grid, 1) / (2j * f.mass)  # div j, order 1
+    residual, norms = (rho_plus - rho_minus) / (2.0 * dt), []
+    for n in range(1, n_trunc + 1):
+        if n > 1:
+            d2n = spectral_derivative(values, grid, 2 * n)
+            term = flux_coefficient(n, f.mass) * (np.conj(values) * d2n - values * np.conj(d2n))
         residual = residual + term.real
-        term_norms.append(math.sqrt(float(np.sum(np.abs(term) ** 2) * grid.dx)))
-
-    residual_l2 = math.sqrt(float(np.sum(residual**2) * grid.dx))
-    return FluxReport(n_trunc=int(n_trunc), residual_l2=residual_l2,
-                      term_magnitudes=np.asarray(term_norms))
+        norms.append((l2(residual), l2(term)))
+    return FluxReport(*np.asarray(norms).T)

@@ -116,6 +116,15 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     (["collapse", "--e0", "1e300"], "collapse.e0"),  # p0 = sqrt(e0^2 - 1) overflows
     (["ensemble", "--e0", "1e300", "--n-runs", "10", "--max-steps", "100"], "ensemble.e0"),
     (["collapse", "--mode", "foo"], "collapse.mode"),
+    (["ab", "--a0-main", "1e110"], "ab.a0_main"),  # a level whose kick gain underflows
+    (["evolve", "--mass", "1e200"], "evolve.mass"),  # dispersion squares the mass
+    (["evolve", "--a0", "1e200"], "evolve.a0"),
+    (["evolve", "--length", "1e-300"], "evolve.length"),  # the grid's top |p| squared
+    (["evolve", "--dt", "1e308"], "evolve.dt"),  # E(p) dt steps
+    (["evolve", "--sigma", "0.001"], "evolve.sigma"),  # the packet underflows on the grid
+    (["evolve", "--x0", "1e300"], "evolve.x0"),
+    (["flux", "--x0", "0.3", "--sigma", "0.001"], "flux.sigma"),
+    (["flux", "--length", "1e-300"], "flux.length"),
 ])
 def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
     # checks that need the parameters alone run at validation: exit 2, no directory
@@ -146,6 +155,28 @@ def test_ab_beam_past_double_range_names_the_quantity(tmp_path, capsys):
     message = json.loads(capsys.readouterr().err.strip())["message"]
     assert message == "ab.p_beam: (p_beam +- a0_main)^2 leaves double range (got 1e+160)"
     assert not (tmp_path / "ab").exists()
+
+
+def test_ab_a0_main_past_double_range_names_itself(tmp_path, capsys):
+    # the larger of p_beam and a0_main overflows the square, so it is the one named
+    assert run_cli(["ab", "--a0-main", "1e200", "--out", tmp_path / "ab"]) == 2
+    message = json.loads(capsys.readouterr().err.strip())["message"]
+    assert message == "ab.a0_main: (p_beam +- a0_main)^2 leaves double range (got 1e+200)"
+    assert not (tmp_path / "ab").exists()
+
+
+@pytest.mark.parametrize("mass, code", [(1.3e154, 0), (1.35e154, 2)])
+def test_evolve_mass_whose_energy_overflows_is_rejected(tmp_path, capsys, mass, code):
+    # dispersion squares the mass, which overflows past sqrt(float max) ~ 1.34e154
+    out = tmp_path / "ev"
+    argv = ["evolve", "--mass", mass, "--grid-n", "64", "--steps", "4", "--snapshot-stride", "2"]
+    assert run_cli([*argv, "--out", out]) == code
+    if code == 0:
+        assert read_json(out / "evolve_summary.json")["norm_drift"] < 1e-12
+    else:
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation" and err["message"].startswith("evolve.mass:")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("config, key", [
@@ -604,6 +635,21 @@ def test_flux_dt_past_its_domain_is_a_validation_error(tmp_path, capsys, dt):
     assert err["error"] == "validation" and err["message"].startswith("flux.dt:")
     assert not out.exists()
     assert run_cli(["flux", "--dt", "0.7", "--n-trunc-max", "1", "--out", out]) == 0
+
+
+def test_flux_reports_every_order_from_one_report(tmp_path, monkeypatch):
+    calls = []
+    real_report = evolution.density_flux_report
+
+    def density_flux_report(*args):
+        calls.append(args[-1])
+        return real_report(*args)
+
+    monkeypatch.setattr(evolution, "density_flux_report", density_flux_report)
+    out = tmp_path / "flux"
+    assert run_cli(["flux", "--out", out]) == 0
+    assert calls == [5]
+    assert list(read_json(out / "flux_summary.json")["residuals"]) == ["1", "2", "3", "4", "5"]
 
 
 def test_flux_gaussian_monotone(tmp_path):

@@ -37,6 +37,17 @@ def _strategy(prm: cli.Param):
 
 def _draw_parameters(data, name):
     params = {prm.name: data.draw(_strategy(prm), label=prm.name) for prm in cli.SCHEMAS[name]}
+    if name in ("evolve", "flux"):  # E(p) and the packet must fit the grid drawn above
+        defaults = {prm.name: prm.default for prm in cli.SCHEMAS[name]}
+        try:
+            evolution.max_energy(params["grid_n"], params["length"], params["mass"],
+                                 params.get("a0", 0.0))
+        except ValueError:  # a grid too fine for E(p) stands in as the default length
+            params["length"] = defaults["length"]
+        if evolution.packet_error(params["grid_n"], params["length"], params["x0"],
+                                  params["sigma"]):
+            # a packet that underflows stands in as the default width, centred at 0
+            params["x0"], params["sigma"] = 0.0, defaults["sigma"]
     if name == "flux":  # dt is bounded by the grid, mass and length drawn above
         limit = evolution.flux_dt_limit(params["grid_n"], params["length"], params["mass"])
         params["dt"] = limit * data.draw(st.floats(1e-6, 1.0), label="dt / limit")

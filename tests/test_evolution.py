@@ -22,6 +22,8 @@ from relqlab.evolution import (
     free_propagate,
     gaussian_packet,
     klein_gordon_residual,
+    max_energy,
+    packet_error,
     plane_wave,
     plane_wave_identity_check,
     r_symbol,
@@ -216,6 +218,45 @@ def test_free_evolve_raises_when_total_time_overflows():
         evolve(psi, FREE, 1e306, 1000)
 
 
+@pytest.mark.parametrize("n, length, mass, a0", [
+    (1024, 200.0, 1.0, 0.0), (64, 1e-3, 2.0, -5.0), (16, 3.0, 1.3e154, 0.0), (256, 7.0, 0.5, 1e153)])
+def test_max_energy_bounds_the_dispersion_on_the_grid(n, length, mass, a0):
+    grid = SpatialGrid(n=n, length=length)
+    e_max = float(np.max(dispersion(grid.p, FieldConfig.free(mass, grid, a0=a0))))
+    bound = max_energy(n, length, mass, a0)
+    assert e_max <= bound * (1 + 1e-15)
+    if a0 <= 0.0:
+        assert bound == pytest.approx(e_max, rel=1e-15)
+
+
+@pytest.mark.parametrize("mass, a0, length", [(1.35e154, 0.0, 200.0), (1.0, -1e200, 200.0),
+                                              (1.0, 0.0, 1e-300)])
+def test_max_energy_rejects_a_dispersion_that_overflows(mass, a0, length):
+    with pytest.raises(ValueError, match="double range"):
+        max_energy(64, length, mass, a0)
+
+
+def test_packet_that_underflows_on_the_grid_is_rejected_without_warnings():
+    # sigma = 0.001 at x0 = -40: the nearest sample sits 0.039 away, about 39
+    # widths, so every sample squared underflows; so does an off-grid centre
+    for x0, sigma in ((-40.0, 0.001), (0.3, 0.001), (1e300, 10.0), (0.0, 1e-300)):
+        assert packet_error(GRID.n, GRID.length, x0, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_packet(GRID, x0, sigma, 0.5)
+
+
+@pytest.mark.parametrize("x0", [-40.0, 0.3, 99.9, 150.0])
+def test_packet_domain_holds_up_to_its_edge(x0):
+    # below the edge packet_error refuses; above it the packet is built, its
+    # norm is 1, and numpy warns of nothing (warnings are errors here)
+    widths = np.geomspace(1e-4, 1e2, 400)
+    accepted = [s for s in widths if packet_error(GRID.n, GRID.length, x0, s) is None]
+    assert 0 < len(accepted) < len(widths)
+    assert accepted == list(widths[len(widths) - len(accepted):])  # one edge
+    for sigma in accepted[:5]:
+        assert gaussian_packet(GRID, x0, sigma, 0.5).norm() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_apply_R_inverse_roundtrip():
     psi = gaussian_packet(GRID, 3.0, 6.0, 0.8)
     back = apply_R(apply_R(psi, FREE), FREE, inverse=True)
@@ -329,7 +370,7 @@ def test_flux_coefficient_reproduces_current_term():
 def test_flux_plane_wave_residual_vanishes():
     psi = plane_wave(FLUX_GRID, 30)
     report = density_flux_report(psi, FLUX_FREE, dt=0.1, n_trunc=5)
-    assert report.residual_l2 < 1e-12
+    assert report.residual_l2[-1] < 1e-12
     assert len(report.term_magnitudes) == 5
 
 
@@ -347,7 +388,7 @@ def test_flux_real_gaussian_symmetry():
     rho_m = free_propagate(psi, FLUX_FREE, -1e-3).density()
     drho = (rho_p - rho_m) / 2e-3
     fd_norm = math.sqrt(float(np.sum(drho**2) * FLUX_GRID.dx))
-    assert report.residual_l2 == pytest.approx(fd_norm, rel=1e-9, abs=1e-18)
+    assert report.residual_l2[-1] == pytest.approx(fd_norm, rel=1e-9, abs=1e-18)
     assert np.all(report.term_magnitudes < 1e-15)
 
 
@@ -355,10 +396,22 @@ def test_flux_moving_gaussian_monotone_convergence():
     # narrow moving packet (momentum support < 0.1): each added term lowers
     # the residual; this is the module's convergence oracle
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
-    residuals = [density_flux_report(psi, FLUX_FREE, dt=0.01, n_trunc=n).residual_l2
-                 for n in (1, 2, 3, 4)]
+    residuals = density_flux_report(psi, FLUX_FREE, dt=0.01, n_trunc=4).residual_l2.tolist()
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
     assert residuals[0] > 1e-8 and residuals[-1] < 1e-12
+
+
+@pytest.mark.parametrize("packet", [gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05),
+                                    plane_wave(FLUX_GRID, 30)])
+def test_flux_report_orders_do_not_depend_on_the_truncation(packet):
+    # one report holds every lower order: its first k entries are, bit for
+    # bit, those of the report truncated at k
+    full = density_flux_report(packet, FLUX_FREE, 0.01, MAX_FLUX_ORDER)
+    assert len(full.residual_l2) == len(full.term_magnitudes) == MAX_FLUX_ORDER
+    for k in range(1, MAX_FLUX_ORDER + 1):
+        short = density_flux_report(packet, FLUX_FREE, 0.01, k)
+        assert short.residual_l2.tobytes() == full.residual_l2[:k].tobytes()
+        assert short.term_magnitudes.tobytes() == full.term_magnitudes[:k].tobytes()
 
 
 def test_flux_dt_outside_the_domain_is_rejected():
@@ -367,7 +420,7 @@ def test_flux_dt_outside_the_domain_is_rejected():
     limit = flux_dt_limit(FLUX_GRID.n, FLUX_GRID.length, 1.0)
     e_max = float(np.max(dispersion(FLUX_GRID.p, FLUX_FREE)))
     assert limit == pytest.approx(MAX_FLUX_PHASE / e_max, rel=1e-15)
-    assert density_flux_report(psi, FLUX_FREE, dt=limit, n_trunc=2).residual_l2 < 1e-6
+    assert density_flux_report(psi, FLUX_FREE, dt=limit, n_trunc=2).residual_l2[-1] < 1e-6
     for dt in (math.nextafter(limit, math.inf), 1e307, math.inf, math.nan, 0.0, -0.01):
         with pytest.raises(ValueError, match="dt"):
             density_flux_report(psi, FLUX_FREE, dt=dt, n_trunc=2)

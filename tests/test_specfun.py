@@ -65,8 +65,8 @@ def test_kummer_rejections():
     with pytest.raises(ValueError):
         kummer_m(-5, -3.0, 1.0)  # (b)_k vanishes before the series terminates
     with pytest.raises(ValueError):
-        kummer_m(0.5, 1.5, 80.0)  # outside the |z| <= 50 guard
-    # terminating cases are exempt from the |z| guard
+        kummer_m(0.5, 1.5, 80.0)  # a = 0.5 does not terminate the series, whatever z
+    # a terminating series is summed for any z; there is no |z| guard
     assert np.isfinite(kummer_m(-3, 0.5, 200.0))
 
 
@@ -278,7 +278,8 @@ def bits(z):
 
 
 def quadratures_made_by(call, monkeypatch):
-    """(func, a, b, limit, points) of every _quad_complex call that call() makes."""
+    """(func, a, b, limit, points) of every _quad_complex call that call() makes;
+    pathweight is its only caller."""
     made = []
     quad_complex = specfun._quad_complex
 
@@ -287,7 +288,6 @@ def quadratures_made_by(call, monkeypatch):
         return quad_complex(func, a, b, limit=limit, points=points)
 
     with monkeypatch.context() as m:
-        m.setattr(specfun, "_quad_complex", record)
         m.setattr(pathweight, "_quad_complex", record)
         call()
     return made
