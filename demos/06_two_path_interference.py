@@ -19,7 +19,7 @@ print(f"two-state mapping: e_left = {sys_.e0:.4f}, e_right = {sys_.e1:.4f}, "
 
 
 def run(flux, b1):
-    cfg = ABConfig(flux=flux, b1_amp=b1, delta=1.0, tau_flight=6000.0, screen_points=257)
+    cfg = ABConfig(flux=flux, b1_amp=b1, segments=6000, screen_points=257)
     return simulate_ab(cfg, sys_)
 
 

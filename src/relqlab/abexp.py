@@ -9,9 +9,9 @@ opposite sign, so they form a two-state system whose levels are kicked with
 opposite-sign noise amplitudes.
 
 The fluctuating field is the deterministic alternating sequence
-(-1)^n b1_amp over segments of duration delta; its integral over the flight
-time vanishes exactly because the flight spans an even number of segments,
-so a phase-only theory predicts no effect on the fringes.  Being
+(-1)^n b1_amp over the flight's segments; its integral over the flight
+vanishes exactly because the flight spans an even number of segments, so a
+phase-only theory predicts no effect on the fringes.  Being
 deterministic, the field gives every electron the same trajectory.
 
 Screen coordinates are dimensionless fringe units: xi is the transverse
@@ -43,19 +43,23 @@ class EnvelopeOnlyPatternError(ValueError):
     """Too few extrema in the central window: the pattern carries no fringes."""
 
 
+def segments_error(n):
+    """Why n cannot be the flight's field segment count, or None: the
+    alternating field integrates to zero only over an even number of them."""
+    if isinstance(n, (int, np.integer)) and n >= 2 and n % 2 == 0:  # True is odd
+        return None
+    return "must be an even integer >= 2, so that the alternating field integrates to zero"
+
+
 @dataclass(frozen=True)
 class ABConfig:
     """Field and screen parameters of the two-path experiment (screen in
-    fringe units, see the module docstring).
-
-    tau_flight must be an even multiple of delta so the alternating field
-    integrates to zero over every flight.
-    """
+    fringe units, see the module docstring); the flight spans `segments`
+    field segments (see segments_error)."""
 
     flux: float
     b1_amp: float
-    delta: float
-    tau_flight: float
+    segments: int
     screen_points: int = 256
 
     def __post_init__(self):
@@ -63,22 +67,10 @@ class ABConfig:
             raise ValueError(f"flux must be finite, got {self.flux!r}")
         if not (self.b1_amp >= 0 and math.isfinite(self.b1_amp)):
             raise ValueError(f"b1_amp must be non-negative, got {self.b1_amp!r}")
-        if not (self.delta > 0 and self.tau_flight > 0):
-            raise ValueError("delta and tau_flight must be positive")
-        ratio = self.tau_flight / self.delta
-        if not math.isfinite(ratio):
-            raise ValueError(f"tau_flight/delta must be finite, got {ratio!r}")
-        if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) % 2 != 0 or round(ratio) < 2:
-            raise ValueError(
-                f"tau_flight must be an even multiple of delta (got ratio {ratio!r}); "
-                "otherwise the alternating field does not integrate to zero"
-            )
+        if msg := segments_error(self.segments):
+            raise ValueError(f"segments {msg}, got {self.segments!r}")
         if self.screen_points < 64:
             raise ValueError(f"screen_points must be >= 64, got {self.screen_points!r}")
-
-    @property
-    def n_segments(self):
-        return int(round(self.tau_flight / self.delta))
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
     half = 1.0 / math.sqrt(2.0)
     field = NoiseProcess(sigma=cfg.b1_amp, seed=0, mode="alternating")
     outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half), path_gains(sys), sys.r_ratio,
-                          field, cfg.n_segments, threshold, cfg.n_segments).outcome
+                          field, cfg.segments, threshold, cfg.segments).outcome
     env = _envelope(xi)
     if outcome is None:
         intensity = env * (1.0 + np.cos(2.0 * np.pi * xi + ab_phase(cfg.flux)))

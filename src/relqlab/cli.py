@@ -141,8 +141,7 @@ SCHEMAS = {
     "ab": [
         Param("flux", float, 0.0, "enclosed flux (AB phase = -flux)"),
         Param("b1_amp", float, abexp.DEFAULT_B1_STAR, "alternating field amplitude", _non_negative),
-        Param("delta", float, 1.0, "field segment duration", _positive),
-        Param("tau_flight", float, 6000.0, "flight time (even multiple of delta)", _positive),
+        Param("segments", int, 6000, "field segments in the flight (even)", abexp.segments_error),
         Param("screen_points", int, 256, "screen samples", _int_min(64)),
         Param("p_beam", float, 1.0, "beam momentum (units of m c)", _positive),
         Param("a0_main", float, 0.25, "uniform potential magnitude", _positive),
@@ -238,7 +237,7 @@ def parse_and_validate(argv) -> RunConfig:
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"config file {args.config!r} unreadable: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object keyed by subcommand")
@@ -290,10 +289,14 @@ def _check_domain(name, params, seed):
                       params["mass"], params.get("a0", 0.0))
         if name == "evolve" and not math.isfinite(e_max * (params["dt"] * params["steps"])):
             raise ValueError(f"evolve.dt: max E(p) dt steps must be finite (got {params['dt']!r})")
-        if params.get("packet") != "plane" and (
-                msg := evolution.packet_error(n, length, params["x0"], params["sigma"])):
-            key = "sigma" if abs(params["x0"]) <= length / 2 else "x0"  # off the grid
-            raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
+        if params.get("packet") != "plane":  # the Gaussian packet fits the grid
+            x0, sigma, p0 = params["x0"], params["sigma"], params["p0"]
+            if msg := evolution.packet_error(n, length, x0, sigma):
+                key = "sigma" if abs(x0) <= length / 2 else "x0"  # off the grid
+            elif msg := evolution.momentum_error(n, length, p0, sigma):
+                key = "p0" if abs(p0) >= math.pi * n / length else "sigma"  # p0 alone aliases
+            if msg:
+                raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
     if name == "flux" and params["dt"] > (limit := evolution.flux_dt_limit(
             params["grid_n"], params["length"], params["mass"])):
         raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
@@ -307,7 +310,6 @@ def _check_domain(name, params, seed):
     if name == "ensemble":
         check("seed", collapse._check_keys, seed, params["n_runs"])
     if name == "ab":
-        check("tau_flight", _ab_config, params)
         big = "a0_main" if params["a0_main"] > params["p_beam"] else "p_beam"  # drives the levels
         sys_ = check(big, abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
         check("b1_amp", collapse._check_noise, abexp.path_gains(sys_), sys_.r_ratio,
@@ -431,15 +433,12 @@ def _run_ensemble(cfg: RunConfig):
                                    "seed": cfg.seed}
 
 
-def _ab_config(params):
-    return abexp.ABConfig(flux=params["flux"], b1_amp=params["b1_amp"], delta=params["delta"],
-                          tau_flight=params["tau_flight"], screen_points=params["screen_points"])
-
-
 def _run_ab(cfg: RunConfig):
     params = cfg.parameters
     sys_ = abexp.two_state_for_paths(params["p_beam"], params["a0_main"])
-    pattern = abexp.simulate_ab(_ab_config(params), sys_, threshold=params["threshold"])
+    ab_cfg = abexp.ABConfig(flux=params["flux"], b1_amp=params["b1_amp"],
+                            segments=params["segments"], screen_points=params["screen_points"])
+    pattern = abexp.simulate_ab(ab_cfg, sys_, threshold=params["threshold"])
     yield "ab_pattern.csv", (["x", "intensity"], [pattern.positions, pattern.intensity])
     yield "ab_summary.json", {
         "visibility": pattern.visibility,

@@ -107,14 +107,6 @@ class TwoStateSystem:
                 raise ValueError(f"{name} {msg}, got {e!r}")
 
     @property
-    def p0(self):
-        return math.sqrt(self.e0 * self.e0 - 1.0)
-
-    @property
-    def p1(self):
-        return math.sqrt(self.e1 * self.e1 - 1.0)
-
-    @property
     def r_ratio(self):
         """R1/R0; equals 1 iff the levels are degenerate."""
         return (self.e1 / self.e0) * math.sqrt((1.0 + self.e0) / (1.0 + self.e1))
@@ -308,6 +300,16 @@ def _check_noise(gains, r, f_max):
                                  "reduce sigma")
 
 
+def _check_run(gains, r, proc: NoiseProcess, max_steps, threshold):
+    """The domain both collapse loops share: a threshold in (0.5, 1), a
+    positive step budget and noise that _check_noise accepts."""
+    if not (0.5 < threshold < 1.0):
+        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
+    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
+    _check_noise(gains, r, proc.sigma)
+
+
 def _check_keys(seed, n_runs):
     """Trajectory k of an ensemble keys its Philox stream seed + k."""
     if seed + n_runs - 1 >= _KEY_LIMIT:
@@ -328,13 +330,9 @@ def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_step
     """The width-1 loop behind run_trajectory, on Python floats, kicking level m
     by f * gains[m]; noise chunks double from _FIRST_CHUNK to _CHUNK.  It
     checks its own arguments, so every caller gets run_trajectory's domain."""
-    if not (0.5 < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
-    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
+    _check_run(gains, r, proc, max_steps, threshold)
     if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
         raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
-    _check_noise(gains, r, proc.sigma)
     coef = _ratio_coefficients(*gains, r)
     lo, hi = _ratio_bounds(threshold)
     rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
@@ -497,11 +495,7 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
     _check_keys(proc_base.seed, n_runs)
-    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
-    if not (0.5 < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
-    _check_noise((sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base.sigma)
+    _check_run((sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base, max_steps, threshold)
     outcome, steps_at = _ensemble_outcomes(init, sys, proc_base, n_runs, max_steps,
                                            threshold, workers)
 

@@ -35,6 +35,9 @@ _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
 
 MAX_FLUX_ORDER = 8
 MAX_FLUX_PHASE = 1.0  # radians the fastest grid mode may turn per flux dt
+#: Momentum spreads 1/(2 sigma) of a Gaussian packet that must fit below the
+#: grid's Nyquist momentum; its momentum density there is e^-32 of the peak.
+PACKET_MOMENTUM_SPREADS = 8.0
 
 
 @dataclass(frozen=True)
@@ -141,13 +144,30 @@ def packet_error(n, length, x0, sigma):
     """Why gaussian_packet cannot sample its packet on an n-point grid of the
     given length, or None: the sample nearest x0, squared and times dx, must be
     a normal double, or the norm underflows (a packet much narrower than dx, or
-    centred off the grid)."""
+    centred off the grid); and the exponent (x - x0)^2 / (4 sigma^2) must stay
+    in double range at the grid's farthest sample."""
     dx = length / n
     d = round(min(max(x0 / dx, -(n // 2)), n // 2 - 1)) * dx - x0
     width2 = 4.0 * sigma * sigma
-    if width2 > 0.0 and -2.0 * (d * d) / width2 + math.log(dx) >= math.log(np.finfo(float).tiny):
+    if not (width2 > 0.0
+            and -2.0 * (d * d) / width2 + math.log(dx) >= math.log(np.finfo(float).tiny)):
+        return ("must keep the packet's largest sample on the grid, squared and times dx, "
+                "a normal double")
+    span = max(abs(-(n // 2) * dx - x0), abs((n // 2 - 1) * dx - x0))  # to the farthest sample
+    if not (width2 < math.inf and span * span / width2 < math.inf):
+        return "must keep 4 sigma^2, (x - x0)^2 and their ratio finite over the grid"
+    return None
+
+
+def momentum_error(n, length, p0, sigma):
+    """Why a Gaussian packet of momentum p0 and width sigma aliases on an
+    n-point grid of the given length, or None: |p0| plus
+    PACKET_MOMENTUM_SPREADS spreads 1/(2 sigma) must not pass the Nyquist
+    momentum pi n / length.  gaussian_packet does not apply this rule."""
+    if abs(p0) + PACKET_MOMENTUM_SPREADS / (2.0 * sigma) <= math.pi * n / length:
         return None
-    return "must keep the packet's largest sample on the grid, squared and times dx, a normal double"
+    return (f"must keep |p0| + {PACKET_MOMENTUM_SPREADS:g} / (2 sigma) within the grid's Nyquist "
+            f"momentum pi grid_n / length = {math.pi * n / length!r}")
 
 
 def gaussian_packet(grid: SpatialGrid, x0, sigma, p0) -> WaveFunction:

@@ -269,11 +269,10 @@ def test_criterion_13_ab_prediction():
     from relqlab.abexp import ABConfig, _envelope
 
     sys_ = two_state_for_paths(1.0, 0.25)
-    quiet = simulate_ab(ABConfig(flux=0.0, b1_amp=0.0, delta=1.0, tau_flight=6000.0,
+    quiet = simulate_ab(ABConfig(flux=0.0, b1_amp=0.0, segments=6000, screen_points=257), sys_)
+    noisy = simulate_ab(ABConfig(flux=0.0, b1_amp=DEFAULT_B1_STAR, segments=6000,
                                  screen_points=257), sys_)
-    noisy = simulate_ab(ABConfig(flux=0.0, b1_amp=DEFAULT_B1_STAR, delta=1.0,
-                                 tau_flight=6000.0, screen_points=257), sys_)
-    pi_shift = simulate_ab(ABConfig(flux=math.pi, b1_amp=0.0, delta=1.0, tau_flight=6000.0,
+    pi_shift = simulate_ab(ABConfig(flux=math.pi, b1_amp=0.0, segments=6000,
                                     screen_points=257), sys_)
     env = _envelope(quiet.positions)
     complementary = np.allclose(pi_shift.intensity / env, 2.0 - quiet.intensity / env,

@@ -107,7 +107,7 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, key", [
     (["kernel", "--eta-max", "0.05"], "kernel.eta_max"),
-    (["ab", "--tau-flight", "5999"], "ab.tau_flight"),
+    (["ab", "--segments", "5999"], "ab.segments"),
     (["ab", "--b1-amp", "2.5"], "ab.b1_amp"),
     (["ab", "--p-beam", "1e200"], "ab.p_beam"),
     (["collapse", "--sigma", "3"], "collapse.sigma"),
@@ -125,6 +125,18 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     (["evolve", "--x0", "1e300"], "evolve.x0"),
     (["flux", "--x0", "0.3", "--sigma", "0.001"], "flux.sigma"),
     (["flux", "--length", "1e-300"], "flux.length"),
+    (["ab", "--segments", "0"], "ab.segments"),
+    # the default grid's Nyquist momentum is pi 1024 / 200 ~ 16.1: p0 alone passes it, or
+    # p0 and 8 momentum spreads 1/(2 sigma) do
+    (["evolve", "--p0", "1e3"], "evolve.p0"),
+    (["evolve", "--p0", "15", "--sigma", "0.1"], "evolve.sigma"),
+    (["flux", "--p0=-1.0"], "flux.p0"),  # Nyquist momentum 1.0 on the default flux grid
+    # (x - x0)^2 overflows at the grid's edge; 4 sigma^2 overflows too
+    (["evolve", "--grid-n", "16", "--length", "3e154", "--sigma", "3e153", "--p0", "0",
+      "--steps", "4", "--snapshot-stride", "2"], "evolve.sigma"),
+    (["evolve", "--grid-n", "64", "--length", "1e160", "--sigma", "1e159", "--p0", "0",
+      "--steps", "4"], "evolve.sigma"),
+    (["evolve", "--x0", "0", "--sigma", "1e-155"], "evolve.sigma"),  # the ratio overflows
 ])
 def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
     # checks that need the parameters alone run at validation: exit 2, no directory
@@ -148,6 +160,27 @@ def test_levels_whose_kick_gain_underflows_are_rejected(tmp_path, capsys, e0, e1
         assert err["error"] == "validation" and err["message"].startswith("collapse.e0:")
         assert "underflow" in err["message"]
         assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"segments": 2.5}, "ab.segments: must be an integer (got 2.5)"),
+    ({"tau_flight": 6000.0}, "unknown key 'tau_flight' in config section 'ab'"),
+])
+def test_ab_config_counts_field_segments(tmp_path, capsys, section, message):
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"ab": section}))
+    assert run_cli(["ab", "--config", cfg_file, "--out", tmp_path / "ab"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["message"] == message
+    assert not (tmp_path / "ab").exists()
+    assert cli.parse_and_validate(["ab", "--segments", "2"]).parameters["segments"] == 2
+
+
+def test_packet_rules_skip_the_plane_wave(tmp_path):
+    # --packet plane samples no Gaussian, so its p0 and sigma are not checked
+    out = tmp_path / "flux"
+    assert run_cli(["flux", "--packet", "plane", "--p0", "1e3", "--sigma", "1e-3",
+                    "--out", out]) == 0
+    assert (out / "flux_residuals.csv").exists()
 
 
 def test_ab_beam_past_double_range_names_the_quantity(tmp_path, capsys):
@@ -261,6 +294,32 @@ def test_config_out_must_be_a_string(tmp_path, capsys, config, key):
     assert err["error"] == "validation" and err["message"].startswith(key + ":")
 
 
+@pytest.mark.parametrize("argv, content, message", [
+    (["ab"], None, "unreadable: [Errno 2] No such file or directory"),
+    (["ab"], b'{"ab": {', "unreadable: Expecting property name"),
+    (["ab"], b'\xff{"ab": {}}', "unreadable: 'utf-8' codec can't decode byte 0xff"),
+    (["ab"], b'["ab"]', "config file must hold a JSON object keyed by subcommand"),
+    (["ab"], b'{"abc": {}}', "config section 'abc' is not a subcommand"),
+    (["ab"], b'{"ab": [1]}', "config section 'ab' must be an object"),
+    (["oracle", "--eps0-list", "1,x"], b"{}",
+     "oracle.eps0_list: must be a comma-separated list of numbers (got '1,x')"),
+], ids=["missing", "invalid-json", "non-utf8", "list", "unknown-section", "non-object-section",
+        "eps0-list"])
+def test_unreadable_input_is_a_validation_error(tmp_path, capsys, argv, content, message):
+    # one JSON line, exit 2, no directory; a file that cannot be read is named
+    cfg_file = tmp_path / "conf.json"
+    if content is not None:
+        cfg_file.write_bytes(content)
+    assert run_cli([*argv, "--config", cfg_file, "--out", tmp_path / "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "validation" and message in err["message"]
+    if "unreadable" in message:
+        assert err["message"].startswith(f"config file {str(cfg_file)!r} unreadable: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_out_in_section_or_top_level(tmp_path):
     # out follows the rule of seed and threads: a section may set it, the top
     # level wins over the section, and the flag wins over both
@@ -288,6 +347,8 @@ def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys):
     (["ensemble", "--delta", "7"], "unrecognized arguments: --delta 7"),
     (["ab", "--d-slit", "5"], "unrecognized arguments: --d-slit 5"),
     (["ab", "--wavelength", "2"], "unrecognized arguments: --wavelength 2"),
+    (["ab", "--delta", "1"], "unrecognized arguments: --delta 1"),  # ab counts segments
+    (["ab", "--tau-flight", "6000"], "unrecognized arguments: --tau-flight 6000"),
 ])
 def test_argparse_rejections_are_validation_errors(tmp_path, capsys, argv, message):
     # argparse's own rejections keep the error contract: one JSON line, exit 2

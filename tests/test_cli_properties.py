@@ -44,18 +44,18 @@ def _draw_parameters(data, name):
                                  params.get("a0", 0.0))
         except ValueError:  # a grid too fine for E(p) stands in as the default length
             params["length"] = defaults["length"]
-        if evolution.packet_error(params["grid_n"], params["length"], params["x0"],
-                                  params["sigma"]):
-            # a packet that underflows stands in as the default width, centred at 0
-            params["x0"], params["sigma"] = 0.0, defaults["sigma"]
+        n, length = params["grid_n"], params["length"]
+        if evolution.packet_error(n, length, params["x0"], params["sigma"]):
+            # a packet that underflows or overflows stands in as a centred one a tenth of
+            # the box wide, which fits every grid the checks above let through
+            params["x0"], params["sigma"] = 0.0, length / 10
+        if evolution.momentum_error(n, length, params["p0"], params["sigma"]):
+            params["x0"], params["sigma"], params["p0"] = 0.0, length / 10, 0.0  # and at rest
     if name == "flux":  # dt is bounded by the grid, mass and length drawn above
         limit = evolution.flux_dt_limit(params["grid_n"], params["length"], params["mass"])
         params["dt"] = limit * data.draw(st.floats(1e-6, 1.0), label="dt / limit")
     if name == "kernel":
         params["eta_max"] = params["eta_min"] * data.draw(st.floats(1.5, 1e3), label="eta ratio")
-    if name == "ab":  # the alternating field needs an even number of segments
-        params["tau_flight"] = params["delta"] * 2 * data.draw(st.integers(1, 10**4),
-                                                               label="segment pairs")
     noise = {"collapse": "sigma", "ensemble": "sigma", "ab": "b1_amp"}.get(name)
     if noise:
         try:

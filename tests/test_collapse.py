@@ -42,8 +42,10 @@ def uniform_noise(sigma, seed, delta=1.0):
 
 
 def test_two_state_system_derived_quantities():
-    assert REF_SYS.p0 == pytest.approx(0.75, rel=1e-15)
-    assert REF_SYS.p1 == pytest.approx(math.sqrt(1.75**2 - 1.0), rel=1e-15)
+    # N / f = p (2 + e) / (2 e^2 (1 + e)) with p = sqrt(e^2 - 1): 0.75 at e0 = 1.25
+    assert REF_SYS.kick_gain(0) == pytest.approx(0.75 * 3.25 / (2 * 1.25**2 * 2.25), rel=1e-15)
+    p1 = math.sqrt(1.75**2 - 1.0)
+    assert REF_SYS.kick_gain(1) == pytest.approx(p1 * 3.75 / (2 * 1.75**2 * 2.75), rel=1e-15)
     expected_r = (1.75 / 1.25) * math.sqrt(2.25 / 2.75)
     assert REF_SYS.r_ratio == pytest.approx(expected_r, rel=1e-15)
     assert TwoStateSystem(e0=1.4, e1=1.4).r_ratio == 1.0
@@ -198,6 +200,20 @@ def test_noise_that_turns_an_amplitude_negative_is_rejected():
     with pytest.raises(NoiseTooLargeError):
         run_ensemble(SYM_INIT, far, uniform_noise(2.5, 0), n_runs=200, max_steps=10,
                      threshold=0.999)
+
+
+@pytest.mark.parametrize("bad", [dict(n_runs=0), dict(n_runs=2.0), dict(max_steps=0),
+                                 dict(max_steps=1.5), dict(threshold=0.5), dict(threshold=1.0),
+                                 dict(threshold=math.nan)], ids=repr)
+def test_run_ensemble_rejects_bad_arguments_before_any_work(monkeypatch, bad):
+    def no_work(*args):
+        raise AssertionError("an ensemble started")
+
+    monkeypatch.setattr(collapse, "_ensemble_outcomes", no_work)
+    args = {"n_runs": 4, "max_steps": 10, "threshold": 0.999, **bad}
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        run_ensemble(SYM_INIT, REF_SYS, uniform_noise(0.5, 0), **args)
 
 
 def test_noise_domain_at_the_reference_levels():
@@ -772,6 +788,23 @@ def test_lambda_general_superposition_vs_linear_model():
 def test_lambda_general_rejects_bad_basis():
     grid = SpatialGrid(n=64, length=32.0)
     f = FieldConfig.free(1.0, grid)
-    phi0, _, e0, e1 = _mode_pair(grid, f)
+    phi0, phi1, e0, e1 = _mode_pair(grid, f)
     with pytest.raises(ValueError):
         lambda_general(phi0, [phi0, phi0], [e0, e1], f)  # not orthonormal
+    with pytest.raises(ValueError, match="one energy per basis mode"):
+        lambda_general(phi0, [phi0, phi1], [e0, e1, e1], f)
+
+
+def test_lambda_general_warns_of_excluded_mass():
+    # psi = q0 phi0 - q1 phi1 with q_m = E_m / sqrt(1 + E_m), the symbol of R
+    # up to a common factor: R^-1 psi = phi0 - phi1 vanishes on the grid
+    # points x = 4j, where psi itself carries (q0 - q1)^2 / L of density
+    grid = SpatialGrid(n=64, length=32.0)
+    f = FieldConfig.free(1.0, grid)
+    phi0, phi1, e0, e1 = _mode_pair(grid, f)
+    q0, q1 = e0 / math.sqrt(1.0 + e0), e1 / math.sqrt(1.0 + e1)
+    psi = WaveFunction(grid=grid, values=(q0 * phi0.values - q1 * phi1.values)
+                       / math.hypot(q0, q1))
+    with pytest.warns(RuntimeWarning, match="excluded 8 near-zero denominator nodes"):
+        lam = lambda_general(psi, [phi0, phi1], [e0, e1], f)
+    assert np.all(np.isfinite(lam))

@@ -9,6 +9,7 @@ import pytest
 from relqlab.evolution import (
     MAX_FLUX_ORDER,
     MAX_FLUX_PHASE,
+    PACKET_MOMENTUM_SPREADS,
     FieldConfig,
     SpatialGrid,
     WaveFunction,
@@ -23,6 +24,7 @@ from relqlab.evolution import (
     gaussian_packet,
     klein_gordon_residual,
     max_energy,
+    momentum_error,
     packet_error,
     plane_wave,
     plane_wave_identity_check,
@@ -210,6 +212,13 @@ def test_evolve_aborts_on_non_finite_state():
         evolve(gaussian_packet(GRID, 0.0, 5.0, 0.0), FieldConfig.free(1e200, GRID), 0.05, 3)
 
 
+def test_strang_loop_aborts_on_non_finite_state():
+    # V != 0 takes the Strang loop; E(p) = inf at mass 1e200 makes step 1 nan
+    f = FieldConfig(a0=0.0, v_samples=np.full(GRID.n, 0.1), mass=1e200)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="at step 1 of 3"):
+        evolve(gaussian_packet(GRID, 0.0, 5.0, 0.0), f, 0.05, 3)
+
+
 def test_free_evolve_raises_when_total_time_overflows():
     # E(p) dt ~ 1.6e307 stays finite; dt * steps = 1e309 does not, and the
     # exact phase E(p) k dt first overflows at k = 12
@@ -243,6 +252,39 @@ def test_packet_that_underflows_on_the_grid_is_rejected_without_warnings():
         assert packet_error(GRID.n, GRID.length, x0, sigma)
         with pytest.raises(ValueError, match="sigma"):
             gaussian_packet(GRID, x0, sigma, 0.5)
+
+
+@pytest.mark.parametrize("n, length, x0, sigma", [
+    (16, 3e154, -40.0, 3e153),  # (x - x0)^2 at the grid's edge
+    (64, 1e160, -40.0, 1e159),  # and 4 sigma^2
+    (1024, 200.0, 0.0, 1e-155),  # (x - x0)^2 / (4 sigma^2)
+])
+def test_packet_whose_exponent_overflows_is_rejected(n, length, x0, sigma):
+    grid = SpatialGrid(n=n, length=length)
+    assert "finite over the grid" in packet_error(n, length, x0, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_packet(grid, x0, sigma, 0.0)
+
+
+def test_packet_just_inside_double_range_is_built():
+    # (x - x0)^2 reaches 1e308 at the edge; numpy warns of nothing
+    edge = SpatialGrid(n=16, length=2e154)
+    assert packet_error(16, 2e154, 0.0, 3e153) is None
+    assert gaussian_packet(edge, 0.0, 3e153, 0.0).norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_momentum_rule_at_its_edge():
+    # Nyquist momentum pi n / length = 16.08 on the reference grid
+    nyquist = math.pi * GRID.n / GRID.length
+    assert PACKET_MOMENTUM_SPREADS == 8.0
+    assert momentum_error(GRID.n, GRID.length, 0.5, 10.0) is None  # the CLI default
+    sigma = 4.0 / (nyquist - 15.0)  # |p0| + 8 / (2 sigma) lands on the Nyquist momentum
+    assert momentum_error(GRID.n, GRID.length, 15.0, sigma * 1.001) is None
+    assert momentum_error(GRID.n, GRID.length, -15.0, sigma * 1.001) is None
+    assert "Nyquist" in momentum_error(GRID.n, GRID.length, 15.0, sigma * 0.999)
+    assert momentum_error(GRID.n, GRID.length, 1e3, 10.0)
+    # gaussian_packet does not apply it: property tests draw such packets on 16 points
+    assert gaussian_packet(GRID, 0.0, 10.0, 1e3).norm() == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("x0", [-40.0, 0.3, 99.9, 150.0])

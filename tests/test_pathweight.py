@@ -174,6 +174,16 @@ def test_action_with_constant_vector_potential():
     assert got == pytest.approx(-2.0 * math.sqrt(0.75) + a, rel=1e-13)
 
 
+def test_action_with_constant_scalar_potential():
+    # S = -m sqrt(1 - v^2) T - V T for v = 0.5, T = 2, V = v0: the potential costs V T
+    v0 = 0.3
+    p = straight_path(v=0.5, duration=2.0, n_segments=8)
+    vf = SampledField(np.array([-1.0, 2.0]), np.array([v0, v0]))
+    got = path_action(p, M1, v_field=vf)
+    assert got == pytest.approx(-2.0 * math.sqrt(0.75) - v0 * 2.0, rel=1e-13)
+    assert got - path_action(p, M1) == pytest.approx(-v0 * 2.0, rel=1e-13)
+
+
 def test_action_field_domain_error():
     p = straight_path(v=1.5, duration=2.0)
     af = SampledField(np.array([-0.5, 0.5]), np.array([1.0, 1.0]))
