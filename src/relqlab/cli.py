@@ -297,10 +297,17 @@ def _check_domain(name, params, seed):
                 key = "p0" if abs(p0) >= math.pi * n / length else "sigma"  # p0 alone aliases
             if msg:
                 raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
+        elif msg := evolution.mode_error(n, params["k_index"]):
+            raise ValueError(f"flux.k_index: {msg} (got {params['k_index']!r})")
     if name == "flux" and params["dt"] > (limit := evolution.flux_dt_limit(
             params["grid_n"], params["length"], params["mass"])):
         raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
                          f"(got {params['dt']!r})")
+    if name == "oracle":  # every moment up to n_max stays in double range
+        for eps0 in _eps0_values(params["eps0_list"]):
+            if msg := specfun.moment_error(params["n_max"], eps0):
+                raise ValueError(f"oracle.eps0_list: {msg} (got {eps0!r} at n_max "
+                                 f"{params['n_max']})")
     if name == "kernel" and params["eta_max"] <= params["eta_min"]:
         raise ValueError(f"kernel.eta_max: must exceed eta_min (got {params['eta_max']!r})")
     if name in ("collapse", "ensemble"):

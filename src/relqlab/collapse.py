@@ -31,7 +31,10 @@ seed + k, so ensembles are reproducible independently of execution order.
 The scalar loop (width 1, with history; Python floats) and the lockstep
 ensemble loop (numpy arrays over step-major noise tiles) call the same step
 function, so ensembles are bit-identical to scalar runs, however they are
-split into blocks or across worker processes.
+split into blocks or across worker processes.  A lockstep trajectory that
+collapses is recorded once, then parked at s = 1 under a dead mask; the
+arrays drop parked entries only once they are an eighth of those stepped,
+and at the end of each noise chunk.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ DEFAULT_SIGMA_STAR = 0.55
 #: (chunk, width) noise tile of a block, so memory stops growing with n_runs.
 ENSEMBLE_BLOCK = 16384
 
-_SLAB = 32  # noise streams an ensemble fills, scales and transposes at a time
+_SLAB = 128  # noise streams an ensemble fills, scales and transposes at a time
 _FIRST_CHUNK = 64  # noise values per trajectory in a run's first chunk
 _CHUNK = 1024  # largest noise chunk per trajectory, a multiple of four, in both loops
 _U64 = (1 << 64) - 1
@@ -68,8 +71,8 @@ _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
 # Ensemble workers fork on Linux: a spawned one imports numpy and relqlab
 # (~0.2 s; not scipy), so a 2-worker pool starts in ~0.4 s, forked in ~0.05 s
-# (2-vCPU Xeon; a default ensemble takes ~0.85 s).  Workers run only numpy and
-# Philox code, never BLAS or threads.  Elsewhere the default method applies.
+# (2-vCPU Xeon; a default ensemble takes ~0.45 s, ~0.65 s on one worker).
+# Workers run numpy and Philox code, no BLAS or threads; elsewhere, the default.
 _POOL_START_METHOD = "fork" if sys.platform == "linux" else None
 
 
@@ -258,11 +261,22 @@ def _ratio_coefficients(g0, g1, r):
 
 def _ratio_step(s, f, coef):
     """s' = s phi^2 in plain + - * /, so that Python floats and numpy arrays
-    round alike; f = 0 gives phi = 1 exactly."""
+    round alike; f = 0 gives phi = 1 exactly.  In place, an array step makes
+    four temporaries; phi = (u + f (a1 s + a0)) / (u + f (b1 s + b0)), s' = (s phi) phi."""
     a1, a0, b1, b0 = coef
     u = 1.0 + s
-    phi = (u + f * (a1 * s + a0)) / (u + f * (b1 * s + b0))
-    return s * phi * phi
+    num = a1 * s
+    num += a0
+    num *= f
+    num += u
+    den = b1 * s
+    den += b0
+    den *= f
+    den += u
+    num /= den  # phi
+    out = s * num
+    out *= num
+    return out
 
 
 def _initial_ratio(init: TwoStateAmplitudes):
@@ -410,9 +424,12 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     Noise comes in chunks whose length starts at _FIRST_CHUNK and doubles up
     to _CHUNK (multiples of four, so every stream can be resumed from its
     counter alone); the chunking never changes a value.  A chunk is filled
-    _SLAB streams at a time into a step-major tile.  Returns the outcome and
-    collapse-step arrays (-1 where unresolved).  Module-level so that worker
-    processes can run it.
+    _SLAB live streams at a time into a step-major tile.  A trajectory that
+    collapses mid-chunk is recorded, then parked at s = 1 under a dead mask,
+    which keeps a second trip from being recorded; s and its tile columns are
+    compacted once an eighth of them are dead, and at the chunk's end.
+    Returns the outcome and collapse-step arrays (-1 where unresolved).
+    Module-level so that worker processes can run it.
     """
     k0, width = block
     coef = _ratio_coefficients(sys.kick_gain(0), sys.kick_gain(1), sys.r_ratio)
@@ -429,28 +446,31 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     while live.size and step < max_steps:
         span = min(span, max_steps - step)
         tile = tile_buf[:span * live.size].reshape(span, live.size)
-        keys = [proc.seed + k0 + k for k in live.tolist()]
         for c in range(0, live.size, _SLAB):
-            slab = slab_buf[:span * len(keys[c:c + _SLAB])].reshape(-1, span)
-            _fill_noise(proc, gen, keys[c:c + _SLAB], step, slab)
+            keys = [proc.seed + k0 + k for k in live[c:c + _SLAB].tolist()]
+            slab = slab_buf[:span * len(keys)].reshape(-1, span)
+            _fill_noise(proc, gen, keys, step, slab)
             tile[:, c:c + _SLAB] = slab.T
-        cols = None  # tile columns still stepping, once some have stopped
+        cols = np.arange(live.size)  # the tile column of each entry of s
+        dead = np.zeros(live.size, dtype=bool)  # entries of s parked after collapsing
         for j in range(span):
-            s = _ratio_step(s, tile[j] if cols is None else tile[j, cols], coef)
+            s = _ratio_step(s, tile[j] if s.size == live.size else tile[j, cols], coef)
             if s.min() <= lo or s.max() >= hi:
                 hit = (s <= lo) | (s >= hi)
-                stepping = np.arange(live.size) if cols is None else cols
-                done = live[stepping[hit]]
-                outcome[done] = s[hit] > 1.0
+                new = hit & ~dead
+                done = live[cols[new]]
+                outcome[done] = s[new] > 1.0
                 steps_at[done] = step + j + 1
-                keep = ~hit
-                s, cols = s[keep], stepping[keep]
-                if not s.size:
-                    break
+                s[hit] = 1.0  # parked: a0^2 = a1^2 = 1/2 trips no threshold in (0.5, 1)
+                dead |= hit
+                if 8 * np.count_nonzero(dead) >= s.size:
+                    keep = ~dead
+                    s, cols, dead = s[keep], cols[keep], dead[keep]
+                    if not s.size:
+                        break
         step += span
         span = min(2 * span, _CHUNK)
-        if cols is not None:
-            live = live[cols]
+        s, live = s[~dead], live[cols[~dead]]  # the next chunk fills live keys only
     return outcome, steps_at
 
 

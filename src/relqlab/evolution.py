@@ -170,6 +170,15 @@ def momentum_error(n, length, p0, sigma):
             f"momentum pi grid_n / length = {math.pi * n / length!r}")
 
 
+def mode_error(n, k_index):
+    """Why plane_wave(grid, k_index) on an n-point grid is not the mode asked
+    for, or None: index n/2 is the Nyquist mode, whose odd derivatives the
+    spectral operators zero, and higher ones alias to k_index - n."""
+    if 0 <= k_index < n // 2:
+        return None
+    return f"must lie in [0, grid_n / 2) = [0, {n // 2}): higher modes alias"
+
+
 def gaussian_packet(grid: SpatialGrid, x0, sigma, p0) -> WaveFunction:
     """Normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i p0 x); ValueError
     where packet_error finds it underflows on the grid."""

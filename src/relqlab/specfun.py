@@ -40,6 +40,9 @@ EULER_GAMMA = float(np.euler_gamma)
 SQRT_I = complex(np.exp(0.25j * np.pi))
 
 MAX_MOMENT_ORDER = 12  # Gamma(2n + 1/2) overflow guard; only small n occur
+#: Largest moment_bound either route evaluates: every number they form, and
+#: the difference of their two results, then stays below 1.4 times it.
+MAX_MOMENT_BOUND = 1e307
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -188,3 +191,23 @@ def kernel_moment_contour(q: MomentQuery) -> complex:
     # Two exp factors: folding pi/4 into a large eps0 would round it away.
     phase = 2j * np.exp(-0.25j * np.pi) * np.exp(-1j * q.eps0)
     return phase * total
+
+
+def moment_bound(n, eps0):
+    """2 (S (S + 2 eps0))^n, S ~ 50.78 the rule's largest squared node, or inf.
+
+    It bounds |M_n(eps0)| for n <= MAX_MOMENT_ORDER, since term by term it
+    dominates the closed form's Kummer terms times Gamma(2n + 1/2), and it
+    bounds every number either route forms, which is what the oracle needs
+    to know before it evaluates anything."""
+    s2 = max(s2 for s2, _ in _hermite_half_rule())
+    return math.prod([2.0] + [s2 * (s2 + 2.0 * eps0)] * n)  # inf, not OverflowError
+
+
+def moment_error(n, eps0):
+    """Why M_k(eps0), k <= n, cannot all be evaluated in double precision, or
+    None: moment_bound, increasing in n, must not pass MAX_MOMENT_BOUND."""
+    if moment_bound(n, eps0) <= MAX_MOMENT_BOUND:
+        return None
+    return (f"must keep the moment bound 2 (S (S + 2 eps0))^n_max, S ~ 50.78, "
+            f"<= {MAX_MOMENT_BOUND:g}")

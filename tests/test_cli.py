@@ -87,9 +87,14 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "grid_n" in err["message"]
 
 
-def test_module_error_surfaces_as_json(tmp_path, capsys):
-    # the moments overflow only once computed
-    code = run_cli(["oracle", "--eps0-list", "1e300", "--out", tmp_path / "o"])
+def test_module_error_surfaces_as_json(tmp_path, capsys, monkeypatch):
+    # an error raised while computing, after validation passed
+    def overflowing(cfg):
+        raise OverflowError("kernel moment overflows double precision")
+        yield
+
+    monkeypatch.setitem(cli._RUNNERS, "oracle", overflowing)
+    code = run_cli(["oracle", "--out", tmp_path / "o"])
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "OverflowError"
@@ -137,6 +142,11 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     (["evolve", "--grid-n", "64", "--length", "1e160", "--sigma", "1e159", "--p0", "0",
       "--steps", "4"], "evolve.sigma"),
     (["evolve", "--x0", "0", "--sigma", "1e-155"], "evolve.sigma"),  # the ratio overflows
+    # 300 is mode -212 of the default 512-point grid, and 256 its Nyquist mode
+    (["flux", "--packet", "plane", "--k-index", "300"], "flux.k_index"),
+    (["flux", "--packet", "plane", "--k-index", "256"], "flux.k_index"),
+    (["oracle", "--eps0-list", "1e300"], "oracle.eps0_list"),  # M_2 ~ 5e600
+    (["oracle", "--n-max", "12", "--eps0-list", "0.5,1e30"], "oracle.eps0_list"),
 ])
 def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
     # checks that need the parameters alone run at validation: exit 2, no directory
@@ -609,6 +619,51 @@ def test_oracle_bytes_are_independent_of_the_simd_target(tmp_path):
         assert table == reference, f"oracle bytes differ with {mask} switched off"
 
 
+# Run in a fresh interpreter (argv[1]: output root).  Runs every subcommand
+# the collapse engines serve, each into its own directory, and prints the
+# dispatched CPU features in force.
+_RUN_COLLAPSE_ENGINES = """
+import json
+import sys
+from numpy._core import _multiarray_umath as umath
+from relqlab import cli
+
+runs = {"collapse": ["collapse", "--seed", "17"],
+        "ensemble-1": ["ensemble", "--n-runs", "600", "--threads", "1"],
+        "ensemble-2": ["ensemble", "--n-runs", "600", "--threads", "2"],
+        "ab": ["ab"], "kernel": ["kernel"]}
+for name, argv in runs.items():
+    assert cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]) == 0, name
+print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))
+"""
+
+
+def test_collapse_engine_bytes_are_independent_of_the_simd_target(tmp_path):
+    # the engines step in plain + - * / on doubles, which no SIMD target or FMA
+    # contraction may round differently; a 600-run ensemble parks and compacts
+    masks = _dispatch_masks()
+    if not masks:
+        pytest.skip("this numpy build dispatches no optional CPU features on this CPU")
+    configs = [[], *masks]
+    reference = None
+    for start in range(0, len(configs), 2):  # two children at a time, each forks two workers
+        children = []
+        for i, mask in enumerate(configs[start:start + 2], start):
+            outdir = tmp_path / str(i)
+            env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
+            children.append((mask, outdir, subprocess.Popen(
+                [sys.executable, "-W", "error", "-c", _RUN_COLLAPSE_ENGINES, str(outdir)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
+        for mask, outdir, proc in children:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            assert not set(mask) & set(json.loads(out)), f"numpy ignored the mask {mask}"
+            runs = {d.name: payload_bytes(d) for d in sorted(outdir.iterdir())}
+            assert runs["ensemble-1"] == runs.pop("ensemble-2")
+            reference = reference or runs
+            assert runs == reference, f"collapse payloads differ with {mask} switched off"
+
+
 def test_write_json_refuses_non_finite(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(ValueError, match="JSON"):
@@ -671,11 +726,22 @@ def test_oracle_large_eps0_high_order(tmp_path):
 
 
 def test_oracle_overflowing_moment_is_an_error(tmp_path, capsys):
+    # the library raises once it computes (test_moment_closed_overflow_raises); the
+    # CLI refuses the list before that
     out = tmp_path / "oracle"
-    assert run_cli(["oracle", "--n-max", "6", "--eps0-list", "1e300", "--out", out]) == 1
+    assert run_cli(["oracle", "--n-max", "6", "--eps0-list", "1,1e300", "--out", out]) == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "OverflowError"
-    assert not (out / "oracle_moments.csv").exists()
+    assert err["error"] == "validation" and err["message"].startswith("oracle.eps0_list:")
+    assert not out.exists()
+    # at n_max 1 the same eps0 is in the domain: M_1(1e300) ~ 1.8e300
+    assert run_cli(["oracle", "--n-max", "1", "--eps0-list", "1e300", "--out", out]) == 0
+    rows = (out / "oracle_moments.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 and all(float(r.split(",")[-1]) < 1e-12 for r in rows)
+
+
+def test_flux_plane_wave_below_the_nyquist_index_runs(tmp_path):
+    # index 255 is the highest mode of the default 512-point grid; 256 and up are refused
+    assert run_cli(["flux", "--packet", "plane", "--k-index", "255", "--out", tmp_path]) == 0
 
 
 def test_flux_plane_wave_residual_column(tmp_path):

@@ -51,7 +51,8 @@ def _draw_parameters(data, name):
             params["x0"], params["sigma"] = 0.0, length / 10
         if evolution.momentum_error(n, length, params["p0"], params["sigma"]):
             params["x0"], params["sigma"], params["p0"] = 0.0, length / 10, 0.0  # and at rest
-    if name == "flux":  # dt is bounded by the grid, mass and length drawn above
+    if name == "flux":  # dt and the plane-wave index are bounded by the grid drawn above
+        params["k_index"] %= params["grid_n"] // 2
         limit = evolution.flux_dt_limit(params["grid_n"], params["length"], params["mass"])
         params["dt"] = limit * data.draw(st.floats(1e-6, 1.0), label="dt / limit")
     if name == "kernel":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from relqlab import collapse  # noqa: E402
 from relqlab.collapse import (NoiseProcess, TwoStateAmplitudes, TwoStateSystem,  # noqa: E402
@@ -20,22 +20,33 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, d
 
 
 @PROPERTY_SETTINGS
-@given(seed=st.integers(0, 2**128 - 16), n_runs=st.integers(1, 9),
-       sigma=st.floats(0.8, 2.5), a0=st.floats(0.05, 0.95),
-       threshold=st.floats(0.51, 0.99999), max_steps=st.integers(1, 3000),
-       chunk=st.integers(1, 512).map(lambda q: 4 * q), block_cap=st.integers(1, 8),
+@given(seed=st.integers(0, 2**128 - 300),
+       # a few runs at any sigma, or up to a few hundred where collapse is quick: wide
+       # blocks then park collapsed columns, compact mid-chunk and end on a part slab
+       layout=st.one_of(st.tuples(st.floats(0.8, 2.5), st.integers(1, 9)),
+                        st.tuples(st.floats(2.0, 2.5), st.integers(10, 300))),
+       # a0^2 at a share u of the way from 1 - threshold to threshold: u = 0 and 1 start
+       # at the threshold, the rest short of it
+       u=st.floats(0.0, 1.0), threshold=st.floats(0.51, 0.99999),
+       max_steps=st.integers(1, 3000), chunk=st.integers(1, 512).map(lambda q: 4 * q),
+       block_cap=st.integers(1, 320), slab=st.integers(1, 160),
        workers=st.sampled_from([1, 2]))
-def test_lockstep_equals_scalar_trajectories(seed, n_runs, sigma, a0, threshold, max_steps,
-                                             chunk, block_cap, workers):
-    init = TwoStateAmplitudes(a0=a0, a1=math.sqrt(1.0 - a0 * a0))
+# one 300-wide block in which parked columns trip again 14 times before compaction
+@example(seed=1, layout=(2.8, 300), u=0.9, threshold=0.8, max_steps=3000, chunk=1024,
+         block_cap=320, slab=128, workers=1)
+def test_lockstep_equals_scalar_trajectories(seed, layout, u, threshold, max_steps,
+                                             chunk, block_cap, slab, workers):
+    sigma, n_runs = layout
+    p0 = 1.0 - threshold + u * (2.0 * threshold - 1.0)
+    init = TwoStateAmplitudes(a0=math.sqrt(p0), a1=math.sqrt(1.0 - p0))
     base = NoiseProcess(delta=1.0, sigma=sigma, seed=seed)
-    saved = collapse.ENSEMBLE_BLOCK, collapse._CHUNK
-    collapse.ENSEMBLE_BLOCK, collapse._CHUNK = block_cap, chunk
+    saved = collapse.ENSEMBLE_BLOCK, collapse._CHUNK, collapse._SLAB
+    collapse.ENSEMBLE_BLOCK, collapse._CHUNK, collapse._SLAB = block_cap, chunk, slab
     try:
         outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, n_runs, max_steps,
                                                      threshold, workers)
     finally:
-        collapse.ENSEMBLE_BLOCK, collapse._CHUNK = saved
+        collapse.ENSEMBLE_BLOCK, collapse._CHUNK, collapse._SLAB = saved
     for k in range(n_runs):
         traj = run_trajectory(init, REF_SYS, dataclasses.replace(base, seed=seed + k),
                               max_steps, threshold, history_stride=max_steps)

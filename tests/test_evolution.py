@@ -24,6 +24,7 @@ from relqlab.evolution import (
     gaussian_packet,
     klein_gordon_residual,
     max_energy,
+    mode_error,
     momentum_error,
     packet_error,
     plane_wave,
@@ -285,6 +286,15 @@ def test_momentum_rule_at_its_edge():
     assert momentum_error(GRID.n, GRID.length, 1e3, 10.0)
     # gaussian_packet does not apply it: property tests draw such packets on 16 points
     assert gaussian_packet(GRID, 0.0, 10.0, 1e3).norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_plane_wave_mode_rule():
+    # index n/2 is the Nyquist mode and n/2 + j samples as mode j - n/2
+    n = FLUX_GRID.n
+    assert mode_error(n, 0) is None and mode_error(n, n // 2 - 1) is None
+    assert mode_error(n, n // 2) and mode_error(n, 300) and mode_error(n, -1)
+    aliased = plane_wave(FLUX_GRID, 300).values
+    assert np.max(np.abs(aliased - plane_wave(FLUX_GRID, 300 - n).values)) < 1e-13
 
 
 @pytest.mark.parametrize("x0", [-40.0, 0.3, 99.9, 150.0])

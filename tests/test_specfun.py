@@ -15,6 +15,7 @@ from relqlab import pathweight, specfun
 from relqlab.pathweight import PhysicalScale, short_time_plane_wave
 from relqlab.specfun import (
     EULER_GAMMA,
+    MAX_MOMENT_ORDER,
     SQRT_I,
     MomentQuery,
     QuadratureConvergenceError,
@@ -23,6 +24,8 @@ from relqlab.specfun import (
     kernel_moment_closed,
     kernel_moment_contour,
     kummer_m,
+    moment_bound,
+    moment_error,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -177,6 +180,34 @@ def test_moment_closed_overflow_raises():
     # (2 eps0)^n Gamma(...) leaves double range: raise, never return nan
     with pytest.raises(OverflowError, match="n=6"):
         kernel_moment_closed(MomentQuery(n=6, eps0=1e300))
+
+
+def _largest_accepted_eps0(n):
+    """The largest double eps0 > 0 that moment_error accepts at order n."""
+    lo, hi = np.array([1e-300, np.finfo(float).max]).view(np.int64).tolist()
+    if moment_error(n, np.int64(hi).view(np.float64).item()) is None:
+        return np.int64(hi).view(np.float64).item()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ok = moment_error(n, np.int64(mid).view(np.float64).item()) is None
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    return np.int64(lo).view(np.float64).item()
+
+
+@pytest.mark.parametrize("n", range(MAX_MOMENT_ORDER + 1))
+def test_moment_domain_holds_up_to_its_edge(n):
+    # moment_bound dominates both routes' moments, and at the largest eps0 the
+    # domain accepts, both routes and their difference evaluate finite (warnings
+    # are errors here); the next double is refused
+    for eps0 in (1e-300, 0.05, 7.0, 1e6):
+        q = MomentQuery(n=n, eps0=eps0)
+        assert max(abs(kernel_moment_closed(q)), abs(kernel_moment_contour(q))) \
+            <= moment_bound(n, eps0)
+    edge = _largest_accepted_eps0(n)
+    assert n == 0 or moment_error(n, math.nextafter(edge, math.inf))  # M_0 has no edge
+    q = MomentQuery(n=n, eps0=edge)
+    closed, contour = kernel_moment_closed(q), kernel_moment_contour(q)
+    assert abs(closed - contour) / abs(closed) < 1e-12
 
 
 # The large-eps0, high-n cases are where a contour split into two legs that
