@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integers import is_integer
 from .collapse import NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _trajectory
 
 ENVELOPE_WIDTH_FRINGES = 4.0  # first zero of the single-slit envelope, in fringe units
@@ -46,7 +47,7 @@ class EnvelopeOnlyPatternError(ValueError):
 def segments_error(n):
     """Why n cannot be the flight's field segment count, or None: the
     alternating field integrates to zero only over an even number of them."""
-    if isinstance(n, (int, np.integer)) and n >= 2 and n % 2 == 0:  # True is odd
+    if is_integer(n) and n >= 2 and n % 2 == 0:
         return None
     return "must be an even integer >= 2, so that the alternating field integrates to zero"
 

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution
+from ._integers import is_integer
 
 AMPLITUDE_FLOOR = 1e-9
 
@@ -64,14 +65,21 @@ DEFAULT_SIGMA_STAR = 0.55
 ENSEMBLE_BLOCK = 16384
 
 _SLAB = 128  # noise streams an ensemble fills, scales and transposes at a time
-_FIRST_CHUNK = 64  # noise values per trajectory in a run's first chunk
+# Noise values per trajectory in a run's first chunk.  A re-key (one row of one
+# chunk: a Philox state assignment and a `random` call) costs ~2.6 us inside a
+# block, the price of ~200 values.  At sigma 2.2 ~5% of trajectories collapse
+# by step 64 and ~80% by step 128, so a first chunk of 64 re-keys nearly every
+# row again for the next 128 values.  The first chunk sets the widest tile a
+# block touches: 128 x 10000 doubles (9.8 MiB) for a 10000-wide block at
+# sigma 2.2, where 192 would touch ~5 MiB more.
+_FIRST_CHUNK = 128
 _CHUNK = 1024  # largest noise chunk per trajectory, a multiple of four, in both loops
 _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
 # Ensemble workers fork on Linux: a spawned one imports numpy and relqlab
 # (~0.2 s; not scipy), so a 2-worker pool starts in ~0.4 s, forked in ~0.05 s
-# (2-vCPU Xeon; a default ensemble takes ~0.45 s, ~0.65 s on one worker).
+# (2-vCPU Xeon; a default ensemble takes ~0.5 s, ~0.8 s on one worker).
 # Workers run numpy and Philox code, no BLAS or threads; elsewhere, the default.
 _POOL_START_METHOD = "fork" if sys.platform == "linux" else None
 
@@ -159,8 +167,9 @@ class NoiseProcess:
             raise ValueError(f"sigma must be non-negative, got {self.sigma!r}")
         if self.mode not in ("uniform", "alternating"):
             raise ValueError(f"mode must be 'uniform' or 'alternating', got {self.mode!r}")
-        if not 0 <= self.seed < _KEY_LIMIT:
-            raise ValueError(f"seed must lie in [0, 2**128) (a Philox key), got {self.seed!r}")
+        if not (is_integer(self.seed) and 0 <= self.seed < _KEY_LIMIT):
+            raise ValueError("seed must be an integer in [0, 2**128) (a Philox key), "
+                             f"got {self.seed!r}")
 
     def make_generator(self, offset=0):
         return np.random.Generator(np.random.Philox(key=self.seed + offset))
@@ -217,9 +226,9 @@ def _fill_noise(proc: NoiseProcess, gen, keys, start, out):
 def generate_noise(proc: NoiseProcess, n_steps, start=0):
     """Noise segment values f_start .. f_{start+n_steps-1} for the process;
     start must be a non-negative multiple of four."""
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if not is_integer(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if not isinstance(start, (int, np.integer)) or start < 0 or start % 4:
+    if not is_integer(start) or start < 0 or start % 4:
         raise ValueError(f"start must be a non-negative multiple of 4, got {start!r}")
     values = np.empty(n_steps)
     gen = proc.make_generator() if proc.mode == "uniform" else None
@@ -319,7 +328,7 @@ def _check_run(gains, r, proc: NoiseProcess, max_steps, threshold):
     positive step budget and noise that _check_noise accepts."""
     if not (0.5 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
-    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+    if not is_integer(max_steps) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
     _check_noise(gains, r, proc.sigma)
 
@@ -345,7 +354,7 @@ def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_step
     by f * gains[m]; noise chunks double from _FIRST_CHUNK to _CHUNK.  It
     checks its own arguments, so every caller gets run_trajectory's domain."""
     _check_run(gains, r, proc, max_steps, threshold)
-    if not isinstance(history_stride, (int, np.integer)) or history_stride < 1:
+    if not is_integer(history_stride) or history_stride < 1:
         raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
     coef = _ratio_coefficients(*gains, r)
     lo, hi = _ratio_bounds(threshold)
@@ -398,7 +407,7 @@ def wilson_interval(successes, trials):
 def worker_count(requested, n_blocks):
     """Worker processes to use: min(requested, usable CPUs, n_blocks), where
     the usable CPUs are this process's affinity set (else all CPUs)."""
-    if not isinstance(requested, (int, np.integer)) or requested < 1:
+    if not is_integer(requested) or requested < 1:
         raise ValueError(f"workers must be a positive integer, got {requested!r}")
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -512,7 +521,7 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     are independent of chunks, blocks and workers.  Alternating noise is
     deterministic: one trajectory is run and its result stands for all.
     """
-    if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
+    if not is_integer(n_runs) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
     _check_keys(proc_base.seed, n_runs)
     _check_run((sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base, max_steps, threshold)

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integers import is_integer
+
 _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
 
 MAX_FLUX_ORDER = 8
@@ -53,7 +55,7 @@ class SpatialGrid:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, (int, np.integer)) or n < 16 or (n & (n - 1)) != 0:
+        if not is_integer(n) or n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n!r}")
         if not (self.length > 0 and math.isfinite(self.length)):
             raise ValueError(f"grid length must be positive and finite, got {self.length!r}")
@@ -229,7 +231,7 @@ def evolve(psi: WaveFunction, f: FieldConfig, dt, steps) -> WaveFunction:
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not is_integer(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     grid = psi.grid
     if f.v_samples.shape != (grid.n,):
@@ -373,7 +375,7 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxR
     """
     if np.any(f.v_samples != 0.0) or f.a0 != 0.0:
         raise ValueError("density_flux_report is derived for the free case: V = 0, a0 = 0")
-    if not isinstance(n_trunc, (int, np.integer)) or not (1 <= n_trunc <= MAX_FLUX_ORDER):
+    if not is_integer(n_trunc) or not (1 <= n_trunc <= MAX_FLUX_ORDER):
         raise ValueError(f"n_trunc must be an integer in [1, {MAX_FLUX_ORDER}], got {n_trunc!r}")
     if not 0 < dt <= flux_dt_limit(psi.grid.n, psi.grid.length, f.mass):
         raise ValueError(f"dt must lie in (0, flux_dt_limit] (max E(p) dt <= 1), got {dt!r}")

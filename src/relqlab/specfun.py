@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integers import is_integer
+
 EULER_GAMMA = float(np.euler_gamma)
 SQRT_I = complex(np.exp(0.25j * np.pi))
 
@@ -60,7 +62,7 @@ class MomentQuery:
     eps0: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not is_integer(self.n) or self.n < 0:
             raise ValueError(f"moment order n must be a non-negative integer, got {self.n!r}")
         if self.n > MAX_MOMENT_ORDER:
             raise ValueError(f"moment order n={self.n} exceeds cap {MAX_MOMENT_ORDER}")

@@ -84,7 +84,7 @@ def test_noise_process_validation():
         NoiseProcess(delta=1.0, sigma=1.0, seed=0, mode="pink")
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.0, True, np.True_])
 def test_noise_process_rejects_seeds_outside_the_philox_key_range(seed):
     with pytest.raises(ValueError, match="seed"):
         uniform_noise(0.5, seed)
@@ -155,10 +155,16 @@ def test_alternating_noise_sign_follows_the_absolute_index(start):
         np.testing.assert_array_equal(generate_noise(proc, 5, start), expected)
 
 
-@pytest.mark.parametrize("start", [-4, 1, 2, 6, 4.0])
+@pytest.mark.parametrize("start", [-4, 1, 2, 6, 4.0, False])
 def test_noise_start_must_be_a_non_negative_multiple_of_four(start):
     with pytest.raises(ValueError, match="start"):
         generate_noise(uniform_noise(0.5, seed=1), 8, start)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 2.0, True, np.True_])
+def test_noise_count_must_be_a_positive_integer(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        generate_noise(uniform_noise(0.5, seed=1), n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +208,9 @@ def test_noise_that_turns_an_amplitude_negative_is_rejected():
                      threshold=0.999)
 
 
-@pytest.mark.parametrize("bad", [dict(n_runs=0), dict(n_runs=2.0), dict(max_steps=0),
-                                 dict(max_steps=1.5), dict(threshold=0.5), dict(threshold=1.0),
+@pytest.mark.parametrize("bad", [dict(n_runs=0), dict(n_runs=2.0), dict(n_runs=True),
+                                 dict(max_steps=0), dict(max_steps=1.5), dict(max_steps=True),
+                                 dict(threshold=0.5), dict(threshold=1.0),
                                  dict(threshold=math.nan)], ids=repr)
 def test_run_ensemble_rejects_bad_arguments_before_any_work(monkeypatch, bad):
     def no_work(*args):
@@ -431,6 +438,10 @@ def test_trajectory_validation():
         run_trajectory(SYM_INIT, REF_SYS, uniform_noise(0.1, 0), max_steps=10, threshold=0.4)
     with pytest.raises(NoiseTooLargeError):
         run_trajectory(SYM_INIT, REF_SYS, uniform_noise(50.0, 0), max_steps=10, threshold=0.9)
+    for bad in (dict(max_steps=True), dict(history_stride=True)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run_trajectory(SYM_INIT, REF_SYS, uniform_noise(0.1, 0),
+                           **{"max_steps": 10, "threshold": 0.9, **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +519,37 @@ def test_ensemble_split_matches_scalar_trajectories_bitwise(scalar_reference, mo
     monkeypatch.setattr(collapse, "_CHUNK", -(-min_chunk // 4) * 4)
     monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", block_cap)
     _assert_matches_scalar(scalar_reference, workers)
+
+
+def test_ensemble_refills_only_live_trajectories_once_per_chunk(monkeypatch):
+    # each chunk re-keys one row for every trajectory live at its start, and no
+    # other: trajectory k is filled at chunk start c exactly when it collapses
+    # after step c or not at all
+    fills = []
+    fill = collapse._fill_noise
+
+    def counted(proc, gen, keys, start, out):
+        fills.append((start, list(keys), out.shape[1]))
+        fill(proc, gen, keys, start, out)
+
+    monkeypatch.setattr(collapse, "_fill_noise", counted)
+    base, n_runs, max_steps = uniform_noise(2.2, 7), 2000, 100_000
+    _, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, n_runs, max_steps, 0.999, 1)
+
+    expected, start, span = [], 0, collapse._FIRST_CHUNK
+    while start < max_steps:
+        span = min(span, collapse._CHUNK, max_steps - start)
+        live = [base.seed + k for k in range(n_runs) if steps[k] > start or steps[k] == -1]
+        if not live:
+            break
+        expected.append((start, live, span))
+        start, span = start + span, 2 * span
+    got = {}
+    for start, keys, span in fills:
+        assert got.setdefault(start, ([], span))[1] == span
+        got[start][0].extend(keys)
+    # the rows (keys) and values (rows x span) filled at each chunk start
+    assert [(start, keys, span) for start, (keys, span) in sorted(got.items())] == expected
 
 
 def _collapse_step_runs(init, base, n_runs, max_steps, threshold):
@@ -653,7 +695,7 @@ def test_worker_count_caps_without_starting_processes():
     assert worker_count(10**6, 10**6) == cpus
     assert worker_count(10**6, 1) == 1
     assert worker_count(1, 10**6) == 1
-    for bad in (0, -3):
+    for bad in (0, -3, True):
         with pytest.raises(ValueError):
             worker_count(bad, 4)
 

@@ -150,6 +150,8 @@ def test_evolve_validation():
         evolve(psi, FREE, dt=0.0, steps=1)
     with pytest.raises(ValueError):
         evolve(psi, FREE, dt=0.1, steps=0)
+    with pytest.raises(ValueError):
+        evolve(psi, FREE, dt=0.1, steps=True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +482,9 @@ def test_flux_dt_outside_the_domain_is_rejected():
 
 def test_flux_validation():
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
-    with pytest.raises(ValueError):
-        density_flux_report(psi, FLUX_FREE, dt=0.01, n_trunc=9)
+    for n_trunc in (9, True):
+        with pytest.raises(ValueError):
+            density_flux_report(psi, FLUX_FREE, dt=0.01, n_trunc=n_trunc)
     with_v = FieldConfig(a0=0.0, v_samples=np.full(FLUX_GRID.n, 0.1), mass=1.0)
     with pytest.raises(ValueError):
         density_flux_report(psi, with_v, dt=0.01, n_trunc=2)

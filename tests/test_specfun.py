@@ -151,8 +151,9 @@ def test_y1_log_term_coefficient():
 
 
 def test_moment_query_validation():
-    with pytest.raises(ValueError):
-        MomentQuery(n=-1, eps0=1.0)
+    for n in (-1, True, False, np.True_):
+        with pytest.raises(ValueError):
+            MomentQuery(n=n, eps0=1.0)
     with pytest.raises(ValueError):
         MomentQuery(n=13, eps0=1.0)
     with pytest.raises(ValueError):
