@@ -299,10 +299,15 @@ def _check_domain(name, params, seed):
                 raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
         elif msg := evolution.mode_error(n, params["k_index"]):
             raise ValueError(f"flux.k_index: {msg} (got {params['k_index']!r})")
-    if name == "flux" and params["dt"] > (limit := evolution.flux_dt_limit(
-            params["grid_n"], params["length"], params["mass"])):
-        raise ValueError(f"flux.dt: must be <= {limit!r} so that max E(p) dt <= 1 on the grid "
-                         f"(got {params['dt']!r})")
+    if name == "flux":
+        grid, mass, dt = (params["grid_n"], params["length"]), params["mass"], params["dt"]
+        lo, hi = evolution.flux_dt_floor(*grid, mass), evolution.flux_dt_limit(*grid, mass)
+        if not lo <= dt <= hi:
+            raise ValueError(f"flux.dt: must lie in [{lo!r}, {hi!r}] so that max E(p) dt <= 1 "
+                             f"on the grid and rounding stays below its signal (got {dt!r})")
+        if msg := evolution.flux_term_error(*grid, mass, n_trunc := params["n_trunc_max"]):
+            key = "length" if evolution.flux_term_error(*grid, 1.0, n_trunc) else "mass"
+            raise ValueError(f"flux.{key}: {msg} (got {params[key]!r})")
     if name == "oracle":  # every moment up to n_max stays in double range
         for eps0 in _eps0_values(params["eps0_list"]):
             if msg := specfun.moment_error(params["n_max"], eps0):

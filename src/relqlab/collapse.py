@@ -78,7 +78,7 @@ _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
 # Ensemble workers fork on Linux: a spawned one imports numpy and relqlab
-# (~0.2 s; not scipy), so a 2-worker pool starts in ~0.4 s, forked in ~0.05 s
+# (~0.2 s), so a 2-worker pool starts in ~0.4 s, forked in ~0.05 s
 # (2-vCPU Xeon; a default ensemble takes ~0.5 s, ~0.8 s on one worker).
 # Workers run numpy and Philox code, no BLAS or threads; elsewhere, the default.
 _POOL_START_METHOD = "fork" if sys.platform == "linux" else None

@@ -37,6 +37,7 @@ _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
 
 MAX_FLUX_ORDER = 8
 MAX_FLUX_PHASE = 1.0  # radians the fastest grid mode may turn per flux dt
+MAX_FLUX_ROUNDING = 1e-8  # share of max E(p) max(rho) the flux difference's rounding may take
 #: Momentum spreads 1/(2 sigma) of a Gaussian packet that must fit below the
 #: grid's Nyquist momentum; its momentum density there is e^-32 of the peak.
 PACKET_MOMENTUM_SPREADS = 8.0
@@ -358,6 +359,26 @@ def flux_dt_limit(n, length, mass):
     return MAX_FLUX_PHASE / max_energy(n, length, mass)
 
 
+def flux_dt_floor(n, length, mass):
+    """Smallest dt of density_flux_report: its centered difference's rounding,
+    eps max(rho) / dt, is at most MAX_FLUX_ROUNDING max E(p) max(rho)."""
+    return float(np.finfo(float).eps) / (MAX_FLUX_ROUNDING * max_energy(n, length, mass))
+
+
+def flux_term_error(n, length, mass, n_trunc):
+    """Why density_flux_report's terms up to order n_trunc may overflow, or
+    None: for a normalized state term k is at most m (p_max / m)^(2k) / dx,
+    as |c_k| <= m^(1 - 2k) / 2; squared, times max(length, 1), it must stay a
+    double.  The largest k is n_trunc when p_max = pi n / length exceeds m, else 1."""
+    log_p, log_m, log_dx = math.log(math.pi * n / length), math.log(mass), math.log(length / n)
+    k = n_trunc if log_p > log_m else 1
+    if 2.0 * (log_m - log_dx + 2 * k * (log_p - log_m)) <= math.log(
+            np.finfo(float).max / max(length, 1.0)):
+        return None
+    return ("must keep mass (p_max / mass)^(2 n_trunc_max) / dx, p_max = pi grid_n / length, "
+            "squared and times max(length, 1), a double")
+
+
 def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxReport:
     """Residual of the truncated density-flux balance for the free square-root
     Hamiltonian at every order k = 1..n_trunc,
@@ -377,10 +398,13 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxR
         raise ValueError("density_flux_report is derived for the free case: V = 0, a0 = 0")
     if not is_integer(n_trunc) or not (1 <= n_trunc <= MAX_FLUX_ORDER):
         raise ValueError(f"n_trunc must be an integer in [1, {MAX_FLUX_ORDER}], got {n_trunc!r}")
-    if not 0 < dt <= flux_dt_limit(psi.grid.n, psi.grid.length, f.mass):
-        raise ValueError(f"dt must lie in (0, flux_dt_limit] (max E(p) dt <= 1), got {dt!r}")
-
     grid = psi.grid
+    if not (flux_dt_floor(grid.n, grid.length, f.mass) <= dt
+            <= flux_dt_limit(grid.n, grid.length, f.mass)):
+        raise ValueError(f"dt must lie in [flux_dt_floor, flux_dt_limit], got {dt!r}")
+    if msg := flux_term_error(grid.n, grid.length, f.mass, n_trunc):
+        raise ValueError(f"mass {msg}, got mass={f.mass!r}")
+
     def l2(values):
         return math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
     rho_plus = free_propagate(psi, f, dt).density()

@@ -22,14 +22,19 @@ they are stored as complex numbers.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import MAX_MOMENT_ORDER, MomentQuery, _quad_complex, kernel_moment_closed
+from .specfun import (MAX_MOMENT_ORDER, MomentQuery, QuadratureConvergenceError,
+                      kernel_moment_closed)
 
 _UNIFORM_STEP_RTOL = 1e-12
+PLANE_WAVE_EPS0 = (1e-3, 30.0)  # short_time_plane_wave's declared domain, with |p| tau0 <= 10
+PLANE_WAVE_MAX_PTAU = 10.0
+PLANE_WAVE_RTOL = 1e-11  # largest relative gap it accepts between its 24- and 48-node sums
 
 
 class LightlikeSegmentError(ValueError):
@@ -206,6 +211,19 @@ def short_time_closed_form(p_momentum, eps0, scale: PhysicalScale) -> complex:
     return (1j * tau0 * math.pi) ** 0.5 * bracket * np.exp(-1j * ep_eps)
 
 
+@functools.cache  # on first use: importing numpy.polynomial slows every import of relqlab
+def _legendre_rule(k):
+    """k-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(k)
+
+
+def _panel_sum(func, edges, k):
+    """Integral of func over the panels between edges, k Gauss-Legendre nodes each."""
+    x, w = _legendre_rule(k)
+    half, left = 0.5 * np.diff(edges)[:, None], np.asarray(edges)[:-1, None]
+    return complex(np.sum(half * w * func(left + half * (1.0 + x))))
+
+
 def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     """Short-time amplitude for phi = e^{ipx} by direct contour quadrature.
 
@@ -213,30 +231,45 @@ def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     contour C = (0, 1] plus u = 1 + i w that defines the kernel moments, with
     the plane wave symmetrized into cos(p v eps).  The moments' single ray
     u = i t does not serve here: on it Im v tends to 1, so cos(q v), with
-    q = p tau0 eps0, grows like e^q.  Valid for any p, in particular beyond
-    |p| = m where the term-by-term moment series stops converging.
+    q = |p| tau0 eps0, grows like e^q.  Unlike the moment series it holds
+    beyond |p| = m.  Each leg is a composite Gauss-Legendre sum: the real
+    leg, in s = u^(1/2) on (0, 1], on ceil((2 eps0 + 1.5 q) / 6) equal panels
+    (at most 6 radians of phase each); the tail, in y = eps0 w on (0, 46], on
+    panels no wider than cap = 4 / max(|p| tau0, 1), the first ending at
+    min(eps0, cap) and each later one no wider than its distance from 0, which
+    keeps the branch points y = +-i eps0 clear.  The 48-node sum is returned
+    once the 24-node one agrees with it to PLANE_WAVE_RTOL, else
+    QuadratureConvergenceError.  Declared for eps0 in PLANE_WAVE_EPS0 and
+    |p| tau0 <= PLANE_WAVE_MAX_PTAU; ValueError outside.
     """
-    if not (eps0 > 0.0 and math.isfinite(eps0)):
-        raise ValueError(f"eps0 must be positive and finite, got {eps0!r}")
     tau0 = scale.tau0
-    q = p_momentum * tau0 * eps0  # phase p*v*eps at v = 1
+    ptau = abs(p_momentum * tau0)
+    if not (PLANE_WAVE_EPS0[0] <= eps0 <= PLANE_WAVE_EPS0[1] and ptau <= PLANE_WAVE_MAX_PTAU):
+        raise ValueError(f"short_time_plane_wave is declared for eps0 in {PLANE_WAVE_EPS0} and "
+                         f"|p| tau0 <= {PLANE_WAVE_MAX_PTAU:g}, got {eps0!r} and {ptau!r}")
+    q = ptau * eps0  # phase |p| v eps at v = 1
 
     def f_real(s):
         u = s * s
         v = np.sqrt(u * (2.0 - u))
         return 2.0 * np.exp(1j * eps0 * (u - 1.0)) * np.cos(q * v)
 
-    real_leg = _quad_complex(f_real, 0.0, 1.0, limit=400)
-
     def f_tail(y):
         w = y / eps0
         v = np.sqrt(1.0 + w * w)
         return 1j * (1.0 + 1j * w) ** (-0.5) * np.exp(-y) * np.cos(q * v) / eps0
 
-    pts = [pt for pt in (eps0, 10.0 * eps0) if 0.0 < pt < 46.0] or None
-    tail = _quad_complex(f_tail, 0.0, 46.0, limit=800, points=pts)
-
-    return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * (real_leg + tail)
+    real_edges = np.linspace(0.0, 1.0, math.ceil((2.0 * eps0 + 1.5 * q) / 6.0) + 1)
+    cap = 4.0 / max(ptau, 1.0)
+    tail_edges = [0.0, min(eps0, cap)]
+    while tail_edges[-1] < 46.0:  # the tail decays like e^-y: e^-46 ~ 1e-20
+        tail_edges.append(min(2.0 * tail_edges[-1], tail_edges[-1] + cap, 46.0))
+    coarse, fine = (_panel_sum(f_real, real_edges, k) + _panel_sum(f_tail, tail_edges, k)
+                    for k in (24, 48))
+    if not abs(fine - coarse) <= PLANE_WAVE_RTOL * abs(fine):
+        raise QuadratureConvergenceError(f"24- and 48-node sums differ by {fine - coarse!r} "
+                                         f"of {fine!r} at eps0={eps0!r}, |p| tau0={ptau!r}")
+    return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * fine
 
 
 def short_time_plane_wave_series(p_momentum, eps0, scale: PhysicalScale) -> complex:

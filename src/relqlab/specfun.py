@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ MAX_MOMENT_BOUND = 1e307
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Adaptive refinement exhausted its budget without converging."""
+    """Two quadrature rules meant to agree differ beyond their declared bound."""
 
 
 @dataclass(frozen=True)
@@ -106,26 +105,20 @@ def kummer_m(a, b, z):
 
 
 def bessel_j1_y1_small(eps0):
-    """Small-argument J1/Y1: truncated expansions plus an independent reference.
-
-    Returns (j1, y1, j1_ref, y1_ref).  The first pair is the truncated form
+    """Small-argument J1/Y1 by their truncated expansions, as (j1, y1):
 
         J1(eps0) ~ eps0/2
         Y1(eps0) ~ -2/(pi eps0) + eps0 (-1 + 2 gamma_E - 2 ln 2 + 2 ln eps0)/(2 pi)
 
     whose eps0*ln(eps0) term is the obstruction to an integer-power expansion.
-    The reference pair is scipy's j1 and y1, kept independent of the
-    truncation it checks.
     """
     if not (0.0 < eps0 < 0.5):
         raise ValueError(f"bessel_j1_y1_small requires 0 < eps0 < 0.5, got {eps0!r}")
-    from scipy.special import j1, y1  # loaded on first use, like the quadrature
-
     j1_trunc = 0.5 * eps0
     y1_trunc = -2.0 / (math.pi * eps0) + eps0 * (
         -1.0 + 2.0 * EULER_GAMMA - 2.0 * math.log(2.0) + 2.0 * math.log(eps0)
     ) / (2.0 * math.pi)
-    return j1_trunc, y1_trunc, float(j1(eps0)), float(y1(eps0))
+    return j1_trunc, y1_trunc
 
 
 def kernel_moment_closed(q: MomentQuery) -> complex:
@@ -140,41 +133,6 @@ def kernel_moment_closed(q: MomentQuery) -> complex:
     value = SQRT_I * phase * gam * kummer_m(-q.n, 0.5 - 2 * q.n, 2j * q.eps0)
     if not np.isfinite(value):
         raise OverflowError(f"kernel moment n={q.n}, eps0={q.eps0!r} overflows double precision")
-    return value
-
-
-def _quad_complex(func, a, b, *, limit, points=None):
-    """integrate.quad(func, a, b, complex_func=True) with the tolerances below,
-    bit for bit, but with func called once per node: the real pass keeps each
-    value for the imaginary pass, which revisits most of its nodes."""
-    from scipy import integrate  # here, not at the top: scipy takes most of the import time
-    seen = {}
-
-    def re_part(x):
-        seen[x] = fx = func(x)
-        return fx.real
-
-    def im_part(x):
-        fx = seen.get(x)
-        return (func(x) if fx is None else fx).imag
-
-    opts = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": limit, "points": points}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        real, real_err = integrate.quad(re_part, a, b, **opts)
-        imag, imag_err = integrate.quad(im_part, a, b, **opts)
-    value = real + 1j * imag  # as complex_func=True forms it
-    for w in caught:
-        if issubclass(w.category, integrate.IntegrationWarning):
-            raise QuadratureConvergenceError(
-                f"adaptive quadrature on [{a}, {b}] exceeded its refinement budget: {w.message}"
-            )
-    err = max(real_err, imag_err)
-    err_scale = max(abs(value), 1e-30)
-    if err > 1e-9 * err_scale and err > 1e-12:
-        raise QuadratureConvergenceError(
-            f"adaptive quadrature error estimate {err:.2e} too large for value {abs(value):.2e}"
-        )
     return value
 
 

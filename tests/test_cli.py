@@ -675,32 +675,42 @@ def test_write_json_refuses_non_finite(tmp_path):
 # import cost
 
 # Run in a fresh interpreter (argv[1]: output root).  Prints, as JSON, each
-# stage's name, exit code and the scipy modules loaded after it.
-_SCIPY_ON_FIRST_USE = """
+# stage's name, exit code and the scipy modules loaded after it: importing
+# every relqlab module, each subcommand, then the library's two routes that
+# once loaded scipy.
+_NO_SCIPY = """
+import importlib
 import json
+import pkgutil
 import sys
+import relqlab
 import relqlab.cli as cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+for info in pkgutil.walk_packages(relqlab.__path__, "relqlab."):
+    importlib.import_module(info.name)
 stages = [("import", 0, scipy_modules())]
 for argv in (["ensemble", "--n-runs", "200"], ["collapse"], ["ab"], ["evolve"], ["kernel"],
              ["flux"], ["oracle", "--n-max", "2"]):
     rc = cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}"])
     stages.append((argv[0], rc, scipy_modules()))
+relqlab.short_time_plane_wave(0.75, 1.0, relqlab.PhysicalScale(1.0))
+stages.append(("short_time_plane_wave", 0, scipy_modules()))
+relqlab.bessel_j1_y1_small(0.1)
+stages.append(("bessel_j1_y1_small", 0, scipy_modules()))
 print(json.dumps(stages))
 """
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
     # a subprocess, because other test modules have loaded scipy into this one
-    proc = subprocess.run([sys.executable, "-W", "error", "-c",
-                           _SCIPY_ON_FIRST_USE, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _NO_SCIPY, str(tmp_path)],
                           env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
-    assert [rc for _, rc, _ in stages] == [0] * 8, proc.stderr
+    assert [rc for _, rc, _ in stages] == [0] * 10, proc.stderr
     assert [name for name, _, loaded in stages if loaded] == []
 
 
@@ -752,16 +762,36 @@ def test_flux_plane_wave_residual_column(tmp_path):
     assert len(residuals) == 5 and np.all(residuals < 1e-12)
 
 
-@pytest.mark.parametrize("dt", ["1e307", "0.71"])
+@pytest.mark.parametrize("dt", ["1e307", "0.71", "1e-300", "1.5e-8"])
 def test_flux_dt_past_its_domain_is_a_validation_error(tmp_path, capsys, dt):
     # on the default grid max E(p) = sqrt(2): dt above 1/sqrt(2) turns the
-    # fastest mode by more than one radian per difference step
+    # fastest mode by more than one radian per difference step, and dt below
+    # eps / (1e-8 sqrt(2)) ~ 1.57e-8 leaves the centered difference to rounding
     out = tmp_path / "flux"
     assert run_cli(["flux", "--dt", dt, "--out", out]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation" and err["message"].startswith("flux.dt:")
     assert not out.exists()
     assert run_cli(["flux", "--dt", "0.7", "--n-trunc-max", "1", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--mass", "1e-30"], "flux.mass"), (["--mass", "1e-60"], "flux.mass"),
+    (["--mass", "1e-300"], "flux.mass"), (["--length", "1e-12", "--dt", "1e-17"], "flux.length"),
+])
+def test_flux_terms_past_double_range_are_a_validation_error(tmp_path, capsys, args, key):
+    # c_n grows like m^(1 - 2n) and the order-2n derivative like p_max^(2n)
+    out = tmp_path / "flux"
+    assert run_cli(["flux", *args, "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and err["message"].startswith(f"{key}:")
+    assert not out.exists()
+
+
+def test_flux_small_mass_inside_the_term_rule_runs(tmp_path):
+    out = tmp_path / "flux"
+    assert run_cli(["flux", "--mass", "1e-10", "--out", out]) == 0
+    assert (out / "flux_residuals.csv").exists()
 
 
 def test_flux_reports_every_order_from_one_report(tmp_path, monkeypatch):

@@ -44,6 +44,10 @@ def _draw_parameters(data, name):
                                  params.get("a0", 0.0))
         except ValueError:  # a grid too fine for E(p) stands in as the default length
             params["length"] = defaults["length"]
+        if name == "flux" and evolution.flux_term_error(
+                params["grid_n"], params["length"], params["mass"], params["n_trunc_max"]):
+            # flux terms that may overflow stand in as the default mass and length
+            params["mass"], params["length"] = defaults["mass"], defaults["length"]
         n, length = params["grid_n"], params["length"]
         if evolution.packet_error(n, length, params["x0"], params["sigma"]):
             # a packet that underflows or overflows stands in as a centred one a tenth of

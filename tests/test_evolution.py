@@ -9,6 +9,7 @@ import pytest
 from relqlab.evolution import (
     MAX_FLUX_ORDER,
     MAX_FLUX_PHASE,
+    MAX_FLUX_ROUNDING,
     PACKET_MOMENTUM_SPREADS,
     FieldConfig,
     SpatialGrid,
@@ -19,7 +20,9 @@ from relqlab.evolution import (
     dispersion,
     evolve,
     flux_coefficient,
+    flux_dt_floor,
     flux_dt_limit,
+    flux_term_error,
     free_propagate,
     gaussian_packet,
     klein_gordon_residual,
@@ -469,15 +472,34 @@ def test_flux_report_orders_do_not_depend_on_the_truncation(packet):
 
 
 def test_flux_dt_outside_the_domain_is_rejected():
-    # the grid's fastest mode may turn by at most MAX_FLUX_PHASE per dt
+    # the grid's fastest mode may turn by at most MAX_FLUX_PHASE per dt, and the
+    # centered difference's rounding may take at most MAX_FLUX_ROUNDING of its scale:
+    # at dt = 1e-300 the +-dt propagations are the identity and d(rho)/dt reads 0
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
     limit = flux_dt_limit(FLUX_GRID.n, FLUX_GRID.length, 1.0)
+    floor = flux_dt_floor(FLUX_GRID.n, FLUX_GRID.length, 1.0)
     e_max = float(np.max(dispersion(FLUX_GRID.p, FLUX_FREE)))
     assert limit == pytest.approx(MAX_FLUX_PHASE / e_max, rel=1e-15)
+    assert floor == pytest.approx(np.finfo(float).eps / (MAX_FLUX_ROUNDING * e_max), rel=1e-15)
     assert density_flux_report(psi, FLUX_FREE, dt=limit, n_trunc=2).residual_l2[-1] < 1e-6
-    for dt in (math.nextafter(limit, math.inf), 1e307, math.inf, math.nan, 0.0, -0.01):
+    assert density_flux_report(psi, FLUX_FREE, dt=floor, n_trunc=1).residual_l2[0] < 1e-6
+    for dt in (math.nextafter(limit, math.inf), 1e307, math.inf, math.nan, 0.0, -0.01,
+               math.nextafter(floor, 0.0), 1e-300):
         with pytest.raises(ValueError, match="dt"):
             density_flux_report(psi, FLUX_FREE, dt=dt, n_trunc=2)
+
+
+def test_flux_terms_that_may_overflow_are_rejected():
+    # c_n grows like m^(1 - 2n): at m = 1e-30 the order-5 term squared leaves double range
+    n, length = FLUX_GRID.n, FLUX_GRID.length
+    assert flux_term_error(n, length, 1.0, MAX_FLUX_ORDER) is None
+    assert flux_term_error(n, length, 1e-10, 5) is None
+    assert flux_term_error(n, length, 1e-30, 3) is None
+    assert flux_term_error(n, length, 1e-30, 4) is not None
+    psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
+    for mass in (1e-30, 1e-60, 1e-300):
+        with pytest.raises(ValueError, match="mass"):
+            density_flux_report(psi, FieldConfig.free(mass, FLUX_GRID), dt=0.01, n_trunc=5)
 
 
 def test_flux_validation():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from relqlab import pathweight
+from relqlab.specfun import QuadratureConvergenceError
 from relqlab.pathweight import (
     LightlikeSegmentError,
     Path,
@@ -238,6 +240,38 @@ def test_short_time_series_route_small_p():
         series = short_time_plane_wave_series(ptau, 1.0, M1)
         quad = short_time_plane_wave(ptau, 1.0, M1)
         assert abs(series - quad) / abs(series) < 1e-8
+
+
+def test_short_time_rule_matches_closed_form_over_its_domain():
+    # eps0 from edge to edge of PLANE_WAVE_EPS0, |p| tau0 up to PLANE_WAVE_MAX_PTAU, either
+    # sign, through the cap's switch at |p| tau0 = 1; the bound was fixed before any run
+    worst = 0.0
+    for scale in (M1, PhysicalScale(mass=3.0)):
+        for eps0 in np.geomspace(*pathweight.PLANE_WAVE_EPS0, 13):
+            for ptau in (-10.0, -1.0, 0.0, 0.3, 1.0, 1.0 + 1e-12, 2.5, 6.0, 10.0):
+                got = short_time_plane_wave(ptau * scale.mass, eps0, scale)
+                target = short_time_closed_form(ptau * scale.mass, eps0, scale)
+                worst = max(worst, abs(got - target) / abs(target))
+    assert worst < 1e-12
+
+
+def test_short_time_rule_certificate_raises(monkeypatch):
+    # no two sums agree to a zero relative gap
+    monkeypatch.setattr(pathweight, "PLANE_WAVE_RTOL", 0.0)
+    with pytest.raises(QuadratureConvergenceError, match="48-node"):
+        short_time_plane_wave(0.75, 1.0, M1)
+
+
+@pytest.mark.parametrize("ptau, eps0", [
+    (0.5, math.nextafter(pathweight.PLANE_WAVE_EPS0[0], 0.0)),
+    (0.5, math.nextafter(pathweight.PLANE_WAVE_EPS0[1], math.inf)),
+    (math.nextafter(pathweight.PLANE_WAVE_MAX_PTAU, math.inf), 1.0),
+    (-math.nextafter(pathweight.PLANE_WAVE_MAX_PTAU, math.inf), 1.0),
+    (0.5, 0.0), (0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+])
+def test_short_time_rule_refuses_past_its_domain(ptau, eps0):
+    with pytest.raises(ValueError, match="declared for eps0"):
+        short_time_plane_wave(ptau, eps0, M1)
 
 
 def test_short_time_series_route_truncation_guard():

@@ -1,24 +1,19 @@
 """Special-function oracles: terminating Kummer sums, small-argument Bessel
 expansions, and the closed-vs-contour kernel moment pairing."""
 
-import collections
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special as sp
-from scipy import integrate
 
-from relqlab import pathweight, specfun
-from relqlab.pathweight import PhysicalScale, short_time_plane_wave
+from relqlab import specfun
 from relqlab.specfun import (
     EULER_GAMMA,
     MAX_MOMENT_ORDER,
     SQRT_I,
     MomentQuery,
-    QuadratureConvergenceError,
     bessel_j1_y1_small,
     gamma_half_integer,
     kernel_moment_closed,
@@ -104,23 +99,22 @@ def test_gamma_half_integer_recurrence_matches_gamma():
 
 
 def test_bessel_truncated_leading_terms():
-    j1, y1, _, _ = bessel_j1_y1_small(0.01)
+    j1, y1 = bessel_j1_y1_small(0.01)
     assert j1 == pytest.approx(0.005, rel=1e-15)
     assert y1 == pytest.approx(-2.0 / (math.pi * 0.01), rel=1e-3)  # leading term -63.66
 
 
 def test_bessel_truncation_close_to_reference():
-    j1, y1, j1_ref, y1_ref = bessel_j1_y1_small(0.1)
-    assert abs(j1 - j1_ref) < 1e-3
-    assert abs(y1 - y1_ref) < 1e-3
+    j1, y1 = bessel_j1_y1_small(0.1)
+    assert abs(j1 - sp.j1(0.1)) < 1e-3
+    assert abs(y1 - sp.y1(0.1)) < 1e-3
 
 
 @pytest.mark.parametrize("eps0", [0.01, 0.05, 0.2, 0.45, 0.499])
 def test_bessel_reference_matches_scipy(eps0):
-    # the reference is scipy's j1/y1, itself checked against mpmath
+    # the reference the truncation is compared with is scipy's j1/y1, checked here against mpmath
     mpmath = pytest.importorskip("mpmath")
-    _, _, j1_ref, y1_ref = bessel_j1_y1_small(eps0)
-    assert (j1_ref, y1_ref) == (float(sp.j1(eps0)), float(sp.y1(eps0)))
+    j1_ref, y1_ref = float(sp.j1(eps0)), float(sp.y1(eps0))
     with mpmath.workdps(40):
         assert j1_ref == pytest.approx(float(mpmath.besselj(1, eps0)), rel=1e-14, abs=0.0)
         assert y1_ref == pytest.approx(float(mpmath.bessely(1, eps0)), rel=1e-14, abs=0.0)
@@ -297,86 +291,3 @@ def test_moment_contour_within_its_rounding_certificate(n, eps0):
                         for s2, w in specfun._hermite_half_rule())
     contour = kernel_moment_contour(MomentQuery(n=n, eps0=eps0))
     assert abs(contour - _mpmath_moment(n, eps0)) <= c * K * np.finfo(float).eps * magnitude
-
-
-# ---------------------------------------------------------------------------
-# _quad_complex: scipy's complex quadrature, one integrand call per node
-
-QUAD_TOLERANCES = {"epsabs": 1e-13, "epsrel": 1e-12}
-
-
-def bits(z):
-    return np.complex128(z).tobytes()
-
-
-def quadratures_made_by(call, monkeypatch):
-    """(func, a, b, limit, points) of every _quad_complex call that call() makes;
-    pathweight is its only caller."""
-    made = []
-    quad_complex = specfun._quad_complex
-
-    def record(func, a, b, *, limit, points=None):
-        made.append((func, a, b, limit, points))
-        return quad_complex(func, a, b, limit=limit, points=points)
-
-    with monkeypatch.context() as m:
-        m.setattr(pathweight, "_quad_complex", record)
-        call()
-    return made
-
-
-@pytest.mark.parametrize("route, arg, eps0", [("plane_wave", p, 0.5) for p in (0.75, 3.0)])
-def test_quad_complex_is_scipy_complex_quad_with_one_call_per_node(monkeypatch, route, arg, eps0):
-    # the finite leg and the rotated tail
-    made = quadratures_made_by(lambda: short_time_plane_wave(arg, eps0, PhysicalScale(1.0)),
-                               monkeypatch)
-    assert len(made) == 2
-    scipy_quad = integrate.quad
-    for func, a, b, limit, points in made:
-        scipy_nodes = []
-
-        def logged(x):
-            scipy_nodes.append(x)
-            return func(x)
-
-        ref_value, ref_err = scipy_quad(logged, a, b, complex_func=True, limit=limit,
-                                        points=points, **QUAD_TOLERANCES)
-        calls = collections.Counter()
-        passes = []
-
-        def counted(x):
-            calls[x] += 1
-            return func(x)
-
-        def quad_spy(*args, **kwargs):
-            passes.append(scipy_quad(*args, **kwargs))
-            return passes[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(integrate, "quad", quad_spy)
-            value = specfun._quad_complex(counted, a, b, limit=limit, points=points)
-        assert bits(value) == bits(ref_value)
-        (_, real_err), (_, imag_err) = passes
-        assert bits(real_err + 1j * imag_err) == bits(ref_err)  # scipy's abserr, formed its way
-        assert set(calls) == set(scipy_nodes) and set(calls.values()) == {1}
-        assert len(scipy_nodes) > len(calls)  # scipy's imaginary pass revisits nodes
-
-
-def test_quad_complex_raises_when_only_the_imaginary_pass_runs_out_of_budget():
-    def func(x):  # smooth real part, a kink at 1/3 in the imaginary part
-        return math.exp(-x) + 1j * math.sqrt(abs(x - 1.0 / 3.0))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        integrate.quad(lambda x: func(x).real, 0.0, 1.0, limit=3, **QUAD_TOLERANCES)
-    with pytest.raises(QuadratureConvergenceError, match="refinement budget"):
-        specfun._quad_complex(func, 0.0, 1.0, limit=3)
-
-
-def test_quad_complex_raises_on_a_large_error_estimate(monkeypatch):
-    # quad's own success test keeps a converged estimate inside this gate, so
-    # a stub stands in for a quad that reports a loose estimate without warning
-    passes = iter([(1.0, 1e-15), (1.0, 1e-6)])
-    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: next(passes))
-    with pytest.raises(QuadratureConvergenceError, match="error estimate 1.00e-06 too large"):
-        specfun._quad_complex(math.cos, 0.0, 1.0, limit=10)
