@@ -34,6 +34,7 @@ from .collapse import NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _traject
 
 ENVELOPE_WIDTH_FRINGES = 4.0  # first zero of the single-slit envelope, in fringe units
 CENTRAL_WINDOW_FRINGES = 2.0  # visibility window: +-2 fringe periods
+MAX_PHASE_ROUNDING = 1e-6  # radians the AB phase may lose to rounding on the screen
 
 #: Alternating-field amplitude that collapses the default beam well inside
 #: the default flight (see DEFAULT defaults below); 3x margin on steps.
@@ -52,11 +53,19 @@ def segments_error(n):
     return "must be an even integer >= 2, so that the alternating field integrates to zero"
 
 
+def flux_error(flux):
+    """Why flux cannot be the enclosed flux, or None: the screen phase 2 pi xi - flux
+    rounds by up to |flux| eps / 2, which must stay within MAX_PHASE_ROUNDING."""
+    if abs(flux) * np.finfo(float).eps / 2.0 <= MAX_PHASE_ROUNDING:
+        return None
+    return f"must keep the screen phase's rounding |flux| eps / 2 within {MAX_PHASE_ROUNDING:g} rad"
+
+
 @dataclass(frozen=True)
 class ABConfig:
     """Field and screen parameters of the two-path experiment (screen in
     fringe units, see the module docstring); the flight spans `segments`
-    field segments (see segments_error)."""
+    field segments (see segments_error), and flux_error bounds the flux."""
 
     flux: float
     b1_amp: float
@@ -64,8 +73,8 @@ class ABConfig:
     screen_points: int = 256
 
     def __post_init__(self):
-        if not math.isfinite(self.flux):
-            raise ValueError(f"flux must be finite, got {self.flux!r}")
+        if msg := flux_error(self.flux):
+            raise ValueError(f"flux {msg}, got {self.flux!r}")
         if not (self.b1_amp >= 0 and math.isfinite(self.b1_amp)):
             raise ValueError(f"b1_amp must be non-negative, got {self.b1_amp!r}")
         if msg := segments_error(self.segments):

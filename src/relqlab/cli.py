@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__, abexp, collapse, evolution, pathweight, specfun
 
 CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by _write_csv
+VELOCITY_ROUNDING = 1e-6  # evolve's group velocity rounding bound: centroids round by eps length
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,6 @@ SCHEMAS = {
         Param("sigma", float, 62.5, "packet width (gaussian)", _positive),
         Param("p0", float, 0.05, "packet momentum (gaussian)"),
         Param("k_index", int, 30, "mode index (plane)", _int_min(0)),
-        Param("dt", float, 0.01, "time step of the centered density difference", _positive),
         Param("n_trunc_max", int, 5, "largest truncation order",
               _int_range(1, evolution.MAX_FLUX_ORDER)),
     ],
@@ -287,27 +287,25 @@ def _check_domain(name, params, seed):
                  "length": math.pi * n / length}  # the terms of E(p) on the grid
         e_max = check(max(sizes, key=sizes.get), evolution.max_energy, n, length,
                       params["mass"], params.get("a0", 0.0))
-        if name == "evolve" and not math.isfinite(e_max * (params["dt"] * params["steps"])):
-            raise ValueError(f"evolve.dt: max E(p) dt steps must be finite (got {params['dt']!r})")
         if params.get("packet") != "plane":  # the Gaussian packet fits the grid
             x0, sigma, p0 = params["x0"], params["sigma"], params["p0"]
             if msg := evolution.packet_error(n, length, x0, sigma):
                 key = "sigma" if abs(x0) <= length / 2 else "x0"  # off the grid
             elif msg := evolution.momentum_error(n, length, p0, sigma):
                 key = "p0" if abs(p0) >= math.pi * n / length else "sigma"  # p0 alone aliases
-            if msg:
-                raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
+            elif name == "flux" and (msg := evolution.series_error(params["mass"], p0, sigma)):
+                key = "mass"
         elif msg := evolution.mode_error(n, params["k_index"]):
-            raise ValueError(f"flux.k_index: {msg} (got {params['k_index']!r})")
-    if name == "flux":
-        grid, mass, dt = (params["grid_n"], params["length"]), params["mass"], params["dt"]
-        lo, hi = evolution.flux_dt_floor(*grid, mass), evolution.flux_dt_limit(*grid, mass)
-        if not lo <= dt <= hi:
-            raise ValueError(f"flux.dt: must lie in [{lo!r}, {hi!r}] so that max E(p) dt <= 1 "
-                             f"on the grid and rounding stays below its signal (got {dt!r})")
-        if msg := evolution.flux_term_error(*grid, mass, n_trunc := params["n_trunc_max"]):
-            key = "length" if evolution.flux_term_error(*grid, 1.0, n_trunc) else "mass"
-            raise ValueError(f"flux.{key}: {msg} (got {params[key]!r})")
+            key = "k_index"
+        if name == "flux" and not msg and (msg := evolution.flux_term_error(
+                n, length, params["mass"], n_trunc := params["n_trunc_max"])):
+            key = "length" if evolution.flux_term_error(n, length, 1.0, n_trunc) else "mass"
+        if msg:
+            raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
+        if name == "evolve" and not (math.isfinite(e_max * (t := params["dt"] * params["steps"]))
+                                     and np.finfo(float).eps * length <= VELOCITY_ROUNDING * t):
+            raise ValueError(f"evolve.dt: max E(p) dt steps must be finite, and dt steps at least "
+                             f"eps length / {VELOCITY_ROUNDING:g} (got {params['dt']!r})")
     if name == "oracle":  # every moment up to n_max stays in double range
         for eps0 in _eps0_values(params["eps0_list"]):
             if msg := specfun.moment_error(params["n_max"], eps0):
@@ -322,6 +320,8 @@ def _check_domain(name, params, seed):
     if name == "ensemble":
         check("seed", collapse._check_keys, seed, params["n_runs"])
     if name == "ab":
+        if msg := abexp.flux_error(params["flux"]):
+            raise ValueError(f"ab.flux: {msg} (got {params['flux']!r})")
         big = "a0_main" if params["a0_main"] > params["p_beam"] else "p_beam"  # drives the levels
         sys_ = check(big, abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
         check("b1_amp", collapse._check_noise, abexp.path_gains(sys_), sys_.r_ratio,
@@ -469,7 +469,7 @@ def _run_flux(cfg: RunConfig):
         psi = evolution.plane_wave(grid, params["k_index"])
     else:
         psi = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
-    report = evolution.density_flux_report(psi, f, params["dt"], params["n_trunc_max"])
+    report = evolution.density_flux_report(psi, f, params["n_trunc_max"])
     residuals = report.residual_l2.tolist()
     orders = range(1, len(residuals) + 1)
     yield "flux_residuals.csv", (["n_trunc", "residual_l2", "term_l2"],

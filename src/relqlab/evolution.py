@@ -36,8 +36,6 @@ from ._integers import is_integer
 _INV_SQRT_2PI_I = (2j * np.pi) ** -0.5
 
 MAX_FLUX_ORDER = 8
-MAX_FLUX_PHASE = 1.0  # radians the fastest grid mode may turn per flux dt
-MAX_FLUX_ROUNDING = 1e-8  # share of max E(p) max(rho) the flux difference's rounding may take
 #: Momentum spreads 1/(2 sigma) of a Gaussian packet that must fit below the
 #: grid's Nyquist momentum; its momentum density there is e^-32 of the peak.
 PACKET_MOMENTUM_SPREADS = 8.0
@@ -354,17 +352,6 @@ def spectral_derivative(values, grid: SpatialGrid, order):
     return np.fft.ifft(mult * np.fft.fft(values))
 
 
-def flux_dt_limit(n, length, mass):
-    """Largest dt of density_flux_report: E(p) dt <= MAX_FLUX_PHASE on the grid."""
-    return MAX_FLUX_PHASE / max_energy(n, length, mass)
-
-
-def flux_dt_floor(n, length, mass):
-    """Smallest dt of density_flux_report: its centered difference's rounding,
-    eps max(rho) / dt, is at most MAX_FLUX_ROUNDING max E(p) max(rho)."""
-    return float(np.finfo(float).eps) / (MAX_FLUX_ROUNDING * max_energy(n, length, mass))
-
-
 def flux_term_error(n, length, mass, n_trunc):
     """Why density_flux_report's terms up to order n_trunc may overflow, or
     None: for a normalized state term k is at most m (p_max / m)^(2k) / dx,
@@ -379,17 +366,25 @@ def flux_term_error(n, length, mass, n_trunc):
             "squared and times max(length, 1), a double")
 
 
-def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxReport:
+def series_error(mass, p0, sigma):
+    """Why the density-flux series of a Gaussian packet of momentum p0 and width
+    sigma diverges at this mass, or None: E(p)'s series in (p / m)^2 converges
+    for |p| < m only.  density_flux_report does not apply this rule."""
+    if abs(p0) + PACKET_MOMENTUM_SPREADS / (2.0 * sigma) < mass:
+        return None
+    return f"must exceed the packet's momentum reach |p0| + {PACKET_MOMENTUM_SPREADS:g} / (2 sigma)"
+
+
+def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxReport:
     """Residual of the truncated density-flux balance for the free square-root
     Hamiltonian at every order k = 1..n_trunc,
 
-        d(rho)/dt + div j + sum_{n=2..k} c_n Q_{2n} = 0,
+        d(rho)/dt + sum_{n=1..k} c_n Q_{2n} = 0,
 
-    with j = 1/(2 i m) Q_1 and c_n = flux_coefficient(n, m).  d(rho)/dt is a
-    centered difference of exactly propagated states at +-dt.  Each order adds
+    with c_n = flux_coefficient(n, m), whose n = 1 term is div j, and the exact
+    d(rho)/dt = 2 Im(psi* H psi), H = E(p) applied spectrally.  Each order adds
     one term to the residual of the order before, so residual_l2[:k] does not
-    depend on n_trunc >= k.  term_magnitudes holds the L2 norms of the
-    n = 1..n_trunc terms (n = 1 being div j).
+    depend on n_trunc >= k; term_magnitudes holds the L2 norms of the terms.
 
     High-order Q functionals amplify spectral roundoff like p_max^(2n); use
     grids whose momentum range is O(m) when pushing n_trunc up.
@@ -399,24 +394,18 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, dt, n_trunc) -> FluxR
     if not is_integer(n_trunc) or not (1 <= n_trunc <= MAX_FLUX_ORDER):
         raise ValueError(f"n_trunc must be an integer in [1, {MAX_FLUX_ORDER}], got {n_trunc!r}")
     grid = psi.grid
-    if not (flux_dt_floor(grid.n, grid.length, f.mass) <= dt
-            <= flux_dt_limit(grid.n, grid.length, f.mass)):
-        raise ValueError(f"dt must lie in [flux_dt_floor, flux_dt_limit], got {dt!r}")
+    max_energy(grid.n, grid.length, f.mass)  # E(p) stays in double range
     if msg := flux_term_error(grid.n, grid.length, f.mass, n_trunc):
         raise ValueError(f"mass {msg}, got mass={f.mass!r}")
 
     def l2(values):
         return math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
-    rho_plus = free_propagate(psi, f, dt).density()
-    rho_minus = free_propagate(psi, f, -dt).density()
     values = psi.values
-    q1 = np.conj(values) * spectral_derivative(values, grid, 1)
-    term = spectral_derivative(q1 - np.conj(q1), grid, 1) / (2j * f.mass)  # div j, order 1
-    residual, norms = (rho_plus - rho_minus) / (2.0 * dt), []
+    h_psi = np.fft.ifft(dispersion(grid.p, f) * np.fft.fft(values))
+    residual, norms = 2.0 * (np.conj(values) * h_psi).imag, []
     for n in range(1, n_trunc + 1):
-        if n > 1:
-            d2n = spectral_derivative(values, grid, 2 * n)
-            term = flux_coefficient(n, f.mass) * (np.conj(values) * d2n - values * np.conj(d2n))
+        d2n = spectral_derivative(values, grid, 2 * n)
+        term = flux_coefficient(n, f.mass) * (np.conj(values) * d2n - values * np.conj(d2n))
         residual = residual + term.real
         norms.append((l2(residual), l2(term)))
     return FluxReport(*np.asarray(norms).T)

@@ -97,6 +97,18 @@ def test_config_rejects_non_finite_flux():
         make_config(flux=math.nan)
 
 
+def test_config_rejects_a_flux_that_rounds_the_screen_phase_away():
+    # 2 pi xi - flux rounds by up to |flux| eps / 2; at 1e16 that is ~1.1 rad
+    bound = 2.0 * abexp.MAX_PHASE_ROUNDING / np.finfo(float).eps
+    assert abexp.flux_error(bound) is None and abexp.flux_error(-bound) is None
+    assert abexp.flux_error(math.nextafter(bound, math.inf)) is not None
+    for flux in (1e16, 1e30, -1e300):
+        with pytest.raises(ValueError, match="flux"):
+            make_config(flux=flux)
+    pattern = simulate_ab(make_config(flux=1e9), two_state_for_paths(**BEAM))
+    assert pattern.visibility == pytest.approx(1.0, abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # two-state mapping
 

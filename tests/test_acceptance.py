@@ -145,9 +145,9 @@ def test_criterion_07_density_flux():
     t0 = time.perf_counter()
     grid = SpatialGrid(n=512, length=512.0 * math.pi)
     f = FieldConfig.free(1.0, grid)
-    pw_res = density_flux_report(plane_wave(grid, 30), f, dt=0.1, n_trunc=5).residual_l2[-1]
+    pw_res = density_flux_report(plane_wave(grid, 30), f, n_trunc=5).residual_l2[-1]
     psi = gaussian_packet(grid, 0.0, 62.5, 0.05)
-    residuals = density_flux_report(psi, f, dt=0.01, n_trunc=4).residual_l2.tolist()
+    residuals = density_flux_report(psi, f, n_trunc=4).residual_l2.tolist()
     decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
     ok = pw_res < 1e-12 and decreasing
     chain = " > ".join(f"{r:.2e}" for r in residuals)

@@ -147,6 +147,18 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     (["flux", "--packet", "plane", "--k-index", "256"], "flux.k_index"),
     (["oracle", "--eps0-list", "1e300"], "oracle.eps0_list"),  # M_2 ~ 5e600
     (["oracle", "--n-max", "12", "--eps0-list", "0.5,1e30"], "oracle.eps0_list"),
+    (["evolve", "--dt", "1e-300"], "evolve.dt"),  # the group velocity is rounding alone
+    (["evolve", "--dt", "5e-324", "--steps", "2"], "evolve.dt"),
+    # the default packet reaches |p0| + 8 / (2 sigma) = 0.114: past the mass the series diverges
+    (["flux", "--mass", "0.1"], "flux.mass"),
+    (["flux", "--mass", "0.03"], "flux.mass"),
+    (["flux", "--mass", "0.01"], "flux.mass"),
+    (["flux", "--mass", "1e-10"], "flux.mass"),
+    # the screen phase 2 pi xi - flux rounds by |flux| eps / 2: ~1.1 rad at 1e16
+    (["ab", "--flux", "1e16", "--b1-amp", "0"], "ab.flux"),
+    (["ab", "--flux", "1e30", "--b1-amp", "0"], "ab.flux"),
+    (["ab", "--flux", "1e30"], "ab.flux"),
+    (["ab", "--flux=-1e300"], "ab.flux"),
 ])
 def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
     # checks that need the parameters alone run at validation: exit 2, no directory
@@ -154,6 +166,52 @@ def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsy
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation" and err["message"].startswith(key + ":")
     assert not (tmp_path / "x").exists()
+
+
+EXTREME_VALUES = ("5e-324", "1e-300", "1e-30", "1e30", "1e300", "-1e-300", "-1e300")
+SMALL_SETTINGS = {
+    "kernel": ["--eta-count", "4"],
+    "evolve": ["--grid-n", "64", "--steps", "2"],
+    "collapse": ["--max-steps", "100"],
+    "ensemble": ["--n-runs", "4", "--max-steps", "100"],
+    "ab": ["--segments", "100", "--screen-points", "64"],
+    "flux": ["--grid-n", "64", "--n-trunc-max", "2"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, key", [
+    (name, prm.name) for name, params in cli.SCHEMAS.items() for prm in params
+    if prm.type is float])
+def test_extreme_float_values_run_or_fail_validation(tmp_path, capsys, name, key):
+    # every float parameter at the edges of the double range, one at a time: the run
+    # succeeds, or validation refuses it naming a key before any output exists
+    for value in EXTREME_VALUES:
+        out = tmp_path / value
+        code = run_cli([name, *SMALL_SETTINGS[name], f"--{key.replace('_', '-')}={value}",
+                        "--out", out])
+        err = capsys.readouterr().err.strip()
+        assert code in (0, 2), (value, err)
+        if code == 2:
+            message = json.loads(err)["message"]
+            assert message.split(":")[0] in {f"{name}.{p.name}" for p in cli.SCHEMAS[name]}
+            assert not out.exists()
+
+
+def test_evolve_group_velocity_stays_above_its_rounding(tmp_path, capsys):
+    # centroids round by ~eps length, so the estimate's error is ~eps length / (dt steps);
+    # the free centroid moves uniformly, so every admitted dt gives the same estimate
+    args = ["evolve", "--grid-n", "64", "--steps", "2", "--snapshot-stride", "2"]
+    floor = np.finfo(float).eps * 200.0 / cli.VELOCITY_ROUNDING / 2  # dt at the default length
+    assert run_cli([*args, "--dt", 0.95 * floor, "--out", tmp_path / "refused"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"].startswith("evolve.dt:")
+    assert not (tmp_path / "refused").exists()
+    estimates = []
+    for dt in (1.05 * floor, 0.05):
+        assert run_cli([*args, "--dt", dt, "--out", tmp_path / repr(dt)]) == 0
+        estimates.append(read_json(tmp_path / repr(dt) / "evolve_summary.json")[
+            "group_velocity_estimate"])
+    assert abs(estimates[0] - estimates[1]) <= cli.VELOCITY_ROUNDING
 
 
 @pytest.mark.parametrize("e0, e1, code", [(1.0, 1.75, 0), (1e100, 2e100, 0), (1e103, 2e103, 2)])
@@ -186,11 +244,12 @@ def test_ab_config_counts_field_segments(tmp_path, capsys, section, message):
 
 
 def test_packet_rules_skip_the_plane_wave(tmp_path):
-    # --packet plane samples no Gaussian, so its p0 and sigma are not checked
+    # --packet plane samples no Gaussian, so its p0 and sigma are not checked; nor is the
+    # series rule, since every Q_2n of a plane wave vanishes (mode 200 has p = 0.78 > 0.5)
     out = tmp_path / "flux"
     assert run_cli(["flux", "--packet", "plane", "--p0", "1e3", "--sigma", "1e-3",
-                    "--out", out]) == 0
-    assert (out / "flux_residuals.csv").exists()
+                    "--mass", "0.5", "--k-index", "200", "--out", out]) == 0
+    assert max(read_json(out / "flux_summary.json")["residuals"].values()) < 1e-14
 
 
 def test_ab_beam_past_double_range_names_the_quantity(tmp_path, capsys):
@@ -756,28 +815,28 @@ def test_flux_plane_wave_below_the_nyquist_index_runs(tmp_path):
 
 def test_flux_plane_wave_residual_column(tmp_path):
     out = tmp_path / "flux"
-    assert run_cli(["flux", "--packet", "plane", "--dt", "0.1", "--out", out]) == 0
+    assert run_cli(["flux", "--packet", "plane", "--out", out]) == 0
     rows = (out / "flux_residuals.csv").read_text().strip().splitlines()[1:]
     residuals = np.array([float(r.split(",")[1]) for r in rows])
     assert len(residuals) == 5 and np.all(residuals < 1e-12)
 
 
-@pytest.mark.parametrize("dt", ["1e307", "0.71", "1e-300", "1.5e-8"])
-def test_flux_dt_past_its_domain_is_a_validation_error(tmp_path, capsys, dt):
-    # on the default grid max E(p) = sqrt(2): dt above 1/sqrt(2) turns the
-    # fastest mode by more than one radian per difference step, and dt below
-    # eps / (1e-8 sqrt(2)) ~ 1.57e-8 leaves the centered difference to rounding
+def test_flux_has_no_time_step(tmp_path, capsys):
+    # d(rho)/dt is exact: neither a --dt flag nor a flux.dt config key exists
     out = tmp_path / "flux"
-    assert run_cli(["flux", "--dt", dt, "--out", out]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "validation" and err["message"].startswith("flux.dt:")
-    assert not out.exists()
-    assert run_cli(["flux", "--dt", "0.7", "--n-trunc-max", "1", "--out", out]) == 0
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"flux": {"dt": 0.01}}))
+    for argv, message in [(["--dt", "0.01"], "unrecognized arguments: --dt 0.01"),
+                          (["--config", cfg_file], "unknown key 'dt' in config section 'flux'")]:
+        assert run_cli(["flux", *argv, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "validation", "message": message}
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args, key", [
     (["--mass", "1e-30"], "flux.mass"), (["--mass", "1e-60"], "flux.mass"),
-    (["--mass", "1e-300"], "flux.mass"), (["--length", "1e-12", "--dt", "1e-17"], "flux.length"),
+    (["--mass", "1e-300"], "flux.mass"), (["--length", "1e-12"], "flux.length"),
 ])
 def test_flux_terms_past_double_range_are_a_validation_error(tmp_path, capsys, args, key):
     # c_n grows like m^(1 - 2n) and the order-2n derivative like p_max^(2n)
@@ -789,9 +848,15 @@ def test_flux_terms_past_double_range_are_a_validation_error(tmp_path, capsys, a
 
 
 def test_flux_small_mass_inside_the_term_rule_runs(tmp_path):
-    out = tmp_path / "flux"
-    assert run_cli(["flux", "--mass", "1e-10", "--out", out]) == 0
-    assert (out / "flux_residuals.csv").exists()
+    # the default run with lengths scaled by 1 / m = 1e10 and momenta by m: the series
+    # rule holds as at mass 1, and the L2 norm of d(rho)/dt scales as m^(3/2)
+    out, default = tmp_path / "flux", tmp_path / "default"
+    assert run_cli(["flux", "--mass", "1e-10", "--length", 512.0 * np.pi * 1e10,
+                    "--sigma", "6.25e11", "--p0", "5e-12", "--out", out]) == 0
+    assert run_cli(["flux", "--out", default]) == 0
+    small, ref = (read_json(d / "flux_summary.json")["residuals"] for d in (out, default))
+    assert small["1"] == pytest.approx(ref["1"] * 1e-15, rel=1e-9)
+    assert read_json(out / "flux_summary.json")["monotone_decreasing"] is True
 
 
 def test_flux_reports_every_order_from_one_report(tmp_path, monkeypatch):
@@ -810,9 +875,12 @@ def test_flux_reports_every_order_from_one_report(tmp_path, monkeypatch):
 
 
 def test_flux_gaussian_monotone(tmp_path):
+    # at the defaults: d(rho)/dt carries no difference rounding, so order 5 falls below order 4
     out = tmp_path / "fluxg"
-    assert run_cli(["flux", "--n-trunc-max", "4", "--out", out]) == 0
+    assert run_cli(["flux", "--out", out]) == 0
     summary = read_json(out / "flux_summary.json")
+    residuals = [summary["residuals"][str(k)] for k in range(1, 6)]
+    assert all(b < a for a, b in zip(residuals, residuals[1:])) and residuals[-1] <= 1e-16
     assert summary["monotone_decreasing"] is True
 
 

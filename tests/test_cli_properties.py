@@ -49,16 +49,19 @@ def _draw_parameters(data, name):
             # flux terms that may overflow stand in as the default mass and length
             params["mass"], params["length"] = defaults["mass"], defaults["length"]
         n, length = params["grid_n"], params["length"]
+        if name == "evolve" and np.finfo(float).eps * length > (
+                cli.VELOCITY_ROUNDING * params["dt"] * params["steps"]):
+            params["dt"] = defaults["dt"]  # a run too short for its centroids takes the default dt
         if evolution.packet_error(n, length, params["x0"], params["sigma"]):
             # a packet that underflows or overflows stands in as a centred one a tenth of
             # the box wide, which fits every grid the checks above let through
             params["x0"], params["sigma"] = 0.0, length / 10
         if evolution.momentum_error(n, length, params["p0"], params["sigma"]):
             params["x0"], params["sigma"], params["p0"] = 0.0, length / 10, 0.0  # and at rest
-    if name == "flux":  # dt and the plane-wave index are bounded by the grid drawn above
+    if name == "flux":  # the plane-wave index is bounded by the grid drawn above
         params["k_index"] %= params["grid_n"] // 2
-        limit = evolution.flux_dt_limit(params["grid_n"], params["length"], params["mass"])
-        params["dt"] = limit * data.draw(st.floats(1e-6, 1.0), label="dt / limit")
+        if evolution.series_error(params["mass"], params["p0"], params["sigma"]):
+            params["packet"] = "plane"  # a packet whose series diverges stands in as a plane wave
     if name == "kernel":
         params["eta_max"] = params["eta_min"] * data.draw(st.floats(1.5, 1e3), label="eta ratio")
     noise = {"collapse": "sigma", "ensemble": "sigma", "ab": "b1_amp"}.get(name)

@@ -8,8 +8,6 @@ import pytest
 
 from relqlab.evolution import (
     MAX_FLUX_ORDER,
-    MAX_FLUX_PHASE,
-    MAX_FLUX_ROUNDING,
     PACKET_MOMENTUM_SPREADS,
     FieldConfig,
     SpatialGrid,
@@ -20,8 +18,6 @@ from relqlab.evolution import (
     dispersion,
     evolve,
     flux_coefficient,
-    flux_dt_floor,
-    flux_dt_limit,
     flux_term_error,
     free_propagate,
     gaussian_packet,
@@ -34,6 +30,7 @@ from relqlab.evolution import (
     plane_wave_identity_check,
     r_symbol,
     schrodinger_overlap,
+    series_error,
     spectral_derivative,
 )
 
@@ -426,34 +423,48 @@ def test_flux_coefficient_reproduces_current_term():
 
 def test_flux_plane_wave_residual_vanishes():
     psi = plane_wave(FLUX_GRID, 30)
-    report = density_flux_report(psi, FLUX_FREE, dt=0.1, n_trunc=5)
+    report = density_flux_report(psi, FLUX_FREE, n_trunc=5)
     assert report.residual_l2[-1] < 1e-12
     assert len(report.term_magnitudes) == 5
 
 
 def test_flux_real_gaussian_symmetry():
-    # real state: every Q_n vanishes identically, so the residual is the
-    # centered density difference alone (itself zero by time-reversal symmetry)
+    # real state: every Q_n vanishes identically, and so does d(rho)/dt
+    # (time-reversal symmetry), so every residual is rounding alone
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.0)
     vals = psi.values
     for order in (1, 3):
         dn = spectral_derivative(vals, FLUX_GRID, order)
         qn = np.conj(vals) * dn - vals * np.conj(dn)
         assert np.max(np.abs(qn)) < 1e-16
-    report = density_flux_report(psi, FLUX_FREE, dt=1e-3, n_trunc=3)
-    rho_p = free_propagate(psi, FLUX_FREE, 1e-3).density()
-    rho_m = free_propagate(psi, FLUX_FREE, -1e-3).density()
-    drho = (rho_p - rho_m) / 2e-3
-    fd_norm = math.sqrt(float(np.sum(drho**2) * FLUX_GRID.dx))
-    assert report.residual_l2[-1] == pytest.approx(fd_norm, rel=1e-9, abs=1e-18)
+    report = density_flux_report(psi, FLUX_FREE, n_trunc=3)
+    assert np.all(report.residual_l2 < 1e-16)
     assert np.all(report.term_magnitudes < 1e-15)
+
+
+def test_flux_density_rate_is_the_limit_of_a_centered_difference():
+    # oracle: (rho(dt) - rho(-dt)) / (2 dt) of exactly propagated states, plus
+    # div j, tends to the report's order-1 residual as dt^2
+    psi = gaussian_packet(FLUX_GRID, 0.0, 20.0, 0.3)
+    vals = psi.values
+    d2 = spectral_derivative(vals, FLUX_GRID, 2)
+    div_j = (flux_coefficient(1, 1.0) * (np.conj(vals) * d2 - vals * np.conj(d2))).real
+    exact = density_flux_report(psi, FLUX_FREE, n_trunc=1).residual_l2[0]
+    gaps = []
+    for dt in (1e-2, 1e-3):
+        rho_p = free_propagate(psi, FLUX_FREE, dt).density()
+        rho_m = free_propagate(psi, FLUX_FREE, -dt).density()
+        fd = (rho_p - rho_m) / (2.0 * dt) + div_j
+        gaps.append(abs(math.sqrt(float(np.sum(fd**2) * FLUX_GRID.dx)) - exact) / exact)
+        assert gaps[-1] < 1e-2 * dt**2
+    assert 30.0 < gaps[0] / gaps[1] < 300.0  # second order in dt
 
 
 def test_flux_moving_gaussian_monotone_convergence():
     # narrow moving packet (momentum support < 0.1): each added term lowers
     # the residual; this is the module's convergence oracle
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
-    residuals = density_flux_report(psi, FLUX_FREE, dt=0.01, n_trunc=4).residual_l2.tolist()
+    residuals = density_flux_report(psi, FLUX_FREE, n_trunc=4).residual_l2.tolist()
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
     assert residuals[0] > 1e-8 and residuals[-1] < 1e-12
 
@@ -463,30 +474,12 @@ def test_flux_moving_gaussian_monotone_convergence():
 def test_flux_report_orders_do_not_depend_on_the_truncation(packet):
     # one report holds every lower order: its first k entries are, bit for
     # bit, those of the report truncated at k
-    full = density_flux_report(packet, FLUX_FREE, 0.01, MAX_FLUX_ORDER)
+    full = density_flux_report(packet, FLUX_FREE, MAX_FLUX_ORDER)
     assert len(full.residual_l2) == len(full.term_magnitudes) == MAX_FLUX_ORDER
     for k in range(1, MAX_FLUX_ORDER + 1):
-        short = density_flux_report(packet, FLUX_FREE, 0.01, k)
+        short = density_flux_report(packet, FLUX_FREE, k)
         assert short.residual_l2.tobytes() == full.residual_l2[:k].tobytes()
         assert short.term_magnitudes.tobytes() == full.term_magnitudes[:k].tobytes()
-
-
-def test_flux_dt_outside_the_domain_is_rejected():
-    # the grid's fastest mode may turn by at most MAX_FLUX_PHASE per dt, and the
-    # centered difference's rounding may take at most MAX_FLUX_ROUNDING of its scale:
-    # at dt = 1e-300 the +-dt propagations are the identity and d(rho)/dt reads 0
-    psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
-    limit = flux_dt_limit(FLUX_GRID.n, FLUX_GRID.length, 1.0)
-    floor = flux_dt_floor(FLUX_GRID.n, FLUX_GRID.length, 1.0)
-    e_max = float(np.max(dispersion(FLUX_GRID.p, FLUX_FREE)))
-    assert limit == pytest.approx(MAX_FLUX_PHASE / e_max, rel=1e-15)
-    assert floor == pytest.approx(np.finfo(float).eps / (MAX_FLUX_ROUNDING * e_max), rel=1e-15)
-    assert density_flux_report(psi, FLUX_FREE, dt=limit, n_trunc=2).residual_l2[-1] < 1e-6
-    assert density_flux_report(psi, FLUX_FREE, dt=floor, n_trunc=1).residual_l2[0] < 1e-6
-    for dt in (math.nextafter(limit, math.inf), 1e307, math.inf, math.nan, 0.0, -0.01,
-               math.nextafter(floor, 0.0), 1e-300):
-        with pytest.raises(ValueError, match="dt"):
-            density_flux_report(psi, FLUX_FREE, dt=dt, n_trunc=2)
 
 
 def test_flux_terms_that_may_overflow_are_rejected():
@@ -499,14 +492,40 @@ def test_flux_terms_that_may_overflow_are_rejected():
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
     for mass in (1e-30, 1e-60, 1e-300):
         with pytest.raises(ValueError, match="mass"):
-            density_flux_report(psi, FieldConfig.free(mass, FLUX_GRID), dt=0.01, n_trunc=5)
+            density_flux_report(psi, FieldConfig.free(mass, FLUX_GRID), n_trunc=5)
+
+
+def test_flux_energies_past_double_range_are_rejected():
+    # mass^2 overflows in E(p): refused before any term is formed
+    psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
+    with pytest.raises(ValueError, match="double range"):
+        density_flux_report(psi, FieldConfig.free(1e200, FLUX_GRID), n_trunc=5)
+
+
+def test_flux_series_rule_bounds_the_packet_momentum_by_the_mass():
+    # E(p)'s series in (p / m)^2 converges for |p| < m only: the default packet
+    # (p0 0.05, sigma 62.5) reaches 0.05 + 8 / 125 = 0.114
+    assert series_error(1.0, 0.05, 62.5) is None
+    assert series_error(0.2, 0.05, 62.5) is None
+    assert series_error(0.12, -0.05, 62.5) is None
+    for mass in (0.11, 0.1, 0.03, 0.01, 1e-10):
+        assert series_error(mass, 0.05, 62.5) is not None
+    assert series_error(0.5, 0.0, PACKET_MOMENTUM_SPREADS) is not None  # reaches 0.5 exactly
+    assert series_error(0.5, 0.0, 2.0 * PACKET_MOMENTUM_SPREADS) is None
+
+
+def test_flux_series_inside_the_rule_converges():
+    # at mass 0.2 the default packet reaches 0.114 / 0.2 of the radius of convergence
+    psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
+    residuals = density_flux_report(psi, FieldConfig.free(0.2, FLUX_GRID), 5).residual_l2
+    assert np.all(np.diff(residuals) < 0) and residuals[-1] < 1e-9
 
 
 def test_flux_validation():
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
     for n_trunc in (9, True):
         with pytest.raises(ValueError):
-            density_flux_report(psi, FLUX_FREE, dt=0.01, n_trunc=n_trunc)
+            density_flux_report(psi, FLUX_FREE, n_trunc=n_trunc)
     with_v = FieldConfig(a0=0.0, v_samples=np.full(FLUX_GRID.n, 0.1), mass=1.0)
     with pytest.raises(ValueError):
-        density_flux_report(psi, with_v, dt=0.01, n_trunc=2)
+        density_flux_report(psi, with_v, n_trunc=2)
