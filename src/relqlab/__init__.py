@@ -43,9 +43,8 @@ from .evolution import (
     evolve,
     free_propagate,
     gaussian_packet,
-    klein_gordon_residual,
+    group_velocity,
     plane_wave,
-    plane_wave_identity_check,
     schrodinger_overlap,
 )
 from .collapse import (

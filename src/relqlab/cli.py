@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__, abexp, collapse, evolution, pathweight, specfun
 
 CSV_BLOCK_ROWS = 4096  # rows formatted and written per block by _write_csv
-VELOCITY_ROUNDING = 1e-6  # evolve's group velocity rounding bound: centroids round by eps length
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +301,8 @@ def _check_domain(name, params, seed):
             key = "length" if evolution.flux_term_error(n, length, 1.0, n_trunc) else "mass"
         if msg:
             raise ValueError(f"{name}.{key}: {msg} (got {params[key]!r})")
-        if name == "evolve" and not (math.isfinite(e_max * (t := params["dt"] * params["steps"]))
-                                     and np.finfo(float).eps * length <= VELOCITY_ROUNDING * t):
-            raise ValueError(f"evolve.dt: max E(p) dt steps must be finite, and dt steps at least "
-                             f"eps length / {VELOCITY_ROUNDING:g} (got {params['dt']!r})")
+        if name == "evolve" and not math.isfinite(e_max * (params["dt"] * params["steps"])):
+            raise ValueError(f"evolve.dt: max E(p) dt steps must be finite (got {params['dt']!r})")
     if name == "oracle":  # every moment up to n_max stays in double range
         for eps0 in _eps0_values(params["eps0_list"]):
             if msg := specfun.moment_error(params["n_max"], eps0):
@@ -394,7 +391,7 @@ def _run_evolve(cfg: RunConfig):
     f = evolution.FieldConfig.free(params["mass"], grid, a0=params["a0"])
     state = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
     steps, dt = params["steps"], params["dt"]
-    norm0 = state.norm()
+    norm0, v_group = state.norm(), evolution.group_velocity(state, f)
     centroids = []
     done = 0
     for index, end in enumerate([*range(0, steps, params["snapshot_stride"]), steps]):
@@ -409,7 +406,7 @@ def _run_evolve(cfg: RunConfig):
         "norm_final": state.norm(),
         "norm_drift": abs(state.norm() - norm0),
         "centroid_trajectory": centroids,
-        "group_velocity_estimate": (centroids[-1][1] - centroids[0][1]) / (steps * dt),
+        "group_velocity_estimate": v_group,
     }
 
 
@@ -470,13 +467,14 @@ def _run_flux(cfg: RunConfig):
     else:
         psi = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
     report = evolution.density_flux_report(psi, f, params["n_trunc_max"])
-    residuals = report.residual_l2.tolist()
+    residuals, floor = report.residual_l2.tolist(), report.rounding_floor
     orders = range(1, len(residuals) + 1)
     yield "flux_residuals.csv", (["n_trunc", "residual_l2", "term_l2"],
                                  [orders, residuals, report.term_magnitudes])
     yield "flux_summary.json", {
         "residuals": {str(k): r for k, r in zip(orders, residuals)},
-        "monotone_decreasing": all(b < a for a, b in zip(residuals, residuals[1:])),
+        "monotone_decreasing": all(b < a or b <= floor for a, b in zip(residuals, residuals[1:])),
+        "rounding_floor": floor,
         "params": params,
     }
 

@@ -135,10 +135,13 @@ class FieldConfig:
 @dataclass(frozen=True)
 class FluxReport:
     """Truncated density-flux balance order by order: entry k - 1 holds the
-    residual L2 norm at truncation order k and the L2 norm of the term it adds."""
+    residual L2 norm at truncation order k and the L2 norm of the term it adds.
+    rounding_floor, eps times the L2 norm of 2 |psi| |H psi|, is the size of
+    d(rho)/dt's rounding: residuals below it are not resolved."""
 
     residual_l2: np.ndarray
     term_magnitudes: np.ndarray
+    rounding_floor: float
 
 
 def packet_error(n, length, x0, sigma):
@@ -273,19 +276,6 @@ def apply_R(psi: WaveFunction, f: FieldConfig, inverse=False) -> WaveFunction:
     return WaveFunction(grid=psi.grid, values=values)
 
 
-def plane_wave_identity_check(p, mass) -> float:
-    """|r(E_p) (i pi tau0)^(1/2) [(1-i tau0 p)^(-1/2) + (1+i tau0 p)^(-1/2)] - 1|.
-
-    The zero-interval consistency of the short-time kernel; analytically zero
-    for every p, so the return value is pure floating-point error.
-    """
-    tau0 = 1.0 / mass
-    e = math.sqrt(mass * mass + p * p)
-    r = _INV_SQRT_2PI_I * e / math.sqrt(mass + e)
-    bracket = (1.0 - 1j * tau0 * p) ** -0.5 + (1.0 + 1j * tau0 * p) ** -0.5
-    return abs(r * (1j * math.pi * tau0) ** 0.5 * bracket - 1.0)
-
-
 def schrodinger_overlap(psi0: WaveFunction, f: FieldConfig, t) -> float:
     """Overlap between square-root and quadratic evolution of the same state.
 
@@ -303,25 +293,13 @@ def schrodinger_overlap(psi0: WaveFunction, f: FieldConfig, t) -> float:
     return float(abs(overlap) / np.sum(weights))
 
 
-def klein_gordon_residual(p, sign, f: FieldConfig) -> float:
-    """Residual of (i d/dt - V)^2 psi = (m^2 + (p-a0)^2) psi on the plane-wave
-    ansatz psi_+- = (Phi_+ +- Phi_-)/sqrt(2) with frequencies +-E(p) + V.
-
-    Evaluated analytically on the ansatz: both branch coefficients vanish
-    identically, so the return value measures only rounding.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    v = float(f.v_samples[0]) if np.size(f.v_samples) else 0.0
-    if np.any(f.v_samples != v):
-        raise ValueError("klein_gordon_residual requires a uniform potential")
-    e = dispersion(p, f)
-    m2 = f.mass * f.mass + (p - f.a0) ** 2
-    omega_plus = e + v
-    omega_minus = -e + v
-    res_plus = (omega_plus - v) ** 2 - m2
-    res_minus = (omega_minus - v) ** 2 - m2
-    return abs(res_plus + sign * res_minus) / math.sqrt(2.0)
+def group_velocity(psi: WaveFunction, f: FieldConfig) -> float:
+    """<dE/dp> = <(p - a0) / E(p)> over psi's momentum density: the centroid's
+    velocity under free evolution, exact and conserved for V = 0.  E(p) is
+    taken as hypot(m, p - a0), which stays positive where m^2 underflows."""
+    q = psi.grid.p - f.a0
+    weights = np.abs(np.fft.fft(psi.values)) ** 2
+    return float(np.sum(weights * (q / np.hypot(f.mass, q))) / np.sum(weights))
 
 
 def binom_half(n):
@@ -408,4 +386,5 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxRepor
         term = flux_coefficient(n, f.mass) * (np.conj(values) * d2n - values * np.conj(d2n))
         residual = residual + term.real
         norms.append((l2(residual), l2(term)))
-    return FluxReport(*np.asarray(norms).T)
+    floor = l2(2.0 * np.finfo(float).eps * np.abs(values) * np.abs(h_psi))  # scaled: no overflow
+    return FluxReport(*np.asarray(norms).T, rounding_floor=floor)

@@ -28,10 +28,10 @@ from relqlab.evolution import (
     SpatialGrid,
     density_flux_report,
     evolve,
+    free_propagate,
     gaussian_packet,
-    klein_gordon_residual,
     plane_wave,
-    plane_wave_identity_check,
+    r_symbol,
     schrodinger_overlap,
 )
 from relqlab.pathweight import (
@@ -72,10 +72,19 @@ def test_criterion_01_kernel_moment_oracle():
 
 
 def test_criterion_02_plane_wave_normalization_identity():
+    # the whole weight r(p) turns the short-time plane-wave amplitude into the free
+    # phase e^{-i E_p eps}; with that phase undone, 1 at every momentum and interval
     t0 = time.perf_counter()
-    worst = max(plane_wave_identity_check(p, 1.0) for p in np.linspace(0.0, 10.0, 100))
+    scale = PhysicalScale(mass=1.0)
+    f = FieldConfig(a0=0.0, v_samples=[], mass=1.0)
+    worst = 0.0
+    for p in np.linspace(0.0, 10.0, 100):
+        for eps0 in (1e-3, 0.5, 20.0):
+            amplitude = r_symbol(p, f) * short_time_closed_form(p, eps0, scale)
+            worst = max(worst, abs(amplitude * np.exp(1j * math.sqrt(1.0 + p * p) * eps0) - 1.0))
     finish(2, "whole-weight normalization identity", worst < 1e-12,
-           f"worst |value - 1| = {worst:.2e} < 1e-12 over 100 momenta in [0, 10m]", t0, 1)
+           f"worst |r(p) K(p, eps) e^(i E_p eps) - 1| = {worst:.2e} < 1e-12 over 100 momenta "
+           f"in [0, 10m], eps0 in {{1e-3, 0.5, 20}}", t0, 1)
 
 
 def test_criterion_03_short_time_quadrature_vs_closed_form():
@@ -155,17 +164,30 @@ def test_criterion_07_density_flux():
            f"plane-wave residual {pw_res:.2e} < 1e-12; gaussian chain {chain}", t0, 30)
 
 
-def test_criterion_08_klein_gordon_residual():
+def test_criterion_08_klein_gordon_equation():
+    # (i d/dt - V)^2 psi = (m^2 + (p - a0)^2) psi on evolve's own states at t = 1, the
+    # time derivatives by central differences of step h: the gap is O(h^2) truncation;
+    # free_propagate backwards gives the negative-frequency branch
     t0 = time.perf_counter()
     grid = SpatialGrid(n=64, length=64.0)
+    psi = gaussian_packet(grid, 0.0, 4.0, 0.75)
+    h = 1e-3
+
+    def gap(f, v, state_at):
+        mid, plus, minus = (state_at(1.0 + s * h).values for s in (0, 1, -1))
+        lhs = -(plus - 2.0 * mid + minus) / h ** 2 - 1j * v * (plus - minus) / h + v * v * mid
+        rhs = np.fft.ifft((f.mass ** 2 + (grid.p - f.a0) ** 2) * np.fft.fft(mid))
+        return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+
     worst = 0.0
-    for p in (0.0, 0.75):
+    for a0 in (0.0, 0.3):
         for v in (0.0, 0.2):
-            f = FieldConfig(a0=0.0, v_samples=np.full(grid.n, v), mass=1.0)
-            for sign in (+1, -1):
-                worst = max(worst, klein_gordon_residual(p, sign, f))
-    finish(8, "Klein-Gordon plane-wave residual", worst < 1e-10,
-           f"worst residual {worst:.2e} < 1e-10", t0, 1)
+            f = FieldConfig(a0=a0, v_samples=np.full(grid.n, v), mass=1.0)
+            worst = max(worst, gap(f, v, lambda t: evolve(psi, f, t, 1)))
+        free = FieldConfig.free(1.0, grid, a0=a0)
+        worst = max(worst, gap(free, 0.0, lambda t: free_propagate(psi, free, -t)))
+    finish(8, "Klein-Gordon residual of evolved states", worst < 1e-6,
+           f"worst relative L2 gap {worst:.2e} < 1e-6 at h = {h:g}", t0, 1)
 
 
 def test_criterion_09_equal_time_kernel_nonlocality():

@@ -49,9 +49,6 @@ def _draw_parameters(data, name):
             # flux terms that may overflow stand in as the default mass and length
             params["mass"], params["length"] = defaults["mass"], defaults["length"]
         n, length = params["grid_n"], params["length"]
-        if name == "evolve" and np.finfo(float).eps * length > (
-                cli.VELOCITY_ROUNDING * params["dt"] * params["steps"]):
-            params["dt"] = defaults["dt"]  # a run too short for its centroids takes the default dt
         if evolution.packet_error(n, length, params["x0"], params["sigma"]):
             # a packet that underflows or overflows stands in as a centred one a tenth of
             # the box wide, which fits every grid the checks above let through
