@@ -17,6 +17,13 @@ Python's "%" formats the cells this cannot decide, into the same field:
 those near a tie, non-finite ones, those whose scale 10^(16-e) lies outside
 the table (where a split could overflow), and int64's minimum, whose
 magnitude does not fit an int64.
+
+A block is one buffer of equal rows; each field's width comes from the
+block's own cells (a float field has a third exponent digit only if some cell
+needs one or goes to Python).  A float cell is four little-endian word stores
+through strided views; a byte a cell omits (a "+" sign, an unused exponent
+digit, an integer's leading zero) is left NUL, and the NULs, which CSV text
+never holds, are removed once per block.
 """
 
 from __future__ import annotations
@@ -26,10 +33,11 @@ import functools
 import numpy as np
 
 _K_MIN, _K_MAX = -282, 290  # scale exponents in the table; 10^k and |x| split safely
+_E_MIN, _E_MAX = -324, 308  # decimal exponents of non-zero doubles
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 _TIE_MARGIN = 2.0 ** -30  # in units of the last digit, far above the product's error
-_FLOAT_WIDTH = 24  # len("-1.2345678901234567e-308")
 _D_MIN, _D_MAX = 10 ** 16, 10 ** 17
+_LEAD = 256 * ord("0") + 65536 * ord(".")  # "\0" "0" "." as a word; add the sign and 256 D
 
 
 def _split(x):
@@ -40,21 +48,22 @@ def _split(x):
 
 @functools.cache  # built on first use, not at import
 def _pow10_table():
-    """Rows (hi, lo, hi's split halves) of 10^k for k in [_K_MIN, _K_MAX]: hi
-    is 10^k correctly rounded by Python's int division, lo the rounded exact
-    residual 10^k - hi, from integers."""
+    """Columns hi, lo and hi's split halves of 10^k for k in [_K_MIN, _K_MAX]:
+    hi is 10^k correctly rounded by Python's int division, lo the rounded
+    exact residual 10^k - hi, from integers."""
     rows = []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
         hi = num / den
         hi_num, hi_den = hi.as_integer_ratio()
         rows.append((hi, (num * hi_den - hi_num * den) / (den * hi_den), *_split(hi)))
-    return np.array(rows)
+    return np.ascontiguousarray(np.array(rows).T)
 
 
 def _scaled(a, a_hi, a_lo, k):
     """a 10^k as p + lo, p = fl(a hi): an exact two-product plus a lo."""
-    hi, lo, hi_hi, hi_lo = _pow10_table()[k - _K_MIN].T
+    k = k - _K_MIN
+    hi, lo, hi_hi, hi_lo = (np.take(column, k) for column in _pow10_table())
     p = a * hi
     err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
     return p, err + a * lo
@@ -62,15 +71,28 @@ def _scaled(a, a_hi, a_lo, k):
 
 @functools.cache  # built on first use, not at import
 def _quads():
-    """The four ASCII digits of 0..9999, zero-padded, each packed in a uint32."""
+    """The four ASCII digits of 0..9999, zero-padded, as little-endian words."""
     ascii_ = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    return ascii_.astype(np.uint8).view(np.uint32)[:, 0]
+    return (ascii_ << np.array([0, 8, 16, 24])).sum(axis=1).astype(np.uint64)
+
+
+@functools.cache  # built on first use, not at import
+def _exponents():
+    """For e in [_E_MIN, _E_MAX], the little-endian word of the last 8 bytes
+    of a float field with a NUL separator: "e±EE" in row 0 (two exponent
+    digits), "e±HEE" in row 1 (three, H NUL where |e| < 100)."""
+    def word(text):
+        return int.from_bytes(text.rjust(7, b"\0") + b"\0", "little")
+    texts = [b"e%+04d" % e for e in range(_E_MIN, _E_MAX + 1)]
+    return np.array([[word(t[:2] + t[3:]) for t in texts],
+                     [word(t[:2] + t[2:3].replace(b"0", b"\0") + t[3:]) for t in texts]],
+                    np.uint64)
 
 
 def _digits(v, width):
     """(n, width) ASCII digits of the non-negative integers v, zero-padded."""
     groups = -(-width // 4)
-    words = np.empty((len(v), groups), np.uint32)
+    words = np.empty((len(v), groups), "<u4")
     for j in range(groups - 1, -1, -1):
         q = v // 10000
         words[:, j] = _quads()[v - q * 10000]
@@ -78,9 +100,9 @@ def _digits(v, width):
     return words.view(np.uint8)[:, 4 * groups - width:]
 
 
-def _float_cells(x, text, keep):
-    """Write the "%.16e" cells of x into text, shape (n, _FLOAT_WIDTH), and
-    mark in keep (all True on entry) the bytes that belong to each."""
+def _float_cells(x):
+    """The width of the "%.16e" field of x and a function that writes its
+    cells and a separator into (n, width + 1) bytes of the rows."""
     finite = np.isfinite(x)
     zero = x == 0
     a = np.where(finite & ~zero, np.abs(x), 1.0)
@@ -102,44 +124,45 @@ def _float_cells(x, text, keep):
     carry = d == _D_MAX  # 9.99...95e(e) and up round to 1.000...e(e+1)
     d, e = np.where(carry, _D_MIN, d), e + carry
     d, e = np.where(zero, 0, d), np.where(zero, 0, e)
+    wide = bool(slow.any() or (np.abs(e) >= 100).any())
 
-    text[:, 0] = ord("-")
-    digits = _digits(d, 17)
-    text[:, 1] = digits[:, 0]
-    text[:, 2] = ord(".")
-    text[:, 3:19] = digits[:, 1:]
-    text[:, 19] = ord("e")
-    text[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    text[:, 21:] = _digits(np.abs(e), 3)
-    keep[:, 0] = np.signbit(x)
-    keep[:, 21] = np.abs(e) >= 100
-    _python_cells(text, keep, "%.16e", x, slow)
-
-
-def _int_width(v):
-    """Field width of the "%d" cells of v: a sign and the longest magnitude."""
-    return 1 + len(str(max(int(v.max()), -int(v.min()))))
+    def write(field, sep):
+        def store(offset, words, size=8):
+            field[:, offset:offset + size].view(f"<u{size}")[:, 0] = words
+        # the exponent word ends at the separator; each store below overwrites its head
+        store(16 + wide, np.take(_exponents()[int(wide)] | np.uint64(sep << 56), e - _E_MIN))
+        lead, high8 = d // 10 ** 16, d // 10 ** 8
+        store(0, np.signbit(x) * ord("-") + 256 * lead + _LEAD, size=4)
+        for offset, half in ((3, high8 - lead * 10 ** 8), (11, d - high8 * 10 ** 8)):
+            high4 = half // 10000
+            store(offset, _quads()[half - high4 * 10000] << 32 | _quads()[high4])
+        _python_cells(field, "%.16e", x, slow)
+    return 23 + wide, write
 
 
-def _int_cells(v, text, keep):
-    """Write the "%d" cells of v (int64 or uint64) into text and mark in keep
-    (all True on entry) the bytes that belong to each."""
+def _int_cells(v):
+    """The width of the "%d" field of v (int64 or uint64) and a function that
+    writes its cells and a separator into (n, width + 1) bytes of the rows."""
     mag = np.abs(v)
     slow = mag < 0  # int64's minimum, whose magnitude wraps to itself
-    digits = _digits(np.where(slow, 0, mag), text.shape[1] - 1)
-    text[:, 0] = ord("-")
-    text[:, 1:] = digits
-    keep[:, 0] = v < 0
-    keep[:, 1:-1] = np.logical_or.accumulate(digits[:, :-1] != ord("0"), axis=1)
-    _python_cells(text, keep, "%d", v, slow)
+    width = 1 + len(str(max(int(v.max()), -int(v.min()))))  # a sign and the longest magnitude
+
+    def write(field, sep):
+        digits = _digits(np.where(slow, 0, mag), width - 1)
+        field[:, 0] = np.where(v < 0, ord("-"), 0)
+        field[:, 1:width] = np.where(np.logical_or.accumulate(digits != ord("0"), axis=1),
+                                     digits, 0)
+        field[:, width - 1] = digits[:, -1]  # the last digit, even of 0
+        field[:, width] = sep
+        _python_cells(field, "%d", v, slow)
+    return width, write
 
 
-def _python_cells(text, keep, fmt, values, rows):
+def _python_cells(field, fmt, values, rows):
     """Python's fmt % value, left-aligned in its field, for the given rows."""
     for i in np.flatnonzero(rows):
-        cell = np.frombuffer((fmt % values[i].item()).encode(), np.uint8)
-        text[i, :len(cell)] = cell
-        keep[i] = np.arange(text.shape[1]) < len(cell)
+        cell = (fmt % values[i].item()).encode().ljust(field.shape[1] - 1, b"\0")
+        field[i, :-1] = np.frombuffer(cell, np.uint8)
 
 
 def format_rows(columns) -> bytes:
@@ -148,16 +171,12 @@ def format_rows(columns) -> bytes:
     cells = []
     for c in columns:
         if c.dtype.kind in "biu":
-            c = c.astype(np.uint64 if c.dtype.kind == "u" else np.int64)
-            cells.append((_int_cells, c, _int_width(c)))
+            cells.append(_int_cells(c.astype(np.uint64 if c.dtype.kind == "u" else np.int64)))
         else:
-            cells.append((_float_cells, c.astype(np.float64), _FLOAT_WIDTH))
-    text = np.empty((len(columns[0]), sum(w + 1 for _, _, w in cells)), np.uint8)
-    keep = np.ones(text.shape, bool)
+            cells.append(_float_cells(c.astype(np.float64)))
+    text = np.empty((len(columns[0]), sum(width + 1 for width, _ in cells)), np.uint8)
     start = 0
-    for write, values, width in cells:
-        write(values, text[:, start:start + width], keep[:, start:start + width])
-        text[:, start + width] = ord(",")
+    for j, (width, write) in enumerate(cells):
+        write(text[:, start:start + width + 1], ord("\n" if j == len(cells) - 1 else ","))
         start += width + 1
-    text[:, -1] = ord("\n")
-    return text[keep].tobytes()
+    return text.tobytes().replace(b"\0", b"")

@@ -288,14 +288,17 @@ def _check_domain(name, params, seed):
                       params["mass"], params.get("a0", 0.0))
         if params.get("packet") != "plane":  # the Gaussian packet fits the grid
             x0, sigma, p0 = params["x0"], params["sigma"], params["p0"]
+            reach = abs(p0) + evolution.PACKET_MOMENTUM_SPREADS / (2.0 * sigma)
             if msg := evolution.packet_error(n, length, x0, sigma):
                 key = "sigma" if abs(x0) <= length / 2 else "x0"  # off the grid
             elif msg := evolution.momentum_error(n, length, p0, sigma):
                 key = "p0" if abs(p0) >= math.pi * n / length else "sigma"  # p0 alone aliases
-            elif name == "flux" and (msg := evolution.series_error(params["mass"], p0, sigma)):
-                key = "mass"
         elif msg := evolution.mode_error(n, params["k_index"]):
             key = "k_index"
+        else:
+            reach = 2.0 * math.pi * params["k_index"] / length
+        if name == "flux" and not msg and (msg := evolution.series_error(params["mass"], reach)):
+            key = "mass"
         if name == "flux" and not msg and (msg := evolution.flux_term_error(
                 n, length, params["mass"], n_trunc := params["n_trunc_max"])):
             key = "length" if evolution.flux_term_error(n, length, 1.0, n_trunc) else "mass"

@@ -344,13 +344,15 @@ def flux_term_error(n, length, mass, n_trunc):
             "squared and times max(length, 1), a double")
 
 
-def series_error(mass, p0, sigma):
-    """Why the density-flux series of a Gaussian packet of momentum p0 and width
-    sigma diverges at this mass, or None: E(p)'s series in (p / m)^2 converges
-    for |p| < m only.  density_flux_report does not apply this rule."""
-    if abs(p0) + PACKET_MOMENTUM_SPREADS / (2.0 * sigma) < mass:
+def series_error(mass, reach):
+    """Why the density-flux series of a packet whose momenta reach |p| = reach
+    diverges at this mass, or None: E(p)'s series in (p / m)^2 converges for
+    |p| < m only.  A Gaussian packet reaches |p0| + PACKET_MOMENTUM_SPREADS /
+    (2 sigma), a plane wave |2 pi k_index / length|.  density_flux_report does
+    not apply this rule."""
+    if reach < mass:
         return None
-    return f"must exceed the packet's momentum reach |p0| + {PACKET_MOMENTUM_SPREADS:g} / (2 sigma)"
+    return f"must exceed the packet's momentum reach {reach!r}"
 
 
 def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxReport:

@@ -162,6 +162,10 @@ def test_noise_past_its_domain_is_a_validation_error(tmp_path, capsys):
     (["ab", "--flux", "1e30", "--b1-amp", "0"], "ab.flux"),
     (["ab", "--flux", "1e30"], "ab.flux"),
     (["ab", "--flux=-1e300"], "ab.flux"),
+    # a plane wave reaches its own momentum 2 pi k_index / length: 0.117 for mode 30
+    (["flux", "--packet", "plane", "--mass", "1e-10"], "flux.mass"),
+    (["flux", "--packet", "plane", "--mass", "0.1"], "flux.mass"),
+    (["flux", "--packet", "plane", "--mass", "0.5", "--k-index", "200"], "flux.mass"),
 ])
 def test_parameters_past_a_library_domain_fail_before_any_output(tmp_path, capsys, argv, key):
     # checks that need the parameters alone run at validation: exit 2, no directory
@@ -250,11 +254,11 @@ def test_ab_config_counts_field_segments(tmp_path, capsys, section, message):
 
 
 def test_packet_rules_skip_the_plane_wave(tmp_path):
-    # --packet plane samples no Gaussian, so its p0 and sigma are not checked; nor is the
-    # series rule, since every Q_2n of a plane wave vanishes (mode 200 has p = 0.78 > 0.5)
+    # --packet plane samples no Gaussian, so its p0 and sigma are not checked; the series
+    # rule takes the mode's momentum instead (mode 120 has p = 0.469 < 0.5)
     out = tmp_path / "flux"
     assert run_cli(["flux", "--packet", "plane", "--p0", "1e3", "--sigma", "1e-3",
-                    "--mass", "0.5", "--k-index", "200", "--out", out]) == 0
+                    "--mass", "0.5", "--k-index", "120", "--out", out]) == 0
     assert max(read_json(out / "flux_summary.json")["residuals"].values()) < 1e-14
 
 
@@ -573,6 +577,53 @@ def _integer_extremes():
              signed % 2 == 0])
 
 
+# Each case below spans three or more row blocks, so each block sets its own
+# field widths: the formatter sizes a float field by whether some cell of the
+# block needs a third exponent digit, and an integer field by its longest cell.
+LAYOUT_ROWS = 2 * cli.CSV_BLOCK_ROWS + 5
+
+
+def _single_sign_columns():
+    rng = np.random.default_rng(7)
+    magnitudes = rng.random(LAYOUT_ROWS) * 10.0 ** rng.integers(-300, 300, LAYOUT_ROWS)
+    zeros = np.where(rng.random(LAYOUT_ROWS) < 0.5, -0.0, 0.0)
+    return ["positive", "negative", "zeros"], [magnitudes, -magnitudes[::-1], zeros]
+
+
+def _two_digit_exponents_but(odd_cells):
+    """Cells with two-digit exponents in every block, except one cell each in
+    blocks 1, 2, ... given by odd_cells; a second column stays two-digit."""
+    rng = np.random.default_rng(len(odd_cells))
+    rows = (len(odd_cells) + 2) * cli.CSV_BLOCK_ROWS + 5
+    floats = rng.choice([-1.0, 1.0], (2, rows)) * rng.uniform(1.0, 10.0, (2, rows))
+    floats *= 10.0 ** rng.integers(-98, 99, (2, rows))
+    assert np.all((np.abs(floats) >= 1e-99) & (np.abs(floats) < 1e99))
+    for block, cell in enumerate(odd_cells, start=1):
+        floats[0, block * cli.CSV_BLOCK_ROWS + 17] = cell
+    return ["odd", "even"], list(floats)
+
+
+# m / 8 with m odd and m 5^3 of 18 digits: its decimal value ends in a 5 just
+# past the 17th digit, an exact rounding tie that Python's % decides
+TIE = 800000000000001 / 8
+assert len(Decimal(TIE).as_tuple().digits) == 18 and Decimal(TIE).as_tuple().digits[-1] == 5
+
+
+def _ordered_columns(kinds):
+    """Float ("f") and int ("i") columns in the given order; ints of each block
+    have a different longest magnitude."""
+    rng = np.random.default_rng(len(kinds))
+    columns = []
+    for kind in kinds:
+        if kind == "i":
+            digits = np.arange(LAYOUT_ROWS) // cli.CSV_BLOCK_ROWS * 6 + 1
+            columns.append(rng.integers(-10**12, 10**12, LAYOUT_ROWS) % 10**digits - 10**3)
+        else:
+            columns.append(rng.standard_normal(LAYOUT_ROWS) * 10.0 ** rng.integers(-150, 150,
+                                                                                    LAYOUT_ROWS))
+    return [f"{kind}{j}" for j, kind in enumerate(kinds)], columns
+
+
 CSV_CASES = {
     **{str(n): functools.partial(_mixed_columns, n) for n in
        (0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1)},
@@ -581,6 +632,13 @@ CSV_CASES = {
     "dyadic-ties": _dyadic_ties,
     "random-bit-patterns": _random_bit_patterns,
     "integer-extremes": _integer_extremes,
+    "single-sign-columns": _single_sign_columns,
+    "one-three-digit-exponent-cell": functools.partial(_two_digit_exponents_but, [1e-100]),
+    # Python's % decides a tie, a nan, and 1e-300, whose scale is outside the table
+    "one-python-cell": functools.partial(_two_digit_exponents_but, [TIE, -np.nan, -1e-300]),
+    "int-first-float-last": functools.partial(_ordered_columns, "iff"),
+    "float-first-int-last": functools.partial(_ordered_columns, "ffi"),
+    "floats-between-ints": functools.partial(_ordered_columns, "ifffi"),
 }
 
 
@@ -593,12 +651,28 @@ def test_write_csv_matches_per_cell_formatter(tmp_path, case):
     assert digest == hashlib.sha256((tmp_path / "old.csv").read_bytes()).hexdigest()
 
 
+def test_benchmark_size_evolve_snapshots_equal_python_formatting(tmp_path):
+    # the benchmark's evolve run: three 65536-row snapshots of 16 blocks each
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", "--grid-n", "65536", "--steps", "400", "--snapshot-stride", "200",
+                    "--x0", "-40.0", "--out", out]) == 0
+    snapshots = sorted(out.glob("evolve_snap_*.csv"))
+    assert len(snapshots) == 3
+    for path in snapshots:
+        header, body = path.read_bytes().decode().split("\n", 1)
+        rows = [line.split(",") for line in body.splitlines()]
+        assert header == "x,re,im,abs2" and len(rows) == 65536
+        assert body == "".join("%.16e,%.16e,%.16e,%.16e\n" % tuple(map(float, row))
+                               for row in rows)
+
+
 def test_number_tables_are_not_built_at_import():
     proc = subprocess.run([sys.executable, "-c", "import relqlab.cli, relqlab._csvtext as t; "
-                           "print([f.cache_info().currsize for f in (t._pow10_table, t._quads)])"],
+                           "print([f.cache_info().currsize for f in "
+                           "(t._pow10_table, t._quads, t._exponents)])"],
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0]"
 
 
 # Run in a fresh interpreter (argv[1]: CSV path).  Writes a fixed CSV built
@@ -819,6 +893,11 @@ def test_flux_plane_wave_below_the_nyquist_index_runs(tmp_path):
     assert run_cli(["flux", "--packet", "plane", "--k-index", "255", "--out", tmp_path]) == 0
 
 
+def test_flux_plane_wave_inside_the_series_rule_runs(tmp_path):
+    # the default mode 30 reaches p = 2 pi 30 / (512 pi) = 0.117: a mass above it runs
+    assert run_cli(["flux", "--packet", "plane", "--mass", "0.12", "--out", tmp_path]) == 0
+
+
 def test_flux_plane_wave_residual_column(tmp_path):
     out = tmp_path / "flux"
     assert run_cli(["flux", "--packet", "plane", "--out", out]) == 0
@@ -893,7 +972,7 @@ def test_flux_gaussian_monotone(tmp_path):
 @pytest.mark.parametrize("args, monotone", [
     (["--packet", "plane"], True),  # an exact balance: each residual is rounding
     (["--p0", "0"], True),  # at rest d(rho)/dt vanishes: rounding again
-    (["--packet", "plane", "--mass", "0.5", "--k-index", "200"], False),  # 1.25e-16 .. 2.26e-15
+    (["--packet", "plane", "--mass", "0.5", "--k-index", "120"], False),  # 5.6e-17 .. 1.1e-15
     (["--mass", "0.2", "--n-trunc-max", "8"], False),  # rises at orders 7 and 8
 ])
 def test_flux_monotone_allows_for_rounding(tmp_path, args, monotone):

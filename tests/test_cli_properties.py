@@ -57,8 +57,12 @@ def _draw_parameters(data, name):
             params["x0"], params["sigma"], params["p0"] = 0.0, length / 10, 0.0  # and at rest
     if name == "flux":  # the plane-wave index is bounded by the grid drawn above
         params["k_index"] %= params["grid_n"] // 2
-        if evolution.series_error(params["mass"], params["p0"], params["sigma"]):
+        reach = abs(params["p0"]) + evolution.PACKET_MOMENTUM_SPREADS / (2.0 * params["sigma"])
+        if evolution.series_error(params["mass"], reach):
             params["packet"] = "plane"  # a packet whose series diverges stands in as a plane wave
+        if params["packet"] == "plane" and evolution.series_error(
+                params["mass"], 2.0 * np.pi * params["k_index"] / params["length"]):
+            params["k_index"] = 0  # and a mode whose series diverges as the constant one
     if name == "kernel":
         params["eta_max"] = params["eta_min"] * data.draw(st.floats(1.5, 1e3), label="eta ratio")
     noise = {"collapse": "sigma", "ensemble": "sigma", "ab": "b1_amp"}.get(name)
@@ -102,9 +106,23 @@ def test_manifest_parameters_replay_as_a_config_file(name, seed, threads, data):
 
 @PROPERTY_SETTINGS
 @given(rows=st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1)), min_size=1,
-                     max_size=40))
-def test_csv_rows_match_python_formatting(rows):
+                     max_size=40), data=st.data())
+def test_csv_rows_match_python_formatting(rows, data):
     floats = np.array([x for x, _ in rows], dtype=np.float64)
     ints = np.array([i for _, i in rows], dtype=np.int64)
     assert _csvtext.format_rows([floats, ints]) == "".join(
         "%.16e,%d\n" % row for row in rows).encode()
+    # one to four float columns, each of one sign, with two-digit exponents or any, beside
+    # the int column: the layouts whose fields omit a sign or a third exponent digit
+    columns = []
+    for j in range(data.draw(st.integers(1, 4), label="float columns")):
+        sign = data.draw(st.sampled_from([1.0, -1.0]), label=f"sign {j}")
+        cells = data.draw(st.sampled_from([st.floats(1e-99, 1e99), st.floats(0.0)]),
+                          label=f"magnitudes {j}")
+        columns.append(sign * np.array(data.draw(
+            st.lists(cells, min_size=len(rows), max_size=len(rows)), label=f"column {j}")))
+    at = data.draw(st.integers(0, len(columns)), label="int column")
+    columns.insert(at, ints)
+    formats = ",".join(["%.16e"] * at + ["%d"] + ["%.16e"] * (len(columns) - at - 1)) + "\n"
+    assert _csvtext.format_rows(columns) == "".join(
+        formats % tuple(c[i].item() for c in columns) for i in range(len(rows))).encode()

@@ -497,13 +497,21 @@ def test_flux_energies_past_double_range_are_rejected():
 def test_flux_series_rule_bounds_the_packet_momentum_by_the_mass():
     # E(p)'s series in (p / m)^2 converges for |p| < m only: the default packet
     # (p0 0.05, sigma 62.5) reaches 0.05 + 8 / 125 = 0.114
-    assert series_error(1.0, 0.05, 62.5) is None
-    assert series_error(0.2, 0.05, 62.5) is None
-    assert series_error(0.12, -0.05, 62.5) is None
+    def gaussian_reach(p0, sigma):
+        return abs(p0) + PACKET_MOMENTUM_SPREADS / (2.0 * sigma)
+
+    assert series_error(1.0, gaussian_reach(0.05, 62.5)) is None
+    assert series_error(0.2, gaussian_reach(0.05, 62.5)) is None
+    assert series_error(0.12, gaussian_reach(-0.05, 62.5)) is None
     for mass in (0.11, 0.1, 0.03, 0.01, 1e-10):
-        assert series_error(mass, 0.05, 62.5) is not None
-    assert series_error(0.5, 0.0, PACKET_MOMENTUM_SPREADS) is not None  # reaches 0.5 exactly
-    assert series_error(0.5, 0.0, 2.0 * PACKET_MOMENTUM_SPREADS) is None
+        assert series_error(mass, gaussian_reach(0.05, 62.5)) is not None
+    assert series_error(0.5, gaussian_reach(0.0, PACKET_MOMENTUM_SPREADS)) is not None  # exactly
+    assert series_error(0.5, gaussian_reach(0.0, 2.0 * PACKET_MOMENTUM_SPREADS)) is None
+    # a plane wave reaches its own momentum: mode 30 of the default flux box, 0.117
+    plane = 2.0 * np.pi * 30 / (512.0 * np.pi)
+    assert series_error(0.12, plane) is None and series_error(1.0, plane) is None
+    for mass in (0.1, 1e-3, 1e-10):
+        assert series_error(mass, plane) is not None
 
 
 def test_flux_series_inside_the_rule_converges():
