@@ -33,7 +33,7 @@ print("=" * 72)
 print(f"Single trajectories, E0/E1 = 1.25/1.75, start (a0^2, a1^2) = (0.25, 0.75)")
 print("=" * 72)
 for seed in (1, 2, 3):
-    proc = NoiseProcess(delta=1.0, sigma=DEFAULT_SIGMA_STAR, seed=seed)
+    proc = NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=seed)
     traj = run_trajectory(init, sys_, proc, max_steps=100_000, threshold=0.999,
                           history_stride=500)
     a0sq = " ".join(f"{row[1]:.3f}" for row in traj.history[:8])
@@ -42,12 +42,12 @@ for seed in (1, 2, 3):
 
 print()
 print("zero noise and degenerate levels freeze the state exactly:")
-frozen = run_trajectory(init, sys_, NoiseProcess(delta=1.0, sigma=0.0, seed=0),
+frozen = run_trajectory(init, sys_, NoiseProcess(sigma=0.0, seed=0),
                         max_steps=1000, threshold=0.999)
 print(f"  sigma = 0      -> outcome {frozen.outcome}, "
       f"a0^2 constant: {np.all(frozen.history[:, 1] == 0.25)}")
 deg = run_trajectory(init, TwoStateSystem(e0=1.5, e1=1.5),
-                     NoiseProcess(delta=1.0, sigma=0.5, seed=0),
+                     NoiseProcess(sigma=0.5, seed=0),
                      max_steps=1000, threshold=0.999)
 print(f"  e0 = e1        -> outcome {deg.outcome}, "
       f"max |a0^2 - 0.25| = {np.max(np.abs(deg.history[:, 1] - 0.25)):.2e}")
@@ -59,7 +59,7 @@ print("=" * 72)
 print(f"{'sigma':>8} {'median steps':>14} {'unresolved':>11}")
 for mult in (1, 2, 4):
     sigma = mult * DEFAULT_SIGMA_STAR
-    rep = run_ensemble(init, sys_, NoiseProcess(delta=1.0, sigma=sigma, seed=100),
+    rep = run_ensemble(init, sys_, NoiseProcess(sigma=sigma, seed=100),
                        n_runs=200, max_steps=100_000, threshold=0.999)
     print(f"{sigma:>8.2f} {rep.median_steps:>14.0f} {rep.unresolved:>11}")
 
@@ -67,7 +67,7 @@ print()
 print("=" * 72)
 print("Outcome statistics (2000 trajectories)")
 print("=" * 72)
-rep = run_ensemble(init, sys_, NoiseProcess(delta=1.0, sigma=DEFAULT_SIGMA_STAR, seed=7),
+rep = run_ensemble(init, sys_, NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=7),
                    n_runs=2000, max_steps=100_000, threshold=0.999)
 lo, hi = rep.wilson_ci95[1]
 print(f"counts: {rep.counts}, unresolved: {rep.unresolved}")

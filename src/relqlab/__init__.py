@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .specfun import (
     MomentQuery,
-    QuadratureConvergenceError,
     bessel_j1_y1_small,
     gamma_half_integer,
     kernel_moment_closed,
@@ -20,6 +19,7 @@ from .pathweight import (
     Path,
     PathFunctionals,
     PhysicalScale,
+    QuadratureConvergenceError,
     SampledField,
     SeriesTruncationError,
     WeightUndefinedError,
@@ -44,6 +44,7 @@ from .evolution import (
     free_propagate,
     gaussian_packet,
     group_velocity,
+    lambda_general,
     plane_wave,
     schrodinger_overlap,
 )
@@ -57,7 +58,6 @@ from .collapse import (
     TwoStateSystem,
     collapse_step,
     generate_noise,
-    lambda_general,
     lambda_two_state,
     run_ensemble,
     run_trajectory,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integers import is_integer
-from .collapse import NoiseProcess, TwoStateAmplitudes, TwoStateSystem, _trajectory
+from .collapse import NoiseProcess, TwoStateAmplitudes, TwoStateSystem, run_trajectory
 
 ENVELOPE_WIDTH_FRINGES = 4.0  # first zero of the single-slit envelope, in fringe units
 CENTRAL_WINDOW_FRINGES = 2.0  # visibility window: +-2 fringe periods
@@ -99,7 +99,15 @@ def ab_phase(flux):
     return -flux
 
 
-def two_state_for_paths(p_beam, a0_main) -> TwoStateSystem:
+class PathPair(TwoStateSystem):
+    """The left/right paths, which see the potential, and so the noise, with opposite sign."""
+
+    @property
+    def noise_gains(self):
+        return self.kick_gain(0), -self.kick_gain(1)
+
+
+def two_state_for_paths(p_beam, a0_main) -> PathPair:
     """Two-state system of the left/right paths under a uniform potential.
 
     The left path runs with the potential, the right against it, so their
@@ -112,12 +120,7 @@ def two_state_for_paths(p_beam, a0_main) -> TwoStateSystem:
     except OverflowError:  # named by the larger of the two, which drives the square
         big = max(p_beam, a0_main, key=abs)
         raise OverflowError(f"(p_beam +- a0_main)^2 leaves double range (got {big!r})") from None
-    return TwoStateSystem(e0=e_left, e1=e_right)
-
-
-def path_gains(sys: TwoStateSystem):
-    """The kick gains (g0, -g1) of the two paths, which see opposite-sign noise."""
-    return sys.kick_gain(0), -sys.kick_gain(1)
+    return PathPair(e0=e_left, e1=e_right)
 
 
 def _envelope(xi):
@@ -125,8 +128,8 @@ def _envelope(xi):
     return s * s
 
 
-def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPattern:
-    """Screen pattern of a flight, which every electron shares.
+def simulate_ab(cfg: ABConfig, sys: PathPair, threshold=0.999) -> ScreenPattern:
+    """Screen pattern of a flight, which every electron shares (sys from two_state_for_paths).
 
     Unresolved, it is envelope * (1 + cos(2 pi xi + phase_AB)) with
     collapsed_fraction 0.0 and its measured fringe visibility; collapsed, the
@@ -137,8 +140,8 @@ def simulate_ab(cfg: ABConfig, sys: TwoStateSystem, threshold=0.999) -> ScreenPa
                      cfg.screen_points)
     half = 1.0 / math.sqrt(2.0)
     field = NoiseProcess(sigma=cfg.b1_amp, seed=0, mode="alternating")
-    outcome = _trajectory(TwoStateAmplitudes(a0=half, a1=half), path_gains(sys), sys.r_ratio,
-                          field, cfg.segments, threshold, cfg.segments).outcome
+    outcome = run_trajectory(TwoStateAmplitudes(a0=half, a1=half), sys, field, cfg.segments,
+                             threshold, cfg.segments).outcome
     env = _envelope(xi)
     if outcome is None:
         intensity = env * (1.0 + np.cos(2.0 * np.pi * xi + ab_phase(cfg.flux)))

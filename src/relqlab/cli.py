@@ -315,17 +315,15 @@ def _check_domain(name, params, seed):
         raise ValueError(f"kernel.eta_max: must exceed eta_min (got {params['eta_max']!r})")
     if name in ("collapse", "ensemble"):
         _, sys_, _ = check("seed", _collapse_pieces, params, seed)
-        check("sigma", collapse._check_noise, (sys_.kick_gain(0), sys_.kick_gain(1)),
-              sys_.r_ratio, params["sigma"])
+        check("sigma", collapse.check_noise, sys_, params["sigma"])
     if name == "ensemble":
-        check("seed", collapse._check_keys, seed, params["n_runs"])
+        check("seed", collapse.check_keys, seed, params["n_runs"])
     if name == "ab":
         if msg := abexp.flux_error(params["flux"]):
             raise ValueError(f"ab.flux: {msg} (got {params['flux']!r})")
         big = "a0_main" if params["a0_main"] > params["p_beam"] else "p_beam"  # drives the levels
         sys_ = check(big, abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
-        check("b1_amp", collapse._check_noise, abexp.path_gains(sys_), sys_.r_ratio,
-              params["b1_amp"])
+        check("b1_amp", collapse.check_noise, sys_, params["b1_amp"])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ Noise segments are uniform i.i.d. on [-sigma, sigma] (seeded, Philox
 counter-based generator) or the deterministic alternating sequence
 (-1)^n sigma, both drawn by one filler.  Trajectory k of an ensemble uses key
 seed + k, so ensembles are reproducible independently of execution order.
-The scalar loop (width 1, with history; Python floats) and the lockstep
+Level m is kicked by f times the system's noise_gains[m].  The one scalar
+loop, run_trajectory (Python floats, with history), and the lockstep
 ensemble loop (numpy arrays over step-major noise tiles) call the same step
 function, so ensembles are bit-identical to scalar runs, however they are
 split into blocks or across worker processes.  A lockstep trajectory that
@@ -43,12 +44,10 @@ import functools
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolution
 from ._integers import is_integer
 
 AMPLITUDE_FLOOR = 1e-9
@@ -125,6 +124,11 @@ class TwoStateSystem:
     def kick_gain(self, level):
         """N_m / f: the level's linear response to the noise amplitude."""
         return _kick_gain(self.e0 if level == 0 else self.e1)
+
+    @property
+    def noise_gains(self):
+        """(g0, g1): noise f kicks level m by N_m = f g_m; here the kick gains."""
+        return self.kick_gain(0), self.kick_gain(1)
 
 
 @dataclass(frozen=True)
@@ -261,9 +265,10 @@ def _step_kernel(a0, a1, n0, n1, r):
     return b0 / norm, b1 / norm
 
 
-def _ratio_coefficients(g0, g1, r):
+def _ratio_coefficients(sys: TwoStateSystem):
     """(A1, A0, B1, B0) with phi = (1 + s + f (A1 s + A0))/(1 + s + f (B1 s + B0)),
-    the module's phi for kick gains g0, g1; equal levels give A = B exactly."""
+    the module's phi for sys's noise gains (g0, g1); equal levels give A = B exactly."""
+    (g0, g1), r = sys.noise_gains, sys.r_ratio
     gd = g0 - g1
     return -g1, gd / r - g0, -(g1 + gd * r), -g0
 
@@ -313,28 +318,29 @@ def _ratio_bounds(threshold):
     return math.nextafter(lo, 0.0), hi
 
 
-def _check_noise(gains, r, f_max):
-    """phi's numerator and denominator, linear in s >= 0 and in f, stay positive
-    for |f| <= f_max exactly when f_max max|A1, A0, B1, B0| < 1 (A1 = -g1, B0 = -g0)."""
-    worst = f_max * float(np.max(np.abs(_ratio_coefficients(*gains, r))))  # nan if one is
+def check_noise(sys: TwoStateSystem, f_max):
+    """Raise NoiseTooLargeError unless phi's numerator and denominator, linear in
+    s >= 0 and in f, stay positive for |f| <= f_max: exactly when
+    f_max max|A1, A0, B1, B0| < 1 (A1 = -g1, B0 = -g0)."""
+    worst = f_max * float(np.max(np.abs(_ratio_coefficients(sys))))  # nan if one is
     if not worst < 1.0:
         raise NoiseTooLargeError(f"noise amplitude {f_max!r} gives f_max max|A1, A0, B1, B0| = "
                                  f"{worst:.4g}, not < 1: an amplitude can turn negative; "
                                  "reduce sigma")
 
 
-def _check_run(gains, r, proc: NoiseProcess, max_steps, threshold):
+def _check_run(sys: TwoStateSystem, proc: NoiseProcess, max_steps, threshold):
     """The domain both collapse loops share: a threshold in (0.5, 1), a
-    positive step budget and noise that _check_noise accepts."""
+    positive step budget and noise that check_noise accepts."""
     if not (0.5 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold!r}")
     if not is_integer(max_steps) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
-    _check_noise(gains, r, proc.sigma)
+    check_noise(sys, proc.sigma)
 
 
-def _check_keys(seed, n_runs):
-    """Trajectory k of an ensemble keys its Philox stream seed + k."""
+def check_keys(seed, n_runs):
+    """Raise ValueError unless the ensemble's Philox keys seed + k, k < n_runs, fit 128 bits."""
     if seed + n_runs - 1 >= _KEY_LIMIT:
         raise ValueError(f"seed + n_runs - 1 must be < 2**128, got seed {seed!r}")
 
@@ -342,21 +348,26 @@ def _check_keys(seed, n_runs):
 def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStateAmplitudes:
     """Kick with noise value f, mix with the pre-kick linear-model factors,
     renormalize."""
-    g0, g1 = sys.kick_gain(0), sys.kick_gain(1)
-    _check_noise((g0, g1), sys.r_ratio, abs(f))
+    check_noise(sys, abs(f))
+    g0, g1 = sys.noise_gains
     b0, b1 = _step_kernel(a_prev.a0, a_prev.a1, f * g0, f * g1, sys.r_ratio)
     return TwoStateAmplitudes(a0=float(b0), a1=float(b1))
 
 
-def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_steps,
-                threshold, history_stride) -> CollapseTrajectory:
-    """The width-1 loop behind run_trajectory, on Python floats, kicking level m
-    by f * gains[m]; noise chunks double from _FIRST_CHUNK to _CHUNK.  It
-    checks its own arguments, so every caller gets run_trajectory's domain."""
-    _check_run(gains, r, proc, max_steps, threshold)
+def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
+                   max_steps, threshold, history_stride=1) -> CollapseTrajectory:
+    """Iterate collapse steps until one probability reaches the threshold.
+
+    threshold must lie in (0.5, 1).  History records (step, a0^2, a1^2, f),
+    f the step's noise value (0.0 at step 0), at step 0, every
+    history_stride steps, and at termination.  Outcome is the dominant index
+    on collapse, None if max_steps is exhausted first.  Noise chunks double
+    from _FIRST_CHUNK to _CHUNK.
+    """
+    _check_run(sys, proc, max_steps, threshold)
     if not is_integer(history_stride) or history_stride < 1:
         raise ValueError(f"history_stride must be a positive integer, got {history_stride!r}")
-    coef = _ratio_coefficients(*gains, r)
+    coef = _ratio_coefficients(sys)
     lo, hi = _ratio_bounds(threshold)
     rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
     hit = rows[1] >= threshold or rows[2] >= threshold
@@ -377,19 +388,6 @@ def _trajectory(init: TwoStateAmplitudes, gains, r, proc: NoiseProcess, max_step
     outcome = int(s > 1.0) if hit else None
     return CollapseTrajectory(history=np.array(rows).reshape(-1, 4), outcome=outcome,
                               steps_to_collapse=step if hit else None)
-
-
-def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
-                   max_steps, threshold, history_stride=1) -> CollapseTrajectory:
-    """Iterate collapse steps until one probability reaches the threshold.
-
-    threshold must lie in (0.5, 1).  History records (step, a0^2, a1^2, f),
-    f the step's noise value (0.0 at step 0), at step 0, every
-    history_stride steps, and at termination.  Outcome is the dominant index
-    on collapse, None if max_steps is exhausted first.
-    """
-    return _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc,
-                       max_steps, threshold, history_stride)
 
 
 def wilson_interval(successes, trials):
@@ -441,7 +439,7 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     Module-level so that worker processes can run it.
     """
     k0, width = block
-    coef = _ratio_coefficients(sys.kick_gain(0), sys.kick_gain(1), sys.r_ratio)
+    coef = _ratio_coefficients(sys)
     lo, hi = _ratio_bounds(threshold)
     outcome = np.full(width, -1, dtype=np.int64)
     steps_at = np.full(width, -1, dtype=np.int64)
@@ -490,8 +488,7 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
     if (proc_base.mode == "alternating" or init.a0 * init.a0 >= threshold
             or init.a1 * init.a1 >= threshold):
         # deterministic noise, or a state collapsed at step 0: one run stands for all
-        traj = _trajectory(init, (sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base,
-                           max_steps, threshold, max_steps)
+        traj = run_trajectory(init, sys, proc_base, max_steps, threshold, max_steps)
         resolved = traj.outcome is not None
         return (np.full(n_runs, traj.outcome if resolved else -1, dtype=np.int64),
                 np.full(n_runs, traj.steps_to_collapse if resolved else -1, dtype=np.int64))
@@ -523,8 +520,8 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     """
     if not is_integer(n_runs) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
-    _check_keys(proc_base.seed, n_runs)
-    _check_run((sys.kick_gain(0), sys.kick_gain(1)), sys.r_ratio, proc_base, max_steps, threshold)
+    check_keys(proc_base.seed, n_runs)
+    _check_run(sys, proc_base, max_steps, threshold)
     outcome, steps_at = _ensemble_outcomes(init, sys, proc_base, n_runs, max_steps,
                                            threshold, workers)
 
@@ -537,39 +534,3 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     return EnsembleReport(n_runs=int(n_runs), counts=counts, freq=freq, wilson_ci95=ci,
                           unresolved=unresolved, median_steps=median_steps)
 
-
-def lambda_general(psi: evolution.WaveFunction, basis, energies, f: evolution.FieldConfig):
-    """Mixing matrix from its defining form: lambda_nm = <phi_n| RR(x) R^-1 |phi_m>
-    with RR(x) = psi(x) / (R^-1 psi)(x).
-
-    basis must be orthonormal eigenmodes on psi's grid (Gram matrix within
-    1e-10 of the identity) and energies their dispersion eigenvalues.  Grid
-    points where |R^-1 psi| falls below 1e-12 of its maximum are excluded; a
-    warning is issued when the excluded probability mass exceeds 1e-6.  Used
-    to validate the two-state linear model against the defining formula.
-    """
-    grid = psi.grid
-    dx = grid.dx
-    modes = np.asarray([b.values for b in basis])
-    gram = modes.conj() @ modes.T * dx
-    if not np.allclose(gram, np.eye(len(basis)), atol=1e-10):
-        raise ValueError("basis modes must be orthonormal on the grid (Gram within 1e-10)")
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (len(basis),):
-        raise ValueError("need one energy per basis mode")
-
-    rinv_psi = evolution.apply_R(psi, f, inverse=True).values
-    keep = np.abs(rinv_psi) >= 1e-12 * np.max(np.abs(rinv_psi))
-    excluded_mass = float(np.sum(np.abs(psi.values[~keep]) ** 2) * dx)
-    if excluded_mass > 1e-6:
-        warnings.warn(
-            f"lambda_general excluded {np.sum(~keep)} near-zero denominator nodes "
-            f"carrying probability mass {excluded_mass:.3g}",
-            RuntimeWarning,
-        )
-
-    ratio = np.zeros_like(psi.values)
-    ratio[keep] = psi.values[keep] / rinv_psi[keep]
-    r_eigen = evolution._INV_SQRT_2PI_I * energies / np.sqrt(f.mass + energies)
-    lam = (modes.conj() * ratio[None, :]) @ modes.T * dx / r_eigen[None, :]
-    return lam

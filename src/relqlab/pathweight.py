@@ -28,13 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (MAX_MOMENT_ORDER, MomentQuery, QuadratureConvergenceError,
-                      kernel_moment_closed)
+from .specfun import MAX_MOMENT_ORDER, MomentQuery, kernel_moment_closed
 
 _UNIFORM_STEP_RTOL = 1e-12
 PLANE_WAVE_EPS0 = (1e-3, 30.0)  # short_time_plane_wave's declared domain, with |p| tau0 <= 10
 PLANE_WAVE_MAX_PTAU = 10.0
 PLANE_WAVE_RTOL = 1e-11  # largest relative gap it accepts between its 24- and 48-node sums
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Two quadrature rules meant to agree differ beyond their declared bound."""
 
 
 class LightlikeSegmentError(ValueError):

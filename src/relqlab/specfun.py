@@ -46,10 +46,6 @@ MAX_MOMENT_ORDER = 12  # Gamma(2n + 1/2) overflow guard; only small n occur
 MAX_MOMENT_BOUND = 1e307
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """Two quadrature rules meant to agree differ beyond their declared bound."""
-
-
 @dataclass(frozen=True)
 class MomentQuery:
     """Order and dimensionless time for one kernel moment.

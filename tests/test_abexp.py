@@ -40,12 +40,12 @@ def _applied_field(cfg, monkeypatch):
     """The noise process simulate_ab hands to the collapse loop for cfg."""
     seen = []
 
-    def spy(init, gains, r, proc, *rest):
+    def spy(init, sys_, proc, *rest):
         seen.append(proc)
-        return trajectory(init, gains, r, proc, *rest)
+        return trajectory(init, sys_, proc, *rest)
 
-    trajectory = abexp._trajectory
-    monkeypatch.setattr(abexp, "_trajectory", spy)
+    trajectory = abexp.run_trajectory
+    monkeypatch.setattr(abexp, "run_trajectory", spy)
     simulate_ab(cfg, two_state_for_paths(**BEAM))
     assert len(seen) == 1 and seen[0].mode == "alternating"
     return seen[0]

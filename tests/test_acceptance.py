@@ -213,7 +213,7 @@ def _collapse_invariants():
         absorbed &= a.a1 > a.a0
 
     traj = run_trajectory(SYM_INIT, REF_SYS,
-                          NoiseProcess(delta=1.0, sigma=0.0, seed=0), 1000, 0.999)
+                          NoiseProcess(sigma=0.0, seed=0), 1000, 0.999)
     frozen = traj.outcome is None and np.all(traj.history[:, 1] == SYM_INIT.a0**2)
 
     degenerate = TwoStateSystem(e0=1.25, e1=1.25)
@@ -242,14 +242,14 @@ def test_criterion_10_collapse_invariants():
 
 def test_criterion_11_collapse_termination_scaled():
     t0 = time.perf_counter()
-    base = NoiseProcess(delta=1.0, sigma=DEFAULT_SIGMA_STAR, seed=4000)
+    base = NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=4000)
     rep = run_ensemble(SYM_INIT, REF_SYS, base, n_runs=1000, max_steps=100_000,
                        threshold=0.999)
     resolved_frac = 1.0 - rep.unresolved / rep.n_runs
 
     medians = []
     for sigma in (DEFAULT_SIGMA_STAR, 2 * DEFAULT_SIGMA_STAR, 4 * DEFAULT_SIGMA_STAR):
-        proc = NoiseProcess(delta=1.0, sigma=sigma, seed=5000)
+        proc = NoiseProcess(sigma=sigma, seed=5000)
         medians.append(run_ensemble(SYM_INIT, REF_SYS, proc, n_runs=200,
                                     max_steps=100_000, threshold=0.999).median_steps)
     monotone = medians[0] >= medians[1] >= medians[2]
@@ -261,7 +261,7 @@ def test_criterion_11_collapse_termination_scaled():
 
 def test_criterion_12_born_ratio_measurement():
     t0 = time.perf_counter()
-    base = NoiseProcess(delta=1.0, sigma=DEFAULT_SIGMA_STAR, seed=12345)
+    base = NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=12345)
     rep = run_ensemble(SYM_INIT, REF_SYS, base, n_runs=10_000, max_steps=100_000,
                        threshold=0.999)
     freq1 = rep.freq[1]

@@ -1016,7 +1016,7 @@ def test_collapse_history_f_is_the_noise_of_each_step(tmp_path, mode):
                     "--out", out]) == 0
     hist = np.loadtxt(out / "collapse_history.csv", delimiter=",", skiprows=1)
     steps = hist[:, 0].astype(int)
-    proc = collapse.NoiseProcess(delta=1.0, sigma=collapse.DEFAULT_SIGMA_STAR, seed=5,
+    proc = collapse.NoiseProcess(sigma=collapse.DEFAULT_SIGMA_STAR, seed=5,
                                  mode=mode)
     noise = collapse.generate_noise(proc, int(steps[-1]))
     assert steps[0] == 0 and hist[0, 3] == 0.0

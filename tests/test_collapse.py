@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,21 +21,22 @@ from relqlab.collapse import (
     TwoStateSystem,
     collapse_step,
     generate_noise,
-    lambda_general,
     lambda_two_state,
     run_ensemble,
     run_trajectory,
     wilson_interval,
     worker_count,
 )
-from relqlab.evolution import FieldConfig, SpatialGrid, WaveFunction, dispersion, plane_wave
+from relqlab.abexp import PathPair
+from relqlab.evolution import (FieldConfig, SpatialGrid, WaveFunction, dispersion,
+                                lambda_general, plane_wave)
 
 REF_SYS = TwoStateSystem(e0=1.25, e1=1.75)
 SYM_INIT = TwoStateAmplitudes(a0=0.5, a1=math.sqrt(3.0) / 2.0)
 
 
-def uniform_noise(sigma, seed, delta=1.0):
-    return NoiseProcess(delta=delta, sigma=sigma, seed=seed, mode="uniform")
+def uniform_noise(sigma, seed):
+    return NoiseProcess(sigma=sigma, seed=seed, mode="uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +65,9 @@ def test_levels_whose_kick_gain_overflows_are_rejected(e0, e1):
     # a nan gain in any position, or a nan bound, is outside the noise domain
     for gains in ((math.nan, 0.1), (0.1, math.nan)):
         with pytest.raises(NoiseTooLargeError, match="nan, not < 1"):
-            collapse._check_noise(gains, 1.0, 0.5)
+            collapse.check_noise(SimpleNamespace(noise_gains=gains, r_ratio=1.0), 0.5)
     with pytest.raises(NoiseTooLargeError):
-        collapse._check_noise((0.1, 0.2), 1.0, math.nan)
+        collapse.check_noise(SimpleNamespace(noise_gains=(0.1, 0.2), r_ratio=1.0), math.nan)
 
 
 def test_amplitudes_validation():
@@ -79,9 +81,9 @@ def test_noise_process_validation():
     with pytest.raises(ValueError):
         NoiseProcess(delta=0.0, sigma=1.0, seed=0)
     with pytest.raises(ValueError):
-        NoiseProcess(delta=1.0, sigma=-1.0, seed=0)
+        NoiseProcess(sigma=-1.0, seed=0)
     with pytest.raises(ValueError):
-        NoiseProcess(delta=1.0, sigma=1.0, seed=0, mode="pink")
+        NoiseProcess(sigma=1.0, seed=0, mode="pink")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, True, np.True_])
@@ -101,7 +103,7 @@ def test_noise_zero_sigma_is_zero():
 
 
 def test_noise_alternating_sequence():
-    proc = NoiseProcess(delta=1.0, sigma=1.0, seed=0, mode="alternating")
+    proc = NoiseProcess(sigma=1.0, seed=0, mode="alternating")
     np.testing.assert_array_equal(generate_noise(proc, 4), [1.0, -1.0, 1.0, -1.0])
     assert generate_noise(proc, 4).sum() == 0.0
 
@@ -146,7 +148,7 @@ def test_one_fill_over_several_keys_equals_one_philox_draw_per_key(rows, start):
 
 @pytest.mark.parametrize("start", [0, 3, 4, 7, 8])
 def test_alternating_noise_sign_follows_the_absolute_index(start):
-    proc = NoiseProcess(delta=1.0, sigma=0.3, seed=0, mode="alternating")
+    proc = NoiseProcess(sigma=0.3, seed=0, mode="alternating")
     expected = [0.3 if (start + j) % 2 == 0 else -0.3 for j in range(5)]
     rows = np.empty((2, 5))
     collapse._fill_noise(proc, None, [0, 1], start, rows)
@@ -237,9 +239,10 @@ def test_noise_domain_at_the_reference_levels():
 def test_noise_domain_is_where_the_two_amplitude_step_stays_positive(e0, e1, sign):
     # the step's own three stages, over states from s = 1e-12 to 1e12 and both
     # signs of f: positive just inside the limit, negative somewhere just past it
-    sys_ = TwoStateSystem(e0=e0, e1=e1)
-    gains = (sys_.kick_gain(0), sign * sys_.kick_gain(1))
-    limit = 1.0 / max(map(abs, collapse._ratio_coefficients(*gains, sys_.r_ratio)))
+    sys_ = (TwoStateSystem if sign == 1 else PathPair)(e0=e0, e1=e1)
+    gains = sys_.noise_gains
+    assert gains == (sys_.kick_gain(0), sign * sys_.kick_gain(1))
+    limit = 1.0 / max(map(abs, collapse._ratio_coefficients(sys_)))
     s = np.geomspace(1e-12, 1e12, 241)
     states = list(zip((1.0 / np.sqrt(1.0 + s)).tolist(), (1.0 / np.sqrt(1.0 + 1.0 / s)).tolist()))
 
@@ -249,9 +252,9 @@ def test_noise_domain_is_where_the_two_amplitude_step_stays_positive(e0, e1, sig
 
     assert lowest_amplitude(0.999 * limit) > 0.0 and lowest_amplitude(-0.999 * limit) > 0.0
     assert min(lowest_amplitude(1.01 * limit), lowest_amplitude(-1.01 * limit)) < 0.0
-    collapse._check_noise(gains, sys_.r_ratio, 0.999 * limit)
+    collapse.check_noise(sys_, 0.999 * limit)
     with pytest.raises(NoiseTooLargeError):
-        collapse._check_noise(gains, sys_.r_ratio, 1.001 * limit)
+        collapse.check_noise(sys_, 1.001 * limit)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +355,7 @@ def test_ratio_step_agrees_with_collapse_step(e0, e1):
     # step, both against exact arithmetic, over random states and noise
     sys_ = TwoStateSystem(e0=e0, e1=e1)
     g0, g1 = sys_.kick_gain(0), sys_.kick_gain(1)
-    coef = collapse._ratio_coefficients(g0, g1, sys_.r_ratio)
+    coef = collapse._ratio_coefficients(sys_)
     gen = np.random.default_rng(17)
     for a0, n in zip(gen.uniform(0.03, 0.999, 300).tolist(), gen.uniform(-0.25, 0.25, 300)):
         a = TwoStateAmplitudes(a0=a0, a1=math.sqrt(1.0 - a0 * a0))
@@ -409,7 +412,7 @@ def _reference_history(init, sys_, proc, max_steps, threshold):
     """Every step of a trajectory from an explicit loop of ratio-map steps
     over one up-front Philox draw: rows (step, a0^2, a1^2, f)."""
     noise = proc.make_generator().uniform(-proc.sigma, proc.sigma, max_steps)
-    coef = collapse._ratio_coefficients(sys_.kick_gain(0), sys_.kick_gain(1), sys_.r_ratio)
+    coef = collapse._ratio_coefficients(sys_)
     lo, hi = collapse._ratio_bounds(threshold)
     s = collapse._initial_ratio(init)
     rows = [(0, init.a0 * init.a0, init.a1 * init.a1, 0.0)]
@@ -679,7 +682,7 @@ def test_ensemble_rejects_keys_past_128_bits_before_any_work(monkeypatch):
 
 
 def test_ensemble_alternating_broadcasts_one_trajectory():
-    proc = NoiseProcess(delta=1.0, sigma=DEFAULT_SIGMA_STAR, seed=0, mode="alternating")
+    proc = NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=0, mode="alternating")
     traj = run_trajectory(SYM_INIT, REF_SYS, proc, max_steps=100_000, threshold=0.999)
     report = run_ensemble(SYM_INIT, REF_SYS, proc, n_runs=500, max_steps=100_000,
                           threshold=0.999)

@@ -42,7 +42,7 @@ def test_lockstep_equals_scalar_trajectories(seed, layout, u, threshold, max_ste
     sigma, n_runs = layout
     p0 = 1.0 - threshold + u * (2.0 * threshold - 1.0)
     init = TwoStateAmplitudes(a0=math.sqrt(p0), a1=math.sqrt(1.0 - p0))
-    base = NoiseProcess(delta=1.0, sigma=sigma, seed=seed)
+    base = NoiseProcess(sigma=sigma, seed=seed)
     names = "ENSEMBLE_BLOCK", "_CHUNK", "_FIRST_CHUNK", "_SLAB"
     saved = [getattr(collapse, name) for name in names]
     for name, value in zip(names, (block_cap, chunk, first_chunk, slab)):
@@ -66,7 +66,7 @@ def test_lockstep_equals_scalar_trajectories(seed, layout, u, threshold, max_ste
 def test_zero_noise_and_equal_levels_leave_the_ratio_exact(s, e0, e1, f):
     # |f| <= 1 keeps |N| below 0.35 for levels in [1, 5]
     for sys_, noise in ((TwoStateSystem(e0=e0, e1=e1), 0.0), (TwoStateSystem(e0=e0, e1=e0), f)):
-        coef = collapse._ratio_coefficients(sys_.kick_gain(0), sys_.kick_gain(1), sys_.r_ratio)
+        coef = collapse._ratio_coefficients(sys_)
         states = np.array(s)
         assert [collapse._ratio_step(x, noise, coef) for x in s] == s
         assert collapse._ratio_step(states, np.full(states.size, noise), coef).tobytes() \

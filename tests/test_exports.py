@@ -1,6 +1,7 @@
 """Every name relqlab exports is used outside the tests: the library itself
 (its __init__ aside), a demo or the benchmark refers to it, or it is listed in
-KEPT_FOR_TESTS with the reason it stays."""
+KEPT_FOR_TESTS with the reason it stays.  No library module reads another
+module's underscore names."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,32 @@ def test_every_export_is_used_outside_the_tests():
     assert sorted(exported - referenced - KEPT_FOR_TESTS.keys()) == []
     # an allowlist entry that is no longer exported, or has found a use, goes too
     assert sorted(KEPT_FOR_TESTS.keys() - (exported - referenced)) == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _cross_module_private_reads(path):
+    """(line, name) of each underscore name that the module at path imports from a
+    sibling module or reads as an attribute of one.  Whole private modules
+    (from . import _csvtext, from ._integers import is_integer) are allowed."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                for alias in node.names}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is not None:
+            reads += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                      if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in siblings and _private(node.attr)):
+            reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {path.name: reads for path in sorted((ROOT / "src" / "relqlab").glob("*.py"))
+             if (reads := _cross_module_private_reads(path))}
+    assert found == {}

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from relqlab import pathweight
-from relqlab.specfun import QuadratureConvergenceError
 from relqlab.pathweight import (
     LightlikeSegmentError,
     Path,
     PhysicalScale,
+    QuadratureConvergenceError,
     SampledField,
     SeriesTruncationError,
     WeightUndefinedError,

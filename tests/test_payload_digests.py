@@ -31,6 +31,20 @@ RUNS = {  # name: (argv, {payload: sha256})
         "ab_pattern.csv": "7ab1df7f242e4da076e074ddd3a47e136902eeea57917300a3dda6119cd0e3dc",
         "ab_summary.json": "6346e580b15856997177460523237982d91c583d55b27f2c769cba011bf6065f",
     }),
+    # the ensemble's broadcast branch: one deterministic run stands for all (median 821)
+    "ensemble-alternating": (["ensemble", "--mode", "alternating", "--n-runs", "50",
+                              "--max-steps", "3000"], {
+        "ensemble_report.json": "c6d02620910e2e2a3436ef076ccbfdb2c08b280189f5de53019ae8228fdf6022",
+    }),
+    # a state past the threshold at step 0 (median 0)
+    "ensemble-collapsed-at-start": (["ensemble", "--a0-init", "0.9999", "--n-runs", "50"], {
+        "ensemble_report.json": "7bd9382b2da8ec5ed59d62a06c72b729a972582eb129ed40953a19caf7b55d64",
+    }),
+    # a field too weak to collapse the paths: the fringe pattern (visibility 0.99882)
+    "ab-uncollapsed": (["ab", "--b1-amp", "0.05"], {
+        "ab_pattern.csv": "f488f02518d3fbabfc546498f52c5ba8a5c6d6faf379a0bf5217e39fb5256da1",
+        "ab_summary.json": "11593b16bf740febb50f805ccf3ff23425388deeceb4b66c6a92b92cf4fe5d89",
+    }),
     "kernel": (["kernel", "--eta-count", "16"], {
         "kernel_profile.csv": "63d971880718206720c241e1f7c072af284551ae7ca7da3f71a6260151e26703",
     }),
