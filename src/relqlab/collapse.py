@@ -32,10 +32,12 @@ Level m is kicked by f times the system's noise_gains[m].  The one scalar
 loop, run_trajectory (Python floats, with history), and the lockstep
 ensemble loop (numpy arrays over step-major noise tiles) call the same step
 function, so ensembles are bit-identical to scalar runs, however they are
-split into blocks or across worker processes.  A lockstep trajectory that
-collapses is recorded once, then parked at s = 1 under a dead mask; the
-arrays drop parked entries only once they are an eighth of those stepped,
-and at the end of each noise chunk.
+split into blocks or across worker processes.  The lockstep loop checks the
+threshold once per _ROWS steps and records a trajectory at its first
+crossing.  Both loops draw noise in chunks of _FIRST_CHUNK values, then
+_CHUNK after a chunk in which nothing collapsed, else twice the last, up to
+_CHUNK; Philox streams resume from their counter, so neither grouping nor
+chunking changes a value.
 """
 
 from __future__ import annotations
@@ -64,13 +66,16 @@ DEFAULT_SIGMA_STAR = 0.55
 ENSEMBLE_BLOCK = 16384
 
 _SLAB = 128  # noise streams an ensemble fills, scales and transposes at a time
+_ROWS = 16  # lockstep steps between threshold checks
 # Noise values per trajectory in a run's first chunk.  A re-key (one row of one
 # chunk: a Philox state assignment and a `random` call) costs ~2.6 us inside a
 # block, the price of ~200 values.  At sigma 2.2 ~5% of trajectories collapse
 # by step 64 and ~80% by step 128, so a first chunk of 64 re-keys nearly every
-# row again for the next 128 values.  The first chunk sets the widest tile a
-# block touches: 128 x 10000 doubles (9.8 MiB) for a 10000-wide block at
-# sigma 2.2, where 192 would touch ~5 MiB more.
+# row again for the next 128 values.  At sigma 2.2 the first chunk sets the
+# widest tile a block touches: 128 x 10000 doubles (9.8 MiB) for a 10000-wide
+# block, where 192 would touch ~5 MiB more.  A first chunk with no collapse
+# (sigma 0.55) is followed by full _CHUNK ones, which skips the 256 and 512
+# re-keys of rows that would not collapse there either.
 _FIRST_CHUNK = 128
 _CHUNK = 1024  # largest noise chunk per trajectory, a multiple of four, in both loops
 _U64 = (1 << 64) - 1
@@ -273,10 +278,12 @@ def _ratio_coefficients(sys: TwoStateSystem):
     return -g1, gd / r - g0, -(g1 + gd * r), -g0
 
 
-def _ratio_step(s, f, coef):
+def _ratio_step(s, f, coef, out=None):
     """s' = s phi^2 in plain + - * /, so that Python floats and numpy arrays
     round alike; f = 0 gives phi = 1 exactly.  In place, an array step makes
-    four temporaries; phi = (u + f (a1 s + a0)) / (u + f (b1 s + b0)), s' = (s phi) phi."""
+    four temporaries, or three when it writes s' to out, which may be f (read
+    before out is written).  phi = (u + f (a1 s + a0)) / (u + f (b1 s + b0)),
+    s' = (s phi) phi."""
     a1, a0, b1, b0 = coef
     u = 1.0 + s
     num = a1 * s
@@ -288,7 +295,7 @@ def _ratio_step(s, f, coef):
     den *= f
     den += u
     num /= den  # phi
-    out = s * num
+    out = s * num if out is None else np.multiply(s, num, out=out)
     out *= num
     return out
 
@@ -361,8 +368,9 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     threshold must lie in (0.5, 1).  History records (step, a0^2, a1^2, f),
     f the step's noise value (0.0 at step 0), at step 0, every
     history_stride steps, and at termination.  Outcome is the dominant index
-    on collapse, None if max_steps is exhausted first.  Noise chunks double
-    from _FIRST_CHUNK to _CHUNK.
+    on collapse, None if max_steps is exhausted first.  Noise comes in
+    chunks of _FIRST_CHUNK values, then _CHUNK: a chunk that ends with no
+    collapse is followed by a full one.
     """
     _check_run(sys, proc, max_steps, threshold)
     if not is_integer(history_stride) or history_stride < 1:
@@ -382,7 +390,7 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
             hit = s <= lo or s >= hi
             if hit:
                 break
-        span = min(2 * span, _CHUNK)
+        span = _CHUNK  # a chunk ends early on a collapse, so this one saw none
     if rows[-4] != step:
         rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
     outcome = int(s > 1.0) if hit else None
@@ -428,13 +436,15 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     """Advance trajectories k0 .. k0 + width - 1 of a uniform-noise ensemble
     from an initial state short of the threshold.
 
-    Noise comes in chunks whose length starts at _FIRST_CHUNK and doubles up
-    to _CHUNK (multiples of four, so every stream can be resumed from its
-    counter alone); the chunking never changes a value.  A chunk is filled
-    _SLAB live streams at a time into a step-major tile.  A trajectory that
-    collapses mid-chunk is recorded, then parked at s = 1 under a dead mask,
-    which keeps a second trip from being recorded; s and its tile columns are
-    compacted once an eighth of them are dead, and at the chunk's end.
+    Chunk lengths follow the module's rule (multiples of four, so every
+    stream can be resumed from its counter alone).  A chunk is filled _SLAB
+    live streams at a time into a step-major tile.  Each group of _ROWS steps
+    writes its states over the tile rows whose noise it spent; the group's
+    min and max down its rows pick the columns that crossed, and each one not
+    yet dead is recorded at its first crossing row.  Crossed columns are then
+    parked at s = 1 under a dead mask, which keeps a second trip from being
+    recorded; s and its tile columns are compacted once an eighth of them are
+    dead, and at the chunk's end.
     Returns the outcome and collapse-step arrays (-1 where unresolved).
     Module-level so that worker processes can run it.
     """
@@ -460,23 +470,31 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
             tile[:, c:c + _SLAB] = slab.T
         cols = np.arange(live.size)  # the tile column of each entry of s
         dead = np.zeros(live.size, dtype=bool)  # entries of s parked after collapsing
-        for j in range(span):
-            s = _ratio_step(s, tile[j] if s.size == live.size else tile[j, cols], coef)
-            if s.min() <= lo or s.max() >= hi:
-                hit = (s <= lo) | (s >= hi)
-                new = hit & ~dead
+        collapsed = False
+        for j0 in range(0, span, _ROWS):
+            group = tile[j0:j0 + _ROWS, :s.size]  # each row's noise, then its new s
+            for j, row in enumerate(group, j0):
+                s = _ratio_step(s, row if s.size == live.size else tile[j, cols], coef, out=row)
+            hit = np.flatnonzero((group.min(axis=0) <= lo) | (group.max(axis=0) >= hi))
+            if not hit.size:
+                continue
+            new = hit[~dead[hit]]
+            if new.size:
+                trips = group[:, new]
+                first = ((trips <= lo) | (trips >= hi)).argmax(axis=0)  # first crossing row
                 done = live[cols[new]]
-                outcome[done] = s[new] > 1.0
-                steps_at[done] = step + j + 1
-                s[hit] = 1.0  # parked: a0^2 = a1^2 = 1/2 trips no threshold in (0.5, 1)
-                dead |= hit
-                if 8 * np.count_nonzero(dead) >= s.size:
-                    keep = ~dead
-                    s, cols, dead = s[keep], cols[keep], dead[keep]
-                    if not s.size:
-                        break
+                outcome[done] = trips[first, np.arange(new.size)] > 1.0
+                steps_at[done] = step + j0 + first + 1
+                dead[new] = True
+                collapsed = True
+            s[hit] = 1.0  # parked: a0^2 = a1^2 = 1/2 trips no threshold in (0.5, 1)
+            if 8 * np.count_nonzero(dead) >= s.size:
+                keep = ~dead
+                s, cols, dead = s[keep], cols[keep], dead[keep]
+                if not s.size:
+                    break
         step += span
-        span = min(2 * span, _CHUNK)
+        span = min(2 * span, _CHUNK) if collapsed else _CHUNK
         s, live = s[~dead], live[cols[~dead]]  # the next chunk fills live keys only
     return outcome, steps_at
 

@@ -386,8 +386,8 @@ def series_error(mass, reach):
     """Why the density-flux series of a packet whose momenta reach |p| = reach
     diverges at this mass, or None: E(p)'s series in (p / m)^2 converges for
     |p| < m only.  A Gaussian packet reaches |p0| + PACKET_MOMENTUM_SPREADS /
-    (2 sigma), a plane wave |2 pi k_index / length|.  density_flux_report does
-    not apply this rule."""
+    (2 sigma), a plane wave |2 pi k_index / length|; density_flux_report
+    takes the reach from psi's own spectrum."""
     if reach < mass:
         return None
     return f"must exceed the packet's momentum reach {reach!r}"
@@ -405,7 +405,10 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxRepor
     depend on n_trunc >= k; term_magnitudes holds the L2 norms of the terms.
 
     High-order Q functionals amplify spectral roundoff like p_max^(2n); use
-    grids whose momentum range is O(m) when pushing n_trunc up.
+    grids whose momentum range is O(m) when pushing n_trunc up.  ValueError
+    where series_error rejects psi's momentum reach: the largest |p| at which
+    |psi_hat|^2 is at least exp(-PACKET_MOMENTUM_SPREADS^2 / 2) of its peak,
+    for a Gaussian packet exactly |p0| + PACKET_MOMENTUM_SPREADS / (2 sigma).
     """
     if np.any(f.v_samples != 0.0) or f.a0 != 0.0:
         raise ValueError("density_flux_report is derived for the free case: V = 0, a0 = 0")
@@ -419,7 +422,13 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxRepor
     def l2(values):
         return math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
     values = psi.values
-    h_psi = np.fft.ifft(dispersion(grid.p, f) * np.fft.fft(values))
+    spectrum = np.fft.fft(values)
+    power = np.abs(spectrum) ** 2
+    tail = math.exp(-PACKET_MOMENTUM_SPREADS ** 2 / 2.0) * power.max()
+    reach = float(np.max(np.abs(grid.p[power >= tail])))
+    if msg := series_error(f.mass, reach):
+        raise ValueError(f"mass {msg}, got mass={f.mass!r}")
+    h_psi = np.fft.ifft(dispersion(grid.p, f) * spectrum)
     residual, norms = 2.0 * (np.conj(values) * h_psi).imag, []
     for n in range(1, n_trunc + 1):
         d2n = spectral_derivative(values, grid, 2 * n)

@@ -104,18 +104,14 @@ class Path:
         """Piecewise-constant segment velocities (may exceed 1)."""
         return np.diff(self.positions) / self.dt
 
-    @property
-    def duration(self):
-        return float(self.times[-1] - self.times[0])
-
 
 @dataclass(frozen=True)
 class PathFunctionals:
     """Momentum, kinetic, and proper-time functionals of one path.
 
-    All three are real (pbb, pcal >= 0; 0 < dtau <= duration) whenever every
-    segment is subluminal; superluminal segments rotate them into the complex
-    plane through the branch rule.
+    All three are real (pbb, pcal >= 0; 0 < dtau <= the path's duration)
+    whenever every segment is subluminal; superluminal segments rotate them
+    into the complex plane through the branch rule.
     """
 
     pbb: complex

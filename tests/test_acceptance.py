@@ -231,13 +231,40 @@ def _collapse_invariants():
     return absorbed, frozen, deg_ok, norm_ok
 
 
+def _engine_invariants():
+    """Absorption, degeneracy freeze and normalization on the engines the CLI
+    runs: run_trajectory, and run_ensemble's broadcast and lockstep loops."""
+    at = TwoStateAmplitudes(a0=math.sqrt(1.0 - 0.999), a1=math.sqrt(0.999))
+    noise = NoiseProcess(sigma=DEFAULT_SIGMA_STAR, seed=10)
+    traj = run_trajectory(at, REF_SYS, noise, 1000, at.a1**2)
+    absorbed = (traj.outcome, traj.steps_to_collapse) == (1, 0)
+
+    # phi = 1 exactly for equal levels; a0^2 = 1/8 is reported alike from the
+    # amplitudes (row 0) and from the ratio state (every later row)
+    degenerate = TwoStateSystem(e0=1.25, e1=1.25)
+    eighth = TwoStateAmplitudes(a0=math.sqrt(0.125), a1=math.sqrt(0.875))
+    probs = run_trajectory(eighth, degenerate, noise, 1000, 0.999).history[:, 1:3]
+    deg_ok = probs.shape[0] == 1001 and bool(np.all(probs == probs[0]))
+
+    probs = run_trajectory(SYM_INIT, REF_SYS, noise, 1000, 0.999).history[:, 1:3]
+    norm_ok = bool(np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12))
+
+    # the frozen ensemble steps every row group of every chunk with no crossing
+    ens_absorbed = run_ensemble(at, REF_SYS, noise, 50, 1000, at.a1**2).median_steps == 0.0
+    ens_frozen = run_ensemble(SYM_INIT, degenerate, noise, 200, 1000, 0.999).unresolved == 200
+    return absorbed, deg_ok, norm_ok, ens_absorbed, ens_frozen
+
+
 def test_criterion_10_collapse_invariants():
     t0 = time.perf_counter()
     absorbed, frozen, deg_ok, norm_ok = _collapse_invariants()
-    ok = absorbed and frozen and deg_ok and norm_ok
+    engine = _engine_invariants()
+    ok = absorbed and frozen and deg_ok and norm_ok and all(engine)
     finish(10, "collapse invariants", ok,
            f"absorption={absorbed}, zero-noise freeze={frozen}, "
-           f"degeneracy freeze={deg_ok}, normalization={norm_ok}", t0, 5)
+           f"degeneracy freeze={deg_ok}, normalization={norm_ok}; engines: "
+           "absorption={}, degeneracy freeze={}, normalization={}, "
+           "ensemble absorption={}, ensemble freeze={}".format(*engine), t0, 5)
 
 
 def test_criterion_11_collapse_termination_scaled():

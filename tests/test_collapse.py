@@ -527,7 +527,9 @@ def test_ensemble_split_matches_scalar_trajectories_bitwise(scalar_reference, mo
 def test_ensemble_refills_only_live_trajectories_once_per_chunk(monkeypatch):
     # each chunk re-keys one row for every trajectory live at its start, and no
     # other: trajectory k is filled at chunk start c exactly when it collapses
-    # after step c or not at all
+    # after step c or not at all.  At sigma 2.2 trajectories collapse within
+    # every chunk, whose spans double up to _CHUNK; at sigma 0.55 none does
+    # within the first chunk, so the second is _CHUNK long.
     fills = []
     fill = collapse._fill_noise
 
@@ -536,23 +538,31 @@ def test_ensemble_refills_only_live_trajectories_once_per_chunk(monkeypatch):
         fill(proc, gen, keys, start, out)
 
     monkeypatch.setattr(collapse, "_fill_noise", counted)
-    base, n_runs, max_steps = uniform_noise(2.2, 7), 2000, 100_000
-    _, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, n_runs, max_steps, 0.999, 1)
+    for sigma, seed, n_runs, max_steps in ((2.2, 7, 2000, 100_000), (0.55, 8, 500, 5000)):
+        fills.clear()
+        base = uniform_noise(sigma, seed)
+        _, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, base, n_runs, max_steps,
+                                               0.999, 1)
 
-    expected, start, span = [], 0, collapse._FIRST_CHUNK
-    while start < max_steps:
-        span = min(span, collapse._CHUNK, max_steps - start)
-        live = [base.seed + k for k in range(n_runs) if steps[k] > start or steps[k] == -1]
-        if not live:
-            break
-        expected.append((start, live, span))
-        start, span = start + span, 2 * span
-    got = {}
-    for start, keys, span in fills:
-        assert got.setdefault(start, ([], span))[1] == span
-        got[start][0].extend(keys)
-    # the rows (keys) and values (rows x span) filled at each chunk start
-    assert [(start, keys, span) for start, (keys, span) in sorted(got.items())] == expected
+        expected, start, span = [], 0, collapse._FIRST_CHUNK
+        while start < max_steps:
+            span = min(span, max_steps - start)
+            live = [base.seed + k for k in range(n_runs) if steps[k] > start or steps[k] == -1]
+            if not live:
+                break
+            expected.append((start, live, span))
+            collapsed = any(start < k <= start + span for k in steps)
+            start += span
+            span = min(2 * span, collapse._CHUNK) if collapsed else collapse._CHUNK
+        got = {}
+        for start, keys, span in fills:
+            assert got.setdefault(start, ([], span))[1] == span
+            got[start][0].extend(keys)
+        # the rows (keys) and values (rows x span) filled at each chunk start
+        assert [(start, keys, span) for start, (keys, span) in sorted(got.items())] == expected
+        if sigma == 0.55:
+            assert steps.min() > collapse._FIRST_CHUNK
+            assert expected[1][0::2] == (collapse._FIRST_CHUNK, collapse._CHUNK)
 
 
 def _collapse_step_runs(init, base, n_runs, max_steps, threshold):

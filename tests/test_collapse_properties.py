@@ -32,20 +32,26 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, d
        u=st.floats(0.0, 1.0), threshold=st.floats(0.51, 0.99999),
        max_steps=st.integers(1, 3000), chunk=st.integers(1, 512).map(lambda q: 4 * q),
        block_cap=st.integers(1, 320), slab=st.integers(1, 160),
-       workers=st.sampled_from([1, 2]), first_chunk=st.integers(1, 256).map(lambda q: 4 * q))
+       workers=st.sampled_from([1, 2]), first_chunk=st.integers(1, 256).map(lambda q: 4 * q),
+       rows=st.integers(1, 64))
 # one 300-wide block, first chunk 64, in which parked columns trip again 14 times before
 # compaction
 @example(seed=1, layout=(2.8, 300), u=0.9, threshold=0.8, max_steps=3000, chunk=1024,
-         block_cap=320, slab=128, workers=1, first_chunk=64)
+         block_cap=320, slab=128, workers=1, first_chunk=64, rows=1)
+# a0^2 = 0.5 in a narrow band: trajectories cross and come back inside it within one
+# 16-step group, so only each one's first crossing may count
+@example(seed=1, layout=(2.2, 300), u=0.5, threshold=0.51, max_steps=3000, chunk=1024,
+         block_cap=320, slab=128, workers=1, first_chunk=128, rows=16)
 def test_lockstep_equals_scalar_trajectories(seed, layout, u, threshold, max_steps,
-                                             chunk, block_cap, slab, workers, first_chunk):
+                                             chunk, block_cap, slab, workers, first_chunk,
+                                             rows):
     sigma, n_runs = layout
     p0 = 1.0 - threshold + u * (2.0 * threshold - 1.0)
     init = TwoStateAmplitudes(a0=math.sqrt(p0), a1=math.sqrt(1.0 - p0))
     base = NoiseProcess(sigma=sigma, seed=seed)
-    names = "ENSEMBLE_BLOCK", "_CHUNK", "_FIRST_CHUNK", "_SLAB"
+    names = "ENSEMBLE_BLOCK", "_CHUNK", "_FIRST_CHUNK", "_SLAB", "_ROWS"
     saved = [getattr(collapse, name) for name in names]
-    for name, value in zip(names, (block_cap, chunk, first_chunk, slab)):
+    for name, value in zip(names, (block_cap, chunk, first_chunk, slab, rows)):
         setattr(collapse, name, value)
     try:
         outcome, steps = collapse._ensemble_outcomes(init, REF_SYS, base, n_runs, max_steps,

@@ -514,6 +514,16 @@ def test_flux_series_rule_bounds_the_packet_momentum_by_the_mass():
         assert series_error(mass, plane) is not None
 
 
+@pytest.mark.parametrize("mass", [0.1, 0.01])
+def test_flux_report_refuses_a_packet_past_the_series_radius(mass):
+    # the report applies series_error itself, with the reach read off psi's
+    # spectrum: the default packet's sampled reach is 0.1133 (at mass 0.01 the
+    # series would diverge, residuals 3.06e-3 ... 1.22e3)
+    psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
+    with pytest.raises(ValueError, match="momentum reach 0.1132"):
+        density_flux_report(psi, FieldConfig.free(mass, FLUX_GRID), n_trunc=5)
+
+
 def test_flux_series_inside_the_rule_converges():
     # at mass 0.2 the default packet reaches 0.114 / 0.2 of the radius of convergence
     psi = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)

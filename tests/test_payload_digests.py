@@ -40,6 +40,17 @@ RUNS = {  # name: (argv, {payload: sha256})
     "ensemble-collapsed-at-start": (["ensemble", "--a0-init", "0.9999", "--n-runs", "50"], {
         "ensemble_report.json": "7bd9382b2da8ec5ed59d62a06c72b729a972582eb129ed40953a19caf7b55d64",
     }),
+    # narrow bands: in the first, trajectories cross the threshold and come back
+    # within one lockstep row group (median 1); in the second, collapse comes
+    # within the first noise chunk (median 53)
+    "ensemble-narrow-band": (["ensemble", "--a0-init", "0.7071067811865476", "--threshold",
+                              "0.51", "--sigma", "2.2", "--n-runs", "300"], {
+        "ensemble_report.json": "e0b9ccf4160a5c50b9da9f206ab1d647fef28f9ec0dcc43f4f267659d92def35",
+    }),
+    "ensemble-near-band": (["ensemble", "--a0-init", "0.7", "--threshold", "0.55",
+                            "--n-runs", "300"], {
+        "ensemble_report.json": "9945ceba3dddc090ac2c565266a4136b1b0094cc9b7f7ad08512d90db6a35ce1",
+    }),
     # a field too weak to collapse the paths: the fringe pattern (visibility 0.99882)
     "ab-uncollapsed": (["ab", "--b1-amp", "0.05"], {
         "ab_pattern.csv": "f488f02518d3fbabfc546498f52c5ba8a5c6d6faf379a0bf5217e39fb5256da1",
