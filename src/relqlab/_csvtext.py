@@ -13,17 +13,24 @@ only, so no digit depends on FMA or the SIMD target.  The product is within
 2^-47 of the true value in units of the last digit, so D is exact unless the
 value lies within _TIE_MARGIN of a rounding tie.
 
-Python's "%" formats the cells this cannot decide, into the same field:
-those near a tie, non-finite ones, those whose scale 10^(16-e) lies outside
-the table (where a split could overflow), and int64's minimum, whose
-magnitude does not fit an int64.
+One exact test sorts the cells: the fast range 1e-273 <= |x| < 1e298, where
+e, its guess and a carry all index the table.  Zeros and the cells outside it
+are set aside by index, and so are the few cells whose guess is off by one
+or whose rounding carries into the next power of ten; those corrections run
+only when some cell of the block needs them.  A zero is written on the fast
+path with D = 0 and e = 0.  Python's "%" formats the cells this cannot
+decide, into the same field: those near a tie, the others outside the fast
+range (non-finite ones, subnormals and magnitudes whose scale 10^(16-e) the
+table does not hold, where a split could overflow), and int64's minimum,
+whose magnitude does not fit an int64.
 
 A block is one buffer of equal rows; each field's width comes from the
-block's own cells (a float field has a third exponent digit only if some cell
-needs one or goes to Python).  A float cell is four little-endian word stores
-through strided views; a byte a cell omits (a "+" sign, an unused exponent
-digit, an integer's leading zero) is left NUL, and the NULs, which CSV text
-never holds, are removed once per block.
+block's own cells (a float field has a sign byte only if some cell is
+negative, and a third exponent digit only if some cell needs one or goes to
+Python).  A float cell is four little-endian word stores through strided
+views; a byte a cell omits (a "+" sign, an unused exponent digit, an
+integer's leading zero) is left NUL, and the NULs, which CSV text never
+holds, are removed once per block.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import functools
 
 import numpy as np
 
-_K_MIN, _K_MAX = -282, 290  # scale exponents in the table; 10^k and |x| split safely
-_E_MIN, _E_MAX = -324, 308  # decimal exponents of non-zero doubles
+_E_LO, _E_HI = -274, 298  # exponents e whose scale 10^(16-e) the table holds
+_A_LO, _A_HI = 1e-273, 1e298  # the fast range of |x|: e, its guess and a carry stay in the table
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 _TIE_MARGIN = 2.0 ** -30  # in units of the last digit, far above the product's error
 _D_MIN, _D_MAX = 10 ** 16, 10 ** 17
@@ -48,22 +55,22 @@ def _split(x):
 
 @functools.cache  # built on first use, not at import
 def _pow10_table():
-    """Columns hi, lo and hi's split halves of 10^k for k in [_K_MIN, _K_MAX]:
-    hi is 10^k correctly rounded by Python's int division, lo the rounded
-    exact residual 10^k - hi, from integers."""
+    """Row e - _E_LO for e in [_E_LO, _E_HI]: hi, lo and hi's split halves of
+    10^k, k = 16 - e; hi is 10^k correctly rounded by Python's int division,
+    lo the rounded exact residual 10^k - hi, from integers."""
     rows = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    for e in range(_E_LO, _E_HI + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
         hi = num / den
         hi_num, hi_den = hi.as_integer_ratio()
         rows.append((hi, (num * hi_den - hi_num * den) / (den * hi_den), *_split(hi)))
-    return np.ascontiguousarray(np.array(rows).T)
+    return np.array(rows)
 
 
-def _scaled(a, a_hi, a_lo, k):
-    """a 10^k as p + lo, p = fl(a hi): an exact two-product plus a lo."""
-    k = k - _K_MIN
-    hi, lo, hi_hi, hi_lo = (np.take(column, k) for column in _pow10_table())
+def _scaled(a, a_hi, a_lo, rows):
+    """a 10^(16-e) as p + lo, p = fl(a hi), for the table rows of e: an exact
+    two-product plus a lo."""
+    hi, lo, hi_hi, hi_lo = np.take(_pow10_table(), rows, axis=0).T
     p = a * hi
     err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
     return p, err + a * lo
@@ -78,12 +85,12 @@ def _quads():
 
 @functools.cache  # built on first use, not at import
 def _exponents():
-    """For e in [_E_MIN, _E_MAX], the little-endian word of the last 8 bytes
+    """For e in [_E_LO, _E_HI], the little-endian word of the last 8 bytes
     of a float field with a NUL separator: "e±EE" in row 0 (two exponent
     digits), "e±HEE" in row 1 (three, H NUL where |e| < 100)."""
     def word(text):
         return int.from_bytes(text.rjust(7, b"\0") + b"\0", "little")
-    texts = [b"e%+04d" % e for e in range(_E_MIN, _E_MAX + 1)]
+    texts = [b"e%+04d" % e for e in range(_E_LO, _E_HI + 1)]
     return np.array([[word(t[:2] + t[3:]) for t in texts],
                      [word(t[:2] + t[2:3].replace(b"0", b"\0") + t[3:]) for t in texts]],
                     np.uint64)
@@ -103,41 +110,55 @@ def _digits(v, width):
 def _float_cells(x):
     """The width of the "%.16e" field of x and a function that writes its
     cells and a separator into (n, width + 1) bytes of the rows."""
-    finite = np.isfinite(x)
-    zero = x == 0
-    a = np.where(finite & ~zero, np.abs(x), 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    fast = finite & (e >= 17 - _K_MAX) & (e <= 15 - _K_MIN)  # 16 - e +- 1 in the table
-    a, e = np.where(fast, a, 1.0), np.where(fast, e, 0)
+    a = np.abs(x)
+    odd = np.flatnonzero(~((a >= _A_LO) & (a < _A_HI)))  # zero, non-finite or out of range
+    if odd.size:
+        a[odd] = 2.0  # a stand-in with e = 0, D = 2 10^16 and lo = 0: no correction, no tie
+    # table rows e - _E_LO of the guesses of e: log10 is within one of the
+    # true e, and so is the truncation (a floor: the sum is positive)
+    row = (np.log10(a) - _E_LO).astype(np.int64)
     a_hi, a_lo = _split(a)
-    p, lo = _scaled(a, a_hi, a_lo, 16 - e)
-    # the guess is off by one where the unrounded product leaves [10^16, 10^17)
-    low = (p < _D_MIN) | ((p == _D_MIN) & (lo < 0))
-    high = (p > _D_MAX) | ((p == _D_MAX) & (lo >= 0))
-    fix = np.flatnonzero(low | high)
+    p, lo = _scaled(a, a_hi, a_lo, row)
+    # the guess is off by one where the unrounded product leaves [10^16, 10^17);
+    # rounding is monotonic and both bounds are doubles, so only where p reaches one
+    fix = np.flatnonzero((p <= _D_MIN) | (p >= _D_MAX))
     if fix.size:
-        e[fix] += np.where(high[fix], 1, -1)
-        p[fix], lo[fix] = _scaled(a[fix], a_hi[fix], a_lo[fix], 16 - e[fix])
-    n = np.floor(lo + 0.5)  # ties never reach this rounding: Python decides them
-    slow = ~fast | (np.abs(lo - n) > 0.5 - _TIE_MARGIN)
+        pf, lf = p[fix], lo[fix]
+        row[fix] += (((pf > _D_MAX) | ((pf == _D_MAX) & (lf >= 0))).astype(np.int64)
+                     - ((pf < _D_MIN) | ((pf == _D_MIN) & (lf < 0))))
+        p[fix], lo[fix] = _scaled(a[fix], a_hi[fix], a_lo[fix], row[fix])
+    n = np.rint(lo)  # ties never reach this rounding: Python decides them
     d = p.astype(np.int64) + n.astype(np.int64)
-    carry = d == _D_MAX  # 9.99...95e(e) and up round to 1.000...e(e+1)
-    d, e = np.where(carry, _D_MIN, d), e + carry
-    d, e = np.where(zero, 0, d), np.where(zero, 0, e)
-    wide = bool(slow.any() or (np.abs(e) >= 100).any())
+    carry = np.flatnonzero(d == _D_MAX)  # 9.99...95e(e) and up round to 1.000...e(e+1)
+    if carry.size:
+        d[carry] = _D_MIN
+        row[carry] += 1
+    slow = np.flatnonzero(np.abs(lo - n) > 0.5 - _TIE_MARGIN)
+    if odd.size:
+        zero = x[odd] == 0
+        d[odd[zero]] = 0
+        slow = np.concatenate([slow, odd[~zero]])
+    wide = bool(slow.size or row.min() <= -100 - _E_LO or row.max() >= 100 - _E_LO)
+    neg = np.signbit(x)
+    signed = bool(neg.any())
+    width = 22 + signed + wide
 
     def write(field, sep):
         def store(offset, words, size=8):
             field[:, offset:offset + size].view(f"<u{size}")[:, 0] = words
         # the exponent word ends at the separator; each store below overwrites its head
-        store(16 + wide, np.take(_exponents()[int(wide)] | np.uint64(sep << 56), e - _E_MIN))
+        store(width - 7, np.take(_exponents()[int(wide)] | np.uint64(sep << 56), row))
         lead, high8 = d // 10 ** 16, d // 10 ** 8
-        store(0, np.signbit(x) * ord("-") + 256 * lead + _LEAD, size=4)
-        for offset, half in ((3, high8 - lead * 10 ** 8), (11, d - high8 * 10 ** 8)):
+        if signed:
+            store(0, neg * ord("-") + 256 * lead + _LEAD, size=4)
+        else:  # the word without its sign byte
+            store(0, lead + (_LEAD >> 8), size=4)
+        for offset, half in ((2 + signed, high8 - lead * 10 ** 8),
+                             (10 + signed, d - high8 * 10 ** 8)):
             high4 = half // 10000
             store(offset, _quads()[half - high4 * 10000] << 32 | _quads()[high4])
         _python_cells(field, "%.16e", x, slow)
-    return 23 + wide, write
+    return width, write
 
 
 def _int_cells(v):
@@ -154,13 +175,13 @@ def _int_cells(v):
                                      digits, 0)
         field[:, width - 1] = digits[:, -1]  # the last digit, even of 0
         field[:, width] = sep
-        _python_cells(field, "%d", v, slow)
+        _python_cells(field, "%d", v, np.flatnonzero(slow))
     return width, write
 
 
 def _python_cells(field, fmt, values, rows):
-    """Python's fmt % value, left-aligned in its field, for the given rows."""
-    for i in np.flatnonzero(rows):
+    """Python's fmt % value, left-aligned in its field, for the given row indices."""
+    for i in rows:
         cell = (fmt % values[i].item()).encode().ljust(field.shape[1] - 1, b"\0")
         field[i, :-1] = np.frombuffer(cell, np.uint8)
 

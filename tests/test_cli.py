@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relqlab import cli, collapse, evolution
+from relqlab import _csvtext, cli, collapse, evolution
 
 
 def run_cli(args):
@@ -649,6 +649,57 @@ def test_write_csv_matches_per_cell_formatter(tmp_path, case):
     _write_csv_reference(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert digest == hashlib.sha256((tmp_path / "old.csv").read_bytes()).hexdigest()
+
+
+def _percent_e(values):
+    """Python's "%.16e" of each value, one per line."""
+    return "".join("%.16e\n" % v for v in np.asarray(values).tolist()).encode()
+
+
+# Float64 bit patterns of cells that take the formatter's rarer branches: an
+# exponent guess one too high (the scaled product inside and at the bound
+# 10^16), and roundings that carry into the next power of ten
+GUESS_ONE_HIGH = (0x0775A391D56BDC86, 0x0775A391D56BDC87)  # 9.999999999999998e-273, 1e-272
+CARRIES = (0x3D06849B86A12B9B, 0x0D7B4FEB7EB212CD)  # 1e-14, 1e-243
+
+
+def _format_edge_cells():
+    branch = np.array(GUESS_ONE_HIGH + CARRIES, np.uint64).view(np.float64)
+    specials = np.array([(2**53 - 1) / 4,  # an exact tie: 2251799813685247.75
+                         0.0, 5e-324, np.finfo(np.float64).max, np.inf, np.nan])
+    return np.concatenate([
+        _with_ulp_neighbours([1e-273, 1e298], ulps=1),  # the fast range's bounds
+        _with_ulp_neighbours([float(f"1e{k}") for k in range(-323, 309)], ulps=1),
+        branch, -branch, specials, -specials])
+
+
+def test_format_rows_edge_cells_match_python_formatting():
+    cells = _format_edge_cells()
+    assert _csvtext.format_rows([cells]) == _percent_e(cells)
+    # alone, a cell sets its block's layout: a sign byte or a third exponent
+    # digit only if it needs one
+    for cell in cells:
+        assert _csvtext.format_rows([np.array([cell])]) == _percent_e([cell])
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_format_rows_corrects_exponent_guesses_off_by_one_either_way(monkeypatch, shift):
+    # np.log10 only seeds each exponent: moved by half a decade, the guess is
+    # one off for about half of the cells, all in one direction
+    rng = np.random.default_rng(3)
+    cells = np.concatenate([_format_edge_cells(),
+                            rng.standard_normal(4096) * 10.0 ** rng.uniform(-30, 30, 4096)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert _csvtext.format_rows([cells]) == _percent_e(cells)
+
+
+def test_format_rows_random_bit_patterns_in_one_block_or_many():
+    cells = np.random.default_rng(16).integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64)
+    text = _percent_e(cells)
+    assert _csvtext.format_rows([cells]) == text
+    assert b"".join(_csvtext.format_rows([cells[start:start + cli.CSV_BLOCK_ROWS]])
+                    for start in range(0, len(cells), cli.CSV_BLOCK_ROWS)) == text
 
 
 def test_benchmark_size_evolve_snapshots_equal_python_formatting(tmp_path):

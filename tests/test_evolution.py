@@ -539,3 +539,49 @@ def test_flux_validation():
     with_v = FieldConfig(a0=0.0, v_samples=np.full(FLUX_GRID.n, 0.1), mass=1.0)
     with pytest.raises(ValueError):
         density_flux_report(psi, with_v, n_trunc=2)
+
+
+def _dense_propagator(grid, f, t):
+    """exp(-i H t) for H = F^-1 diag(E(p)) F + diag(V), diagonalized densely by
+    np.linalg.eigh.  The kinetic part is summed over the grid's plane waves
+    directly, with no FFT, so it shares no code with evolve."""
+    waves = np.exp(1j * np.outer(grid.x, grid.p))
+    h = (waves * dispersion(grid.p, f)) @ waves.conj().T / grid.n + np.diag(f.v_samples)
+    w, u = np.linalg.eigh(h)
+    return (u * np.exp(-1j * w * t)) @ u.conj().T
+
+
+# Potentials for the dense oracle, with the constant C of the Strang bound
+# |evolve - exact| <= C dt^2 at t = 2, fixed before any run from an earlier
+# estimate for criterion 4's cosine (errors 6.42e-7 / 1.61e-7 / 4.01e-8 at
+# dt = 0.1 / 0.05 / 0.025, C = 6.4e-5): the cosine takes C = 1e-4, and the
+# Gaussian well, whose slope and curvature under the packet are about ten
+# times the cosine's, takes 2e-3.  Measured with this oracle, C is 1.49e-5 for
+# the cosine (at n = 128, 256 and 1024 alike) and 1.26e-4 for the well.
+STRANG_POTENTIALS = {
+    "cosine": (lambda x: 0.5 * np.cos(2.0 * np.pi * x / 200.0), 1e-4),
+    "gaussian-well": (lambda x: -0.4 * np.exp(-(((x + 15.0) / 10.0) ** 2)), 2e-3),
+}
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("potential", STRANG_POTENTIALS)
+def test_strang_error_against_a_dense_propagator_is_second_order(potential, n):
+    v, c = STRANG_POTENTIALS[potential]
+    grid = SpatialGrid(n=n, length=200.0)
+    f = FieldConfig(a0=0.0, v_samples=v(grid.x), mass=1.0)
+    psi = gaussian_packet(grid, -20.0, 8.0, 0.4)
+    exact = _dense_propagator(grid, f, 2.0) @ psi.values
+    for dt in (0.1, 0.05, 0.025):
+        got = evolve(psi, f, dt, round(2.0 / dt)).values
+        assert l2(grid, got - exact) <= c * dt * dt, dt
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_dense_propagator_is_free_propagate_at_v_zero(n):
+    grid = SpatialGrid(n=n, length=200.0)
+    f = FieldConfig.free(1.0, grid)
+    psi = gaussian_packet(grid, -20.0, 8.0, 0.4)
+    exact = _dense_propagator(grid, f, 2.0) @ psi.values
+    got = free_propagate(psi, f, 2.0).values
+    assert l2(grid, got - exact) < 1e-12
