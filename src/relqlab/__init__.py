@@ -20,8 +20,6 @@ from .pathweight import (
     PathFunctionals,
     PhysicalScale,
     QuadratureConvergenceError,
-    SampledField,
-    SeriesTruncationError,
     WeightUndefinedError,
     equal_time_kernel_profile,
     path_action,
@@ -29,7 +27,6 @@ from .pathweight import (
     path_weight,
     short_time_closed_form,
     short_time_plane_wave,
-    short_time_plane_wave_series,
     straight_path,
 )
 from .evolution import (
@@ -37,14 +34,12 @@ from .evolution import (
     FluxReport,
     SpatialGrid,
     WaveFunction,
-    apply_R,
     density_flux_report,
     dispersion,
     evolve,
     free_propagate,
     gaussian_packet,
     group_velocity,
-    lambda_general,
     plane_wave,
     schrodinger_overlap,
 )
@@ -56,9 +51,7 @@ from .collapse import (
     NoiseTooLargeError,
     TwoStateAmplitudes,
     TwoStateSystem,
-    collapse_step,
     generate_noise,
-    lambda_two_state,
     run_ensemble,
     run_trajectory,
     wilson_interval,

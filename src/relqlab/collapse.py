@@ -20,9 +20,9 @@ Renormalization cancels in the ratio s = (a1/a0)^2, so both stepping loops
 carry s alone: s' = s phi^2 with phi = (1 - N0 + l11 D)/(1 - N1 - l00 D),
 D = N0 - N1, l00 = (1 + r s)/(1 + s), l11 = (s + 1/r)/(1 + s).  Zero noise
 and degenerate levels give phi = 1 exactly; the threshold and the 1e-9
-amplitude floor become bounds on s.  collapse_step keeps the two-amplitude
-form as the public reference, where an amplitude below the floor declares
-the state collapsed instead of being divided by.
+amplitude floor become bounds on s.  The two-amplitude recursion the
+engines are checked against, where an amplitude below the floor declares the
+state collapsed instead of being divided by, lives in tests/reference.py.
 
 Noise segments are uniform i.i.d. on [-sigma, sigma] (seeded, Philox
 counter-based generator) or the deterministic alternating sequence
@@ -149,11 +149,6 @@ class TwoStateAmplitudes:
         if abs(self.a0 * self.a0 + self.a1 * self.a1 - 1.0) > 1e-9:
             raise ValueError("amplitudes must satisfy a0^2 + a1^2 = 1")
 
-    @property
-    def probabilities(self):
-        return self.a0 * self.a0, self.a1 * self.a1
-
-
 @dataclass(frozen=True)
 class NoiseProcess:
     """Piecewise-constant potential noise: amplitude scale sigma, seed, and
@@ -245,31 +240,6 @@ def generate_noise(proc: NoiseProcess, n_steps, start=0):
     return values
 
 
-def lambda_two_state(a: TwoStateAmplitudes, sys: TwoStateSystem):
-    """Diagonal factors of the linear mixing model: (l00, l11)."""
-    r = sys.r_ratio
-    p0, p1 = a.probabilities
-    return p0 + p1 * r, p1 + p0 / r
-
-
-def _step_kernel(a0, a1, n0, n1, r):
-    """One step of the three stages on raw amplitudes; zero noise is a fixed
-    point, an amplitude below the floor is never divided by."""
-    if a1 < AMPLITUDE_FLOOR:  # level 1 gone: definite level 0
-        return 1.0, 0.0
-    if a0 < AMPLITUDE_FLOOR:
-        return 0.0, 1.0
-    if n0 == 0.0 and n1 == 0.0:
-        return a0, a1
-    p0, p1 = a0 * a0, a1 * a1
-    l00, l11 = p0 + p1 * r, p1 + p0 / r
-    k0, k1 = a0 * (1.0 - n0), a1 * (1.0 - n1)
-    b0 = l00 * k0 + (a0 / a1) * (1.0 - l00) * k1
-    b1 = (a1 / a0) * (1.0 - l11) * k0 + l11 * k1
-    norm = math.sqrt(b0 * b0 + b1 * b1)
-    return b0 / norm, b1 / norm
-
-
 def _ratio_coefficients(sys: TwoStateSystem):
     """(A1, A0, B1, B0) with phi = (1 + s + f (A1 s + A0))/(1 + s + f (B1 s + B0)),
     the module's phi for sys's noise gains (g0, g1); equal levels give A = B exactly."""
@@ -350,15 +320,6 @@ def check_keys(seed, n_runs):
     """Raise ValueError unless the ensemble's Philox keys seed + k, k < n_runs, fit 128 bits."""
     if seed + n_runs - 1 >= _KEY_LIMIT:
         raise ValueError(f"seed + n_runs - 1 must be < 2**128, got seed {seed!r}")
-
-
-def collapse_step(a_prev: TwoStateAmplitudes, sys: TwoStateSystem, f) -> TwoStateAmplitudes:
-    """Kick with noise value f, mix with the pre-kick linear-model factors,
-    renormalize."""
-    check_noise(sys, abs(f))
-    g0, g1 = sys.noise_gains
-    b0, b1 = _step_kernel(a_prev.a0, a_prev.a1, f * g0, f * g1, sys.r_ratio)
-    return TwoStateAmplitudes(a0=float(b0), a1=float(b1))
 
 
 def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,

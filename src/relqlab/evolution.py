@@ -27,7 +27,6 @@ whose coefficients come from the generalized binomial expansion of E(p).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,52 +265,6 @@ def r_symbol(p, f: FieldConfig):
     """Momentum-space symbol of the whole-weight operator R_hat."""
     e = dispersion(p, f)
     return _INV_SQRT_2PI_I * e / np.sqrt(f.mass + e)
-
-
-def apply_R(psi: WaveFunction, f: FieldConfig, inverse=False) -> WaveFunction:
-    """Multiply each momentum component by r(p) (or 1/r(p)); exact inverse pair."""
-    r = r_symbol(psi.grid.p, f)
-    if inverse:
-        r = 1.0 / r
-    values = np.fft.ifft(r * np.fft.fft(psi.values))
-    return WaveFunction(grid=psi.grid, values=values)
-
-
-def lambda_general(psi: WaveFunction, basis, energies, f: FieldConfig):
-    """Mixing matrix from its defining form: lambda_nm = <phi_n| RR(x) R^-1 |phi_m>
-    with RR(x) = psi(x) / (R^-1 psi)(x).
-
-    basis must be orthonormal eigenmodes on psi's grid (Gram matrix within
-    1e-10 of the identity) and energies their dispersion eigenvalues.  Grid
-    points where |R^-1 psi| falls below 1e-12 of its maximum are excluded; a
-    warning is issued when the excluded probability mass exceeds 1e-6.  Used
-    to validate the two-state linear model against the defining formula.
-    """
-    grid = psi.grid
-    dx = grid.dx
-    modes = np.asarray([b.values for b in basis])
-    gram = modes.conj() @ modes.T * dx
-    if not np.allclose(gram, np.eye(len(basis)), atol=1e-10):
-        raise ValueError("basis modes must be orthonormal on the grid (Gram within 1e-10)")
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (len(basis),):
-        raise ValueError("need one energy per basis mode")
-
-    rinv_psi = apply_R(psi, f, inverse=True).values
-    keep = np.abs(rinv_psi) >= 1e-12 * np.max(np.abs(rinv_psi))
-    excluded_mass = float(np.sum(np.abs(psi.values[~keep]) ** 2) * dx)
-    if excluded_mass > 1e-6:
-        warnings.warn(
-            f"lambda_general excluded {np.sum(~keep)} near-zero denominator nodes "
-            f"carrying probability mass {excluded_mass:.3g}",
-            RuntimeWarning,
-        )
-
-    ratio = np.zeros_like(psi.values)
-    ratio[keep] = psi.values[keep] / rinv_psi[keep]
-    r_eigen = _INV_SQRT_2PI_I * energies / np.sqrt(f.mass + energies)
-    lam = (modes.conj() * ratio[None, :]) @ modes.T * dx / r_eigen[None, :]
-    return lam
 
 
 def schrodinger_overlap(psi0: WaveFunction, f: FieldConfig, t) -> float:

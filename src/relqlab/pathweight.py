@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import MAX_MOMENT_ORDER, MomentQuery, kernel_moment_closed
-
 _UNIFORM_STEP_RTOL = 1e-12
 PLANE_WAVE_EPS0 = (1e-3, 30.0)  # short_time_plane_wave's declared domain, with |p| tau0 <= 10
 PLANE_WAVE_MAX_PTAU = 10.0
@@ -46,10 +44,6 @@ class LightlikeSegmentError(ValueError):
 
 class WeightUndefinedError(ValueError):
     """Path weight requested for a rest path (kinetic functional zero)."""
-
-
-class SeriesTruncationError(RuntimeError):
-    """Moment series still contributing above tolerance at the order cap."""
 
 
 @dataclass(frozen=True)
@@ -119,30 +113,6 @@ class PathFunctionals:
     dtau: complex
 
 
-@dataclass(frozen=True)
-class SampledField:
-    """Field samples on a sorted spatial grid, evaluated by linear interpolation."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if x.ndim != 1 or x.size != values.size or x.size < 2:
-            raise ValueError("field needs matching 1-d sample arrays with >= 2 points")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("field sample positions must be strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, xq):
-        xq = np.asarray(xq, dtype=float)
-        if np.any(xq < self.x[0]) or np.any(xq > self.x[-1]):
-            raise ValueError("path exits the sampled field domain")
-        return np.interp(xq, self.x, self.values)
-
-
 def _sqrt_one_minus_v2(v2):
     """Branch rule: sqrt(1-v^2) for v^2 < 1, -i sqrt(v^2-1) for v^2 > 1."""
     v2 = np.asarray(v2, dtype=float)
@@ -180,8 +150,9 @@ def path_weight(pf: PathFunctionals) -> complex:
 def path_action(path: Path, scale: PhysicalScale, a_field=None, v_field=None) -> complex:
     """Relativistic action sum_i [-m sqrt(1-v_i^2) + A(x_mid) v_i - V(x_mid)] dt.
 
-    a_field / v_field are SampledField instances (or None for zero field);
-    both are evaluated at segment midpoints.
+    a_field / v_field are callables that map an array of positions to an
+    array of field values (or None for zero field); both are evaluated at
+    segment midpoints.
     """
     v = path.velocities
     v2 = v * v
@@ -269,33 +240,6 @@ def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
         raise QuadratureConvergenceError(f"24- and 48-node sums differ by {fine - coarse!r} "
                                          f"of {fine!r} at eps0={eps0!r}, |p| tau0={ptau!r}")
     return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * fine
-
-
-def short_time_plane_wave_series(p_momentum, eps0, scale: PhysicalScale) -> complex:
-    """Short-time amplitude summed term by term over the closed kernel moments.
-
-    The Taylor route in p: amplitude = 2 sqrt(tau0) sum_n (-1)^n (p tau0)^{2n}
-    / (2n)! M_n(eps0).  Its radius of convergence is |p| = m (the branch
-    points of the closed form), so it serves as a cross-check at small p;
-    a SeriesTruncationError is raised when the last term, n = MAX_MOMENT_ORDER,
-    still contributes more than 1e-10 relatively.
-    """
-    tau0 = scale.tau0
-    ptau = p_momentum * tau0
-    total = 0.0 + 0.0j
-    coeff = 1.0  # (-1)^n (p tau0)^(2n) / (2n)!
-    last_rel = np.inf
-    for n in range(MAX_MOMENT_ORDER + 1):
-        term = coeff * kernel_moment_closed(MomentQuery(n=n, eps0=eps0))
-        total += term
-        last_rel = abs(term) / max(abs(total), 1e-300)
-        coeff *= -ptau * ptau / ((2 * n + 1) * (2 * n + 2))
-    if last_rel > 1e-10:
-        raise SeriesTruncationError(
-            f"moment series still contributing {last_rel:.2e} relatively at n={MAX_MOMENT_ORDER}; "
-            f"|p| tau0 = {abs(ptau):.3g} is too large for the Taylor route"
-        )
-    return 2.0 * math.sqrt(tau0) * total
 
 
 def equal_time_kernel_profile(eta, a_line_integral, scale: PhysicalScale) -> complex:

@@ -16,7 +16,8 @@ from relqlab.abexp import (
     simulate_ab,
     two_state_for_paths,
 )
-from relqlab.collapse import NoiseTooLargeError, _step_kernel, generate_noise
+from relqlab.collapse import NoiseTooLargeError, generate_noise
+from reference import step_kernel
 
 BEAM = dict(p_beam=1.0, a0_main=0.25)
 
@@ -209,7 +210,7 @@ def _alternating_outcome_reference(cfg, sys_, threshold):
     a0 = a1 = np.float64(1.0 / math.sqrt(2.0))
     for step in range(cfg.segments):
         f = cfg.b1_amp if step % 2 == 0 else -cfg.b1_amp
-        a0, a1 = _step_kernel(a0, a1, np.float64(f * g0), np.float64(-f * g1), r)
+        a0, a1 = step_kernel(a0, a1, np.float64(f * g0), np.float64(-f * g1), r)
         if a0 * a0 >= threshold or a1 * a1 >= threshold:
             return 0 if a0 >= a1 else 1
     return None

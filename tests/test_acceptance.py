@@ -19,7 +19,6 @@ from relqlab.collapse import (
     NoiseProcess,
     TwoStateAmplitudes,
     TwoStateSystem,
-    collapse_step,
     run_ensemble,
     run_trajectory,
 )
@@ -41,6 +40,7 @@ from relqlab.pathweight import (
     short_time_plane_wave,
 )
 from relqlab.specfun import MomentQuery, kernel_moment_closed, kernel_moment_contour
+from reference import collapse_step
 
 REF_SYS = TwoStateSystem(e0=1.25, e1=1.75)
 SYM_INIT = TwoStateAmplitudes(a0=0.5, a1=math.sqrt(3.0) / 2.0)

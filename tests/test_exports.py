@@ -1,21 +1,13 @@
 """Every name relqlab exports is used outside the tests: the library itself
-(its __init__ aside), a demo or the benchmark refers to it, or it is listed in
-KEPT_FOR_TESTS with the reason it stays.  No library module reads another
-module's underscore names."""
+(its __init__ aside), a demo or the benchmark refers to it.  Every name that
+tests/reference.py defines is imported by a test, and it imports only public
+relqlab names.  No library module reads another module's underscore names."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-KEPT_FOR_TESTS = {
-    "collapse_step": "reference recursion the ratio-state engines are checked against",
-    "lambda_two_state": "the linear model's mixing factors in closed form, a reference",
-    "lambda_general": "mixing matrix from its defining form, which validates the linear model",
-    "short_time_plane_wave_series": "small-momentum moment series that cross-checks the "
-                                    "plane-wave quadrature",
-    "SampledField": "argument type of path_action's a_field and v_field",
-}
+REFERENCE = ROOT / "tests" / "reference.py"
 
 
 def _exported():
@@ -40,10 +32,46 @@ def _referenced():
 
 
 def test_every_export_is_used_outside_the_tests():
-    exported, referenced = _exported(), _referenced()
-    assert sorted(exported - referenced - KEPT_FOR_TESTS.keys()) == []
-    # an allowlist entry that is no longer exported, or has found a use, goes too
-    assert sorted(KEPT_FOR_TESTS.keys() - (exported - referenced)) == []
+    assert sorted(_exported() - _referenced()) == []
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_reference_is_imported_by_a_test():
+    # a reference goes with the last test that used it; its private helpers
+    # live while reference.py itself reads them
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    imported = {alias.name for path in (ROOT / "tests").glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "reference"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    dead = {name for name in _top_level_names(tree)
+            if name not in imported and not (name.startswith("_") and name in read)}
+    assert sorted(dead) == []
+
+
+def test_reference_imports_only_public_library_names():
+    # an oracle that shared the engines' private code (_ratio_step,
+    # _ratio_coefficients, ...) would not check them independently
+    names = []
+    for node in ast.walk(ast.parse(REFERENCE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("relqlab"):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.startswith("relqlab")]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    assert [name for name in names if any(map(_private, name.split(".")))] == []
 
 
 def _private(name):

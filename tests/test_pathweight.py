@@ -11,8 +11,6 @@ from relqlab.pathweight import (
     Path,
     PhysicalScale,
     QuadratureConvergenceError,
-    SampledField,
-    SeriesTruncationError,
     WeightUndefinedError,
     equal_time_kernel_profile,
     path_action,
@@ -20,9 +18,9 @@ from relqlab.pathweight import (
     path_weight,
     short_time_closed_form,
     short_time_plane_wave,
-    short_time_plane_wave_series,
     straight_path,
 )
+from reference import SampledField, SeriesTruncationError, short_time_plane_wave_series
 
 M1 = PhysicalScale(mass=1.0)
 
@@ -167,11 +165,15 @@ def test_action_free_v06():
     assert path_action(straight_path(v=0.6, duration=1.0), M1) == pytest.approx(-0.8, rel=1e-14)
 
 
-def test_action_with_constant_vector_potential():
+@pytest.mark.parametrize("make_field", [
+    lambda a: SampledField(np.array([-1.0, 2.0]), np.array([a, a])),
+    lambda a: lambda x: np.full_like(x, a),  # any callable of position arrays
+], ids=["sampled", "callable"])
+def test_action_with_constant_vector_potential(make_field):
     # S = -2 sqrt(0.75) + a for v = 0.5, T = 2, A = a, V = 0
     a = 0.7
     p = straight_path(v=0.5, duration=2.0, n_segments=8)
-    af = SampledField(np.array([-1.0, 2.0]), np.array([a, a]))
+    af = make_field(a)
     got = path_action(p, M1, a_field=af)
     assert got == pytest.approx(-2.0 * math.sqrt(0.75) + a, rel=1e-13)
 
