@@ -821,7 +821,8 @@ from relqlab import cli
 runs = {"collapse": ["collapse", "--seed", "17"],
         "ensemble-1": ["ensemble", "--n-runs", "600", "--threads", "1"],
         "ensemble-2": ["ensemble", "--n-runs", "600", "--threads", "2"],
-        "ab": ["ab"], "kernel": ["kernel"]}
+        "ab": ["ab"], "kernel": ["kernel"],
+        "kernel-phase": ["kernel", "--a-line-integral", "0.3", "--eta-count", "4096"]}
 for name, argv in runs.items():
     assert cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]) == 0, name
 print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))

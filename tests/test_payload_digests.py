@@ -59,6 +59,11 @@ RUNS = {  # name: (argv, {payload: sha256})
     "kernel": (["kernel", "--eta-count", "16"], {
         "kernel_profile.csv": "63d971880718206720c241e1f7c072af284551ae7ca7da3f71a6260151e26703",
     }),
+    # a nonzero phase, so the profile's complex product is exercised
+    "kernel-phase": (["kernel", "--eta-count", "4096", "--a-line-integral", "0.3",
+                      "--mass", "0.37"], {
+        "kernel_profile.csv": "d17a6f54bdb0e3d35a07d12c454f6ac8fdddfe6643f6bfd4b97961aae4f025a3",
+    }),
     "oracle": (["oracle", "--n-max", "3"], {
         "oracle_moments.csv": "afed9782e8fd9e7efc091407ce7696d692b7a33e5a9cb4e95229a65a3618534e",
     }),
