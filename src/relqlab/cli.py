@@ -378,8 +378,7 @@ def _run_kernel(cfg: RunConfig):
     params = cfg.parameters
     scale = pathweight.PhysicalScale(mass=params["mass"])
     etas = np.linspace(params["eta_min"], params["eta_max"], params["eta_count"])
-    values = np.asarray([pathweight.equal_time_kernel_profile(e, params["a_line_integral"],
-                                                              scale) for e in etas])
+    values = pathweight.equal_time_kernel_profile(etas, params["a_line_integral"], scale)
     yield "kernel_profile.csv", (["eta", "re", "im", "abs"],
                                  [etas, values.real, values.imag, np.abs(values)])
 

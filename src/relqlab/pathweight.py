@@ -182,16 +182,19 @@ def short_time_closed_form(p_momentum, eps0, scale: PhysicalScale) -> complex:
 
 
 @functools.cache  # on first use: importing numpy.polynomial slows every import of relqlab
-def _legendre_rule(k):
-    """k-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(k)
+def _legendre_24_48():
+    """Nodes and weights on [-1, 1] of the 24-point Gauss-Legendre rule, then the 48-point."""
+    (x24, w24), (x48, w48) = (np.polynomial.legendre.leggauss(k) for k in (24, 48))
+    return np.concatenate([x24, x48]), np.concatenate([w24, w48])
 
 
-def _panel_sum(func, edges, k):
-    """Integral of func over the panels between edges, k Gauss-Legendre nodes each."""
-    x, w = _legendre_rule(k)
+def _panel_sums(func, edges):
+    """Integrals of func over the panels between edges by the 24- and by the
+    48-node Gauss-Legendre rule, from one call of func on both rules' nodes."""
+    x, w = _legendre_24_48()
     half, left = 0.5 * np.diff(edges)[:, None], np.asarray(edges)[:-1, None]
-    return complex(np.sum(half * w * func(left + half * (1.0 + x))))
+    terms = half * w * func(left + half * (1.0 + x))
+    return complex(np.sum(terms[:, :24])), complex(np.sum(terms[:, 24:]))
 
 
 def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
@@ -227,33 +230,45 @@ def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     def f_tail(y):
         w = y / eps0
         v = np.sqrt(1.0 + w * w)
-        return 1j * (1.0 + 1j * w) ** (-0.5) * np.exp(-y) * np.cos(q * v) / eps0
+        a = np.sqrt(0.5 * (v + 1.0))  # i (1 + i w)^(-1/2) = (w / (2a) + i a) / v for w > 0
+        return (w / (2.0 * a) + 1j * a) * (np.exp(-y) * np.cos(q * v) / (eps0 * v))
 
     real_edges = np.linspace(0.0, 1.0, math.ceil((2.0 * eps0 + 1.5 * q) / 6.0) + 1)
     cap = 4.0 / max(ptau, 1.0)
     tail_edges = [0.0, min(eps0, cap)]
     while tail_edges[-1] < 46.0:  # the tail decays like e^-y: e^-46 ~ 1e-20
         tail_edges.append(min(2.0 * tail_edges[-1], tail_edges[-1] + cap, 46.0))
-    coarse, fine = (_panel_sum(f_real, real_edges, k) + _panel_sum(f_tail, tail_edges, k)
-                    for k in (24, 48))
+    real24, real48 = _panel_sums(f_real, real_edges)
+    tail24, tail48 = _panel_sums(f_tail, tail_edges)
+    coarse, fine = real24 + tail24, real48 + tail48
     if not abs(fine - coarse) <= PLANE_WAVE_RTOL * abs(fine):
         raise QuadratureConvergenceError(f"24- and 48-node sums differ by {fine - coarse!r} "
                                          f"of {fine!r} at eps0={eps0!r}, |p| tau0={ptau!r}")
     return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * fine
 
 
-def equal_time_kernel_profile(eta, a_line_integral, scale: PhysicalScale) -> complex:
-    """Scalar profile of the equal-time kernel, whole-weight operator excluded:
+def equal_time_kernel_profile(eta, a_line_integral, scale: PhysicalScale) -> complex | np.ndarray:
+    """Profile of the equal-time kernel, whole-weight operator excluded:
 
         sqrt(1/(i|eta|)) exp(-(m |eta| + i * integral of A along the gap)).
 
     Unlike a delta function this decays on the Compton length 1/m, which is
     the nonlocal equal-time correlation the collapse machinery relies on.
+    eta is a scalar, which returns a complex, or an array.  Each value keeps
+    the scalar formula's bits: Python's complex power per value and the
+    product in real arithmetic, as numpy's array power and multiply round differently.
     """
-    if eta == 0:
+    aeta = np.abs(np.asarray(eta, dtype=float))
+    if not aeta.all():
         raise ValueError("eta = 0 is the distributional point; profile defined for eta != 0")
-    aeta = abs(eta)
-    return (1j * aeta) ** -0.5 * np.exp(-scale.mass * aeta - 1j * a_line_integral)
+    # straight into the array: a list of complex objects would raise the peak RSS
+    root = np.fromiter(((1j * a) ** -0.5 for a in aeta.ravel().tolist()), complex, aeta.size)
+    root = root.reshape(aeta.shape)
+    decay = np.exp(-scale.mass * aeta - 1j * a_line_integral)
+    out = np.empty(aeta.shape, dtype=complex)
+    out.real = root.real * decay.real - root.imag * decay.imag
+    out.imag = root.real * decay.imag + root.imag * decay.real
+    return out if out.ndim else complex(out)
 
 
 def straight_path(v, duration, n_segments=1) -> Path:
