@@ -41,6 +41,16 @@ MAX_FLUX_ORDER = 8
 PACKET_MOMENTUM_SPREADS = 8.0
 
 
+def _spectral(values, symbol):
+    """symbol applied in momentum space: ifft(symbol * fft(values))."""
+    return np.fft.ifft(symbol * np.fft.fft(values))
+
+
+def _abs2(z):
+    """|z|^2 elementwise."""
+    return np.abs(z) ** 2
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic grid; n must be a power of two >= 16.
@@ -89,7 +99,7 @@ class WaveFunction:
             raise ValueError(f"values must have shape ({self.grid.n},), got {values.shape}")
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("wave function samples must be finite")
-        nrm2 = float(np.sum(np.abs(values) ** 2) * self.grid.dx)
+        nrm2 = float(np.sum(_abs2(values)) * self.grid.dx)
         if not (nrm2 > 0.0 and math.isfinite(nrm2)):
             raise ValueError(f"squared norm must be in (0, inf), got {nrm2!r}")
         values = values.copy()
@@ -97,10 +107,10 @@ class WaveFunction:
         object.__setattr__(self, "values", values)
 
     def norm(self):
-        return math.sqrt(float(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
+        return math.sqrt(float(np.sum(_abs2(self.values)) * self.grid.dx))
 
     def density(self):
-        return np.abs(self.values) ** 2
+        return _abs2(self.values)
 
     def centroid(self):
         rho = self.density()
@@ -190,7 +200,7 @@ def gaussian_packet(grid: SpatialGrid, x0, sigma, p0) -> WaveFunction:
         raise ValueError(f"sigma {msg}, got sigma={sigma!r} at x0={x0!r}")
     x = grid.x
     values = np.exp(-((x - x0) ** 2) / (4.0 * sigma * sigma) + 1j * p0 * x)
-    values /= math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
+    values /= math.sqrt(float(np.sum(_abs2(values)) * grid.dx))
     return WaveFunction(grid=grid, values=values)
 
 
@@ -221,7 +231,7 @@ def max_energy(n, length, mass, a0=0.0):
 def free_propagate(psi: WaveFunction, f: FieldConfig, t) -> WaveFunction:
     """Exact spectral propagation e^{-i E(p) t} for V = 0; t may be 0 or negative."""
     phase = np.exp(-1j * dispersion(psi.grid.p, f) * t)
-    values = np.fft.ifft(phase * np.fft.fft(psi.values))
+    values = _spectral(psi.values, phase)
     return WaveFunction(grid=psi.grid, values=values)
 
 
@@ -250,7 +260,7 @@ def evolve(psi: WaveFunction, f: FieldConfig, dt, steps) -> WaveFunction:
     values = psi.values
     for step in range(1, steps + 1):
         # Out of place, operands in this order: complex multiply is not bitwise commutative.
-        values = half_v * np.fft.ifft(kin_phase * np.fft.fft(half_v * values))
+        values = half_v * _spectral(half_v * values, kin_phase)
         if not np.all(np.isfinite(values.view(float))):
             raise _non_finite(step, steps, dt, f)
     return WaveFunction(grid=grid, values=values)
@@ -277,7 +287,7 @@ def schrodinger_overlap(psi0: WaveFunction, f: FieldConfig, t) -> float:
     if np.any(f.v_samples != 0.0):
         raise ValueError("schrodinger_overlap compares free evolutions; V must be zero")
     p = psi0.grid.p
-    weights = np.abs(np.fft.fft(psi0.values)) ** 2
+    weights = _abs2(np.fft.fft(psi0.values))
     e_rel = dispersion(p, f)
     e_nr = f.mass + (p - f.a0) ** 2 / (2.0 * f.mass)
     overlap = np.sum(weights * np.exp(1j * (e_nr - e_rel) * t))
@@ -289,7 +299,7 @@ def group_velocity(psi: WaveFunction, f: FieldConfig) -> float:
     velocity under free evolution, exact and conserved for V = 0.  E(p) is
     taken as hypot(m, p - a0), which stays positive where m^2 underflows."""
     q = psi.grid.p - f.a0
-    weights = np.abs(np.fft.fft(psi.values)) ** 2
+    weights = _abs2(np.fft.fft(psi.values))
     return float(np.sum(weights * (q / np.hypot(f.mass, q))) / np.sum(weights))
 
 
@@ -318,7 +328,7 @@ def spectral_derivative(values, grid: SpatialGrid, order):
     if order % 2 == 1:
         mult = mult.copy()
         mult[grid.n // 2] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(values))
+    return _spectral(values, mult)
 
 
 def flux_term_error(n, length, mass, n_trunc):
@@ -373,15 +383,14 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxRepor
         raise ValueError(f"mass {msg}, got mass={f.mass!r}")
 
     def l2(values):
-        return math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
+        return math.sqrt(float(np.sum(_abs2(values)) * grid.dx))
     values = psi.values
-    spectrum = np.fft.fft(values)
-    power = np.abs(spectrum) ** 2
+    power = _abs2(np.fft.fft(values))
     tail = math.exp(-PACKET_MOMENTUM_SPREADS ** 2 / 2.0) * power.max()
     reach = float(np.max(np.abs(grid.p[power >= tail])))
     if msg := series_error(f.mass, reach):
         raise ValueError(f"mass {msg}, got mass={f.mass!r}")
-    h_psi = np.fft.ifft(dispersion(grid.p, f) * spectrum)
+    h_psi = _spectral(values, dispersion(grid.p, f))
     residual, norms = 2.0 * (np.conj(values) * h_psi).imag, []
     for n in range(1, n_trunc + 1):
         d2n = spectral_derivative(values, grid, 2 * n)

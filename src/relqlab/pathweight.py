@@ -31,7 +31,7 @@ import numpy as np
 _UNIFORM_STEP_RTOL = 1e-12
 PLANE_WAVE_EPS0 = (1e-3, 30.0)  # short_time_plane_wave's declared domain, with |p| tau0 <= 10
 PLANE_WAVE_MAX_PTAU = 10.0
-PLANE_WAVE_RTOL = 1e-11  # largest relative gap it accepts between its 24- and 48-node sums
+PLANE_WAVE_RTOL = 1e-11  # largest relative gap it accepts between its 16- and 24-node sums
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -182,19 +182,19 @@ def short_time_closed_form(p_momentum, eps0, scale: PhysicalScale) -> complex:
 
 
 @functools.cache  # on first use: importing numpy.polynomial slows every import of relqlab
-def _legendre_24_48():
-    """Nodes and weights on [-1, 1] of the 24-point Gauss-Legendre rule, then the 48-point."""
-    (x24, w24), (x48, w48) = (np.polynomial.legendre.leggauss(k) for k in (24, 48))
-    return np.concatenate([x24, x48]), np.concatenate([w24, w48])
+def _legendre_16_24():
+    """Nodes and weights on [-1, 1] of the 16-point Gauss-Legendre rule, then the 24-point."""
+    (x16, w16), (x24, w24) = (np.polynomial.legendre.leggauss(k) for k in (16, 24))
+    return np.concatenate([x16, x24]), np.concatenate([w16, w24])
 
 
 def _panel_sums(func, edges):
-    """Integrals of func over the panels between edges by the 24- and by the
-    48-node Gauss-Legendre rule, from one call of func on both rules' nodes."""
-    x, w = _legendre_24_48()
+    """Integrals of func over the panels between edges by the 16- and by the
+    24-node Gauss-Legendre rule, from one call of func on both rules' nodes."""
+    x, w = _legendre_16_24()
     half, left = 0.5 * np.diff(edges)[:, None], np.asarray(edges)[:-1, None]
     terms = half * w * func(left + half * (1.0 + x))
-    return complex(np.sum(terms[:, :24])), complex(np.sum(terms[:, 24:]))
+    return complex(np.sum(terms[:, :16])), complex(np.sum(terms[:, 16:]))
 
 
 def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
@@ -210,8 +210,8 @@ def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     (at most 6 radians of phase each); the tail, in y = eps0 w on (0, 46], on
     panels no wider than cap = 4 / max(|p| tau0, 1), the first ending at
     min(eps0, cap) and each later one no wider than its distance from 0, which
-    keeps the branch points y = +-i eps0 clear.  The 48-node sum is returned
-    once the 24-node one agrees with it to PLANE_WAVE_RTOL, else
+    keeps the branch points y = +-i eps0 clear.  The 24-node sum is returned
+    once the 16-node one agrees with it to PLANE_WAVE_RTOL, else
     QuadratureConvergenceError.  Declared for eps0 in PLANE_WAVE_EPS0 and
     |p| tau0 <= PLANE_WAVE_MAX_PTAU; ValueError outside.
     """
@@ -238,11 +238,11 @@ def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
     tail_edges = [0.0, min(eps0, cap)]
     while tail_edges[-1] < 46.0:  # the tail decays like e^-y: e^-46 ~ 1e-20
         tail_edges.append(min(2.0 * tail_edges[-1], tail_edges[-1] + cap, 46.0))
-    real24, real48 = _panel_sums(f_real, real_edges)
-    tail24, tail48 = _panel_sums(f_tail, tail_edges)
-    coarse, fine = real24 + tail24, real48 + tail48
+    real16, real24 = _panel_sums(f_real, real_edges)
+    tail16, tail24 = _panel_sums(f_tail, tail_edges)
+    coarse, fine = real16 + tail16, real24 + tail24
     if not abs(fine - coarse) <= PLANE_WAVE_RTOL * abs(fine):
-        raise QuadratureConvergenceError(f"24- and 48-node sums differ by {fine - coarse!r} "
+        raise QuadratureConvergenceError(f"16- and 24-node sums differ by {fine - coarse!r} "
                                          f"of {fine!r} at eps0={eps0!r}, |p| tau0={ptau!r}")
     return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * fine
 

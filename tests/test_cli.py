@@ -649,6 +649,13 @@ def test_write_csv_matches_per_cell_formatter(tmp_path, case):
     _write_csv_reference(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert digest == hashlib.sha256((tmp_path / "old.csv").read_bytes()).hexdigest()
+    # each column in turn rendered ahead, first, middle and last, so that a
+    # rendered field takes every separator; a file of no rows has none to render
+    for j in range(len(columns) if len(columns[0]) else 0):
+        rendered = [*columns[:j], _csvtext.render_field(np.asarray(columns[j])),
+                    *columns[j + 1:]]
+        assert cli._write_csv(tmp_path / "rendered.csv", header, rendered) == digest, header[j]
+        assert (tmp_path / "rendered.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _percent_e(values):
@@ -715,6 +722,18 @@ def test_benchmark_size_evolve_snapshots_equal_python_formatting(tmp_path):
         assert header == "x,re,im,abs2" and len(rows) == 65536
         assert body == "".join("%.16e,%.16e,%.16e,%.16e\n" % tuple(map(float, row))
                                for row in rows)
+
+
+def test_evolve_writes_its_rendered_x_column_as_the_plain_one(tmp_path, monkeypatch):
+    # five snapshots of two blocks each share one rendering of grid.x
+    args = ["evolve", "--grid-n", "8192", "--snapshot-stride", "100", "--out"]
+    assert run_cli([*args, tmp_path / "rendered"]) == 0
+    monkeypatch.setattr(_csvtext, "render_field", lambda column: column)
+    assert run_cli([*args, tmp_path / "plain"]) == 0
+    names = sorted(path.name for path in (tmp_path / "plain").glob("evolve_snap_*.csv"))
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / "rendered" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_number_tables_are_not_built_at_import():

@@ -260,7 +260,7 @@ def test_short_time_rule_matches_closed_form_over_its_domain():
 def test_short_time_rule_certificate_raises(monkeypatch):
     # no two sums agree to a zero relative gap
     monkeypatch.setattr(pathweight, "PLANE_WAVE_RTOL", 0.0)
-    with pytest.raises(QuadratureConvergenceError, match="48-node"):
+    with pytest.raises(QuadratureConvergenceError, match="16- and 24-node"):
         short_time_plane_wave(0.75, 1.0, M1)
 
 
