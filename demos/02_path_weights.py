@@ -33,8 +33,9 @@ for v in (0.0, 0.2, 0.6, 0.9, 0.99, 1.0, 1.5, 2.0):
         print(f"{v:>5} rejected: {exc}")
 
 print()
-print("weights (undefined for the rest path, complex beyond the light cone):")
-for v in (1e-4, 0.6, 0.9, 2.0):
+print("weights (undefined for the rest path, tending to (T/2)^(-1/2) = sqrt(2) for")
+print("slow paths, complex beyond the light cone):")
+for v in (1e-12, 1e-8, 1e-4, 0.6, 0.9, 2.0):
     pf = path_functionals(straight_path(v=v, duration=1.0), scale)
     w = path_weight(pf)
     print(f"  v = {v:<6}  W = {w:.6g}   |W| = {abs(w):.6g}  arg = {np.angle(w):+.4f} rad")

@@ -17,7 +17,10 @@ The three functionals of a path are
 and the weight attached to the path is W = (PBB/PCAL) (DTAU/2)^(-1/2) with
 principal-branch fractional powers.  For subluminal paths all three
 functionals are real; superluminal segments make them complex, which is why
-they are stored as complex numbers.
+they are stored as complex numbers.  One set of per-segment densities, of
+root = sqrt(1 - v^2) so that slow and near-lightlike segments do not cancel,
+and one weight combination serve path_functionals, path_weight and
+short_time_plane_wave, which integrates W over straight paths.
 """
 
 from __future__ import annotations
@@ -113,29 +116,31 @@ class PathFunctionals:
     dtau: complex
 
 
-def _sqrt_one_minus_v2(v2):
-    """Branch rule: sqrt(1-v^2) for v^2 < 1, -i sqrt(v^2-1) for v^2 > 1."""
-    v2 = np.asarray(v2, dtype=float)
-    out = np.empty(v2.shape, dtype=complex)
-    sub = v2 < 1.0
-    out[sub] = np.sqrt(1.0 - v2[sub])
-    out[~sub] = -1j * np.sqrt(v2[~sub] - 1.0)
-    return out
+def _proper_time_rate(speed):
+    """sqrt(1 - v^2) of segment speeds |v| by the branch rule, without cancellation near |v| = 1."""
+    return np.conj(np.sqrt((1.0 - speed) * (1.0 + speed) + 0j))
+
+
+def _segment_densities(root, speed):
+    """PBB/m, PCAL/m and DTAU per unit time of a segment with speed |v| and
+    proper-time rate root = sqrt(1 - v^2): |v|/root, sqrt(2 (1/root - 1)) and root.
+    1/root - 1 is taken as v^2 / (root (1 + root)), which does not cancel for slow segments."""
+    return speed / root, np.sqrt(2.0 * speed * speed / (root * (1.0 + root))), root
+
+
+def _weight(pbb, pcal, dtau):
+    """(pbb/pcal) (dtau/2)^(-1/2) with principal branches, of scalars or arrays."""
+    return pbb / (pcal * np.sqrt(0.5 * dtau))
 
 
 def path_functionals(path: Path, scale: PhysicalScale) -> PathFunctionals:
     """Momentum, kinetic-energy, and proper-time functionals of a sampled path."""
-    v = path.velocities
-    v2 = v * v
-    if np.any(v2 == 1.0):
+    speed = np.abs(path.velocities)
+    if np.any(speed == 1.0):
         raise LightlikeSegmentError("lightlike segment: |v| = 1 makes the momentum integrand diverge")
-    dt = path.dt
-    root = _sqrt_one_minus_v2(v2)
-    m = scale.mass
-    pbb = np.sum(m * np.abs(v) / root) * dt
-    pcal = np.sum(np.sqrt(2.0 * m * m * (1.0 / root - 1.0) + 0j)) * dt
-    dtau = np.sum(root) * dt
-    return PathFunctionals(pbb=complex(pbb), pcal=complex(pcal), dtau=complex(dtau))
+    m, dt = scale.mass, path.dt
+    pbb, pcal, dtau = (np.sum(d) * dt for d in _segment_densities(_proper_time_rate(speed), speed))
+    return PathFunctionals(pbb=complex(m * pbb), pcal=complex(m * pcal), dtau=complex(dtau))
 
 
 def path_weight(pf: PathFunctionals) -> complex:
@@ -144,7 +149,7 @@ def path_weight(pf: PathFunctionals) -> complex:
         raise WeightUndefinedError(
             "path weight undefined for a rest path; use the nonrelativistic limit"
         )
-    return (pf.pbb / pf.pcal) * (0.5 * pf.dtau) ** -0.5
+    return complex(_weight(pf.pbb, pf.pcal, pf.dtau))
 
 
 def path_action(path: Path, scale: PhysicalScale, a_field=None, v_field=None) -> complex:
@@ -155,10 +160,9 @@ def path_action(path: Path, scale: PhysicalScale, a_field=None, v_field=None) ->
     segment midpoints.
     """
     v = path.velocities
-    v2 = v * v
     dt = path.dt
     x_mid = 0.5 * (path.positions[:-1] + path.positions[1:])
-    lagr = -scale.mass * _sqrt_one_minus_v2(v2)
+    lagr = -scale.mass * _proper_time_rate(np.abs(v))
     if a_field is not None:
         lagr = lagr + a_field(x_mid) * v
     if v_field is not None:
@@ -188,63 +192,58 @@ def _legendre_16_24():
     return np.concatenate([x16, x24]), np.concatenate([w16, w24])
 
 
-def _panel_sums(func, edges):
-    """Integrals of func over the panels between edges by the 16- and by the
-    24-node Gauss-Legendre rule, from one call of func on both rules' nodes."""
-    x, w = _legendre_16_24()
-    half, left = 0.5 * np.diff(edges)[:, None], np.asarray(edges)[:-1, None]
-    terms = half * w * func(left + half * (1.0 + x))
-    return complex(np.sum(terms[:, :16])), complex(np.sum(terms[:, 16:]))
-
-
 def short_time_plane_wave(p_momentum, eps0, scale: PhysicalScale) -> complex:
-    """Short-time amplitude for phi = e^{ipx} by direct contour quadrature.
+    """Short-time amplitude for phi = e^{ipx}: the path weight W integrated over straight paths.
 
-    Evaluates the subluminal and superluminal velocity integrals on the
-    contour C = (0, 1] plus u = 1 + i w that defines the kernel moments, with
-    the plane wave symmetrized into cos(p v eps).  The moments' single ray
-    u = i t does not serve here: on it Im v tends to 1, so cos(q v), with
-    q = |p| tau0 eps0, grows like e^q.  Unlike the moment series it holds
-    beyond |p| = m.  Each leg is a composite Gauss-Legendre sum: the real
-    leg, in s = u^(1/2) on (0, 1], on ceil((2 eps0 + 1.5 q) / 6) equal panels
-    (at most 6 radians of phase each); the tail, in y = eps0 w on (0, 46], on
-    panels no wider than cap = 4 / max(|p| tau0, 1), the first ending at
-    min(eps0, cap) and each later one no wider than its distance from 0, which
-    keeps the branch points y = +-i eps0 clear.  The 24-node sum is returned
-    once the 16-node one agrees with it to PLANE_WAVE_RTOL, else
-    QuadratureConvergenceError.  Declared for eps0 in PLANE_WAVE_EPS0 and
-    |p| tau0 <= PLANE_WAVE_MAX_PTAU; ValueError outside.
+    The straight path of duration eps = eps0 tau0 to x = v eps carries the
+    weight W of its functionals, built from the same per-segment densities
+    and combination as path_weight, and e^{iS} with S = -m root eps, where
+    root = sqrt(1 - v^2) by the branch rule.  The amplitude is the integral
+    of W e^{iS} e^{ipx} over x: 2 eps times that of W e^{iS} cos(q v) over
+    speeds v > 0, with q = |p| tau0 eps0.  Subluminal speeds are the real
+    leg, root = 1 - u for u in (0, 1]; superluminal ones the tail,
+    root = -i w for w > 0: in u = 1 - root the contour C = (0, 1] plus
+    u = 1 + i w of the kernel moments, and root, not v, as the variable keeps
+    both legs free of cancellation at the light cone.  The moments' ray
+    u = i t does not serve: on it Im v tends to 1, so cos(q v) grows like
+    e^q.  Unlike the moment series it holds beyond |p| = m.  Each leg is a
+    composite Gauss-Legendre sum: the real leg, in s = u^(1/2) on (0, 1]
+    with v = s (2 - u)^(1/2), on ceil((2 eps0 + 1.5 q) / 6) equal panels (at
+    most 6 radians of phase each); the tail, in y = eps0 w on (0, 46] with
+    v = (1 + w^2)^(1/2), on panels no wider than cap = 4 / max(|p| tau0, 1),
+    the first ending at min(eps0, cap) and each later one no wider than its
+    distance from 0, which keeps the branch points y = +-i eps0 clear.  The
+    24-node sum is returned once the 16-node one agrees with it to
+    PLANE_WAVE_RTOL, else QuadratureConvergenceError.  Declared for eps0 in
+    PLANE_WAVE_EPS0 and |p| tau0 <= PLANE_WAVE_MAX_PTAU; ValueError outside.
     """
     tau0 = scale.tau0
     ptau = abs(p_momentum * tau0)
     if not (PLANE_WAVE_EPS0[0] <= eps0 <= PLANE_WAVE_EPS0[1] and ptau <= PLANE_WAVE_MAX_PTAU):
         raise ValueError(f"short_time_plane_wave is declared for eps0 in {PLANE_WAVE_EPS0} and "
                          f"|p| tau0 <= {PLANE_WAVE_MAX_PTAU:g}, got {eps0!r} and {ptau!r}")
-    q = ptau * eps0  # phase |p| v eps at v = 1
-
-    def f_real(s):
-        u = s * s
-        v = np.sqrt(u * (2.0 - u))
-        return 2.0 * np.exp(1j * eps0 * (u - 1.0)) * np.cos(q * v)
-
-    def f_tail(y):
-        w = y / eps0
-        v = np.sqrt(1.0 + w * w)
-        a = np.sqrt(0.5 * (v + 1.0))  # i (1 + i w)^(-1/2) = (w / (2a) + i a) / v for w > 0
-        return (w / (2.0 * a) + 1j * a) * (np.exp(-y) * np.cos(q * v) / (eps0 * v))
-
+    q, eps = ptau * eps0, eps0 * tau0  # q: phase |p| v eps at v = 1
     real_edges = np.linspace(0.0, 1.0, math.ceil((2.0 * eps0 + 1.5 * q) / 6.0) + 1)
     cap = 4.0 / max(ptau, 1.0)
     tail_edges = [0.0, min(eps0, cap)]
     while tail_edges[-1] < 46.0:  # the tail decays like e^-y: e^-46 ~ 1e-20
         tail_edges.append(min(2.0 * tail_edges[-1], tail_edges[-1] + cap, 46.0))
-    real16, real24 = _panel_sums(f_real, real_edges)
-    tail16, tail24 = _panel_sums(f_tail, tail_edges)
-    coarse, fine = real16 + tail16, real24 + tail24
+    x, w = _legendre_16_24()  # each panel's 16 then 24 nodes, the real leg's panels first
+    half = 0.5 * np.concatenate([np.diff(real_edges), np.diff(tail_edges)])[:, None]
+    nodes = np.concatenate([real_edges[:-1], tail_edges[:-1]])[:, None] + half * (1.0 + x)
+    s, wt = nodes[:real_edges.size - 1], nodes[real_edges.size - 1:] / eps0
+    u, vt = s * s, np.sqrt(1.0 + wt * wt)
+    root = np.concatenate([1.0 - u, -1j * wt])
+    speed = np.concatenate([s * np.sqrt(2.0 - u), vt])
+    dspeed = np.concatenate([2.0 * (1.0 - u) / np.sqrt(2.0 - u), wt / (eps0 * vt)])  # dv/ds, dv/dy
+    pbb, pcal, dtau = _segment_densities(root, speed)  # the mass cancels from pbb/pcal
+    e_is = np.exp(-1j * eps0 * root)  # e^{iS}, S = -m root eps
+    terms = half * w * dspeed * np.cos(q * speed) * _weight(pbb, pcal, eps * dtau) * e_is
+    coarse, fine = complex(np.sum(terms[:, :16])), complex(np.sum(terms[:, 16:]))
     if not abs(fine - coarse) <= PLANE_WAVE_RTOL * abs(fine):
         raise QuadratureConvergenceError(f"16- and 24-node sums differ by {fine - coarse!r} "
                                          f"of {fine!r} at eps0={eps0!r}, |p| tau0={ptau!r}")
-    return 2.0 * math.sqrt(tau0) * math.sqrt(eps0) * fine
+    return 2.0 * eps * fine
 
 
 def equal_time_kernel_profile(eta, a_line_integral, scale: PhysicalScale) -> complex | np.ndarray:

@@ -153,6 +153,28 @@ def test_weight_rest_path_rejected():
         path_weight(pf)
 
 
+def _one_segment_reference(v, mpmath):
+    """W and the free action of one segment of duration 1 at mass 1, from the definitions."""
+    v = mpmath.mpf(v)
+    root = mpmath.sqrt(1 - v * v) if v < 1 else -1j * mpmath.sqrt(v * v - 1)
+    weight = (v / root) / mpmath.sqrt(2 * (1 / root - 1)) * (root / 2) ** mpmath.mpf(-0.5)
+    return weight, -root
+
+
+@pytest.mark.parametrize("v", [1e-12, 1e-9, 1e-8, 1e-6, 1e-4, 1e-2, 0.6, 1.0 - 1e-6, 1.0 + 1e-6,
+                               2.0, 1e3, 1e5])
+def test_weight_matches_mpmath(v):
+    # slow paths, where 1/sqrt(1 - v^2) - 1 cancels, and both sides of the light cone, where
+    # 1 - v^2 does; the bound was fixed before any run
+    mpmath = pytest.importorskip("mpmath")
+    path = straight_path(v=v, duration=1.0)
+    assert path.velocities[0] == v
+    with mpmath.workdps(50):
+        target, _ = _one_segment_reference(v, mpmath)
+        got = path_weight(path_functionals(path, M1))
+        assert float(abs(got - target) / abs(target)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # action
 
@@ -163,6 +185,16 @@ def test_action_free_rest():
 
 def test_action_free_v06():
     assert path_action(straight_path(v=0.6, duration=1.0), M1) == pytest.approx(-0.8, rel=1e-14)
+
+
+@pytest.mark.parametrize("v", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_action_near_light_cone_matches_mpmath(v):
+    # real on one side, imaginary on the other; the bound was fixed before any run
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        _, target = _one_segment_reference(v, mpmath)
+        got = path_action(straight_path(v=v, duration=1.0), M1)
+        assert float(abs(got - target) / abs(target)) < 1e-14
 
 
 @pytest.mark.parametrize("make_field", [
