@@ -30,10 +30,7 @@ negative, and a third exponent digit only if some cell needs one or goes to
 Python).  A float cell is four little-endian word stores through strided
 views; a byte a cell omits (a "+" sign, an unused exponent digit, an
 integer's leading zero) is left NUL, and the NULs, which CSV text never
-holds, are removed once per block.  A column that several files of one run
-repeat is rendered once (render_field), and format_rows copies a block of
-its rows into each of those files' blocks.  That field's width comes from
-the whole column, which changes no byte: only NULs pad a field.
+holds, are removed once per block.
 """
 
 from __future__ import annotations
@@ -189,40 +186,11 @@ def _python_cells(field, fmt, values, rows):
         field[i, :-1] = np.frombuffer(cell, np.uint8)
 
 
-def _cells(column):
-    """The width of column's field and a function that writes its cells and a
-    separator into (n, width + 1) bytes of the rows."""
-    if column.dtype.kind in "biu":
-        return _int_cells(column.astype(np.uint64 if column.dtype.kind == "u" else np.int64))
-    return _float_cells(column.astype(np.float64))
-
-
-def _copied(field):
-    """The width of a rendered field and a function that copies its cells and
-    writes a separator into (n, width + 1) bytes of the rows."""
-    row = f"V{field.shape[1]}"  # a field row as one item: a copy per row, not per byte
-
-    def write(dest, sep):
-        dest.view(row)[:, 0] = field.view(row)[:, 0]
-        dest[:, -1] = sep
-    return field.shape[1] - 1, write
-
-
-def render_field(column):
-    """The field of a column that several files repeat, rendered once:
-    (n, width + 1) bytes of its cells, the last byte of each row left for
-    the separator.  format_rows takes its blocks of rows as columns."""
-    width, write = _cells(column)
-    field = np.empty((len(column), width + 1), np.uint8)
-    write(field, 0)
-    return field
-
-
 def format_rows(columns) -> bytes:
-    """The CSV text of non-empty, equal-length columns, one line per row:
-    1-D numpy ones, integer and boolean ones as %d and all others as %.16e,
-    and rows of a 2-D field from render_field, copied."""
-    cells = [_copied(c) if c.ndim == 2 else _cells(c) for c in columns]
+    """The CSV text of non-empty, equal-length numpy columns: integer and
+    boolean ones as %d, all others as %.16e, one line per row."""
+    cells = [_int_cells(c.astype(np.uint64 if c.dtype.kind == "u" else np.int64))
+             if c.dtype.kind in "biu" else _float_cells(c.astype(np.float64)) for c in columns]
     text = np.empty((len(columns[0]), sum(width + 1 for width, _ in cells)), np.uint8)
     start = 0
     for j, (width, write) in enumerate(cells):

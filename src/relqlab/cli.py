@@ -331,10 +331,9 @@ def _check_domain(name, params, seed):
 
 
 def _write_csv(path: Path, header, columns):
-    """Integer and bool columns as %d, all others as %.16e, and 2-D fields
-    from _csvtext.render_field as rendered, streamed in row blocks so the
-    text of a large snapshot never sits in memory at once; returns the sha256
-    of the bytes written."""
+    """Integer and bool columns as %d, all others as %.16e, streamed in row
+    blocks so the text of a large snapshot never sits in memory at once;
+    returns the sha256 of the bytes written."""
     from . import _csvtext  # on first use: runs that write only JSON never load it
 
     columns = [np.asarray(c) for c in columns]
@@ -385,8 +384,8 @@ def _run_kernel(cfg: RunConfig):
 
 
 def _run_evolve(cfg: RunConfig):
-    """Yields each snapshot before evolving to the next, so one state at a
-    time is held; the x column all snapshots share is rendered once."""
+    """Yields the grid, then each snapshot before evolving to the next, so
+    one state at a time is held."""
     params = cfg.parameters
     grid = evolution.SpatialGrid(n=params["grid_n"], length=params["length"])
     f = evolution.FieldConfig.free(params["mass"], grid, a0=params["a0"])
@@ -395,15 +394,14 @@ def _run_evolve(cfg: RunConfig):
     norm0, v_group = state.norm(), evolution.group_velocity(state, f)
     centroids = []
     done = 0
-    from . import _csvtext  # on first use, as in _write_csv
-    x = _csvtext.render_field(grid.x)
+    yield "evolve_grid.csv", (["x"], [grid.x])
     for index, end in enumerate([*range(0, steps, params["snapshot_stride"]), steps]):
         if end > done:
             state = evolution.evolve(state, f, dt, end - done)
             done = end
         centroids.append((done * dt, state.centroid()))
-        yield f"evolve_snap_{index:04d}.csv", (["x", "re", "im", "abs2"], [
-            x, state.values.real, state.values.imag, state.density()])
+        yield f"evolve_snap_{index:04d}.csv", (["re", "im", "abs2"], [
+            state.values.real, state.values.imag, state.density()])
     yield "evolve_summary.json", {
         "norm_initial": norm0,
         "norm_final": state.norm(),

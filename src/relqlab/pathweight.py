@@ -35,6 +35,7 @@ _UNIFORM_STEP_RTOL = 1e-12
 PLANE_WAVE_EPS0 = (1e-3, 30.0)  # short_time_plane_wave's declared domain, with |p| tau0 <= 10
 PLANE_WAVE_MAX_PTAU = 10.0
 PLANE_WAVE_RTOL = 1e-11  # largest relative gap it accepts between its 16- and 24-node sums
+MAX_SEGMENT_SPEED = 1e153  # the |v| domain of path_functionals and path_action
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -121,6 +122,17 @@ def _proper_time_rate(speed):
     return np.conj(np.sqrt((1.0 - speed) * (1.0 + speed) + 0j))
 
 
+def _segment_speeds(v):
+    """|v| of segment velocities v, refused unless within MAX_SEGMENT_SPEED:
+    past ~9.5e153, 2 v^2 overflows and the functionals and action turn nan."""
+    speed = np.abs(v)
+    outside = speed[~(speed <= MAX_SEGMENT_SPEED)]
+    if outside.size:
+        raise ValueError(f"segment speed {float(outside[0])!r} is past the declared domain "
+                         f"|v| <= {MAX_SEGMENT_SPEED:g}")
+    return speed
+
+
 def _segment_densities(root, speed):
     """PBB/m, PCAL/m and DTAU per unit time of a segment with speed |v| and
     proper-time rate root = sqrt(1 - v^2): |v|/root, sqrt(2 (1/root - 1)) and root.
@@ -135,7 +147,7 @@ def _weight(pbb, pcal, dtau):
 
 def path_functionals(path: Path, scale: PhysicalScale) -> PathFunctionals:
     """Momentum, kinetic-energy, and proper-time functionals of a sampled path."""
-    speed = np.abs(path.velocities)
+    speed = _segment_speeds(path.velocities)
     if np.any(speed == 1.0):
         raise LightlikeSegmentError("lightlike segment: |v| = 1 makes the momentum integrand diverge")
     m, dt = scale.mass, path.dt
@@ -162,7 +174,7 @@ def path_action(path: Path, scale: PhysicalScale, a_field=None, v_field=None) ->
     v = path.velocities
     dt = path.dt
     x_mid = 0.5 * (path.positions[:-1] + path.positions[1:])
-    lagr = -scale.mass * _proper_time_rate(np.abs(v))
+    lagr = -scale.mass * _proper_time_rate(_segment_speeds(v))
     if a_field is not None:
         lagr = lagr + a_field(x_mid) * v
     if v_field is not None:

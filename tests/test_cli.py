@@ -649,13 +649,6 @@ def test_write_csv_matches_per_cell_formatter(tmp_path, case):
     _write_csv_reference(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert digest == hashlib.sha256((tmp_path / "old.csv").read_bytes()).hexdigest()
-    # each column in turn rendered ahead, first, middle and last, so that a
-    # rendered field takes every separator; a file of no rows has none to render
-    for j in range(len(columns) if len(columns[0]) else 0):
-        rendered = [*columns[:j], _csvtext.render_field(np.asarray(columns[j])),
-                    *columns[j + 1:]]
-        assert cli._write_csv(tmp_path / "rendered.csv", header, rendered) == digest, header[j]
-        assert (tmp_path / "rendered.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _percent_e(values):
@@ -719,21 +712,9 @@ def test_benchmark_size_evolve_snapshots_equal_python_formatting(tmp_path):
     for path in snapshots:
         header, body = path.read_bytes().decode().split("\n", 1)
         rows = [line.split(",") for line in body.splitlines()]
-        assert header == "x,re,im,abs2" and len(rows) == 65536
-        assert body == "".join("%.16e,%.16e,%.16e,%.16e\n" % tuple(map(float, row))
+        assert header == "re,im,abs2" and len(rows) == 65536
+        assert body == "".join("%.16e,%.16e,%.16e\n" % tuple(map(float, row))
                                for row in rows)
-
-
-def test_evolve_writes_its_rendered_x_column_as_the_plain_one(tmp_path, monkeypatch):
-    # five snapshots of two blocks each share one rendering of grid.x
-    args = ["evolve", "--grid-n", "8192", "--snapshot-stride", "100", "--out"]
-    assert run_cli([*args, tmp_path / "rendered"]) == 0
-    monkeypatch.setattr(_csvtext, "render_field", lambda column: column)
-    assert run_cli([*args, tmp_path / "plain"]) == 0
-    names = sorted(path.name for path in (tmp_path / "plain").glob("evolve_snap_*.csv"))
-    assert len(names) == 5
-    for name in names:
-        assert (tmp_path / "rendered" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_number_tables_are_not_built_at_import():
@@ -1067,6 +1048,26 @@ def test_evolve_snapshots_and_summary(tmp_path):
     assert len(summary["centroid_trajectory"]) == 3
 
 
+def test_evolve_grid_and_snapshots_describe_one_run(tmp_path):
+    # the grid is written once, first; each snapshot holds only the state on it
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", "--grid-n", "256", "--steps", "100", "--snapshot-stride", "50",
+                    "--out", out]) == 0
+    grid = evolution.SpatialGrid(n=256, length=200.0)
+    assert (out / "evolve_grid.csv").read_bytes() == b"x\n" + _percent_e(grid.x)
+    x = np.loadtxt(out / "evolve_grid.csv", skiprows=1)
+    snaps = sorted(out.glob("evolve_snap_*.csv"))
+    centroids = read_json(out / "evolve_summary.json")["centroid_trajectory"]
+    assert len(snaps) == len(centroids) == 3
+    for path, (_, centroid) in zip(snaps, centroids):
+        assert path.read_text().splitlines()[0] == "re,im,abs2"
+        abs2 = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+        assert len(abs2) == len(x)
+        assert np.sum(x * abs2) / np.sum(abs2) == pytest.approx(centroid, rel=1e-12)
+    manifest = read_json(out / "manifest.json")
+    assert manifest["outputs"][0]["path"] == "evolve_grid.csv"
+
+
 def test_collapse_history_columns(tmp_path):
     out = tmp_path / "col"
     assert run_cli(["collapse", "--max-steps", "2000", "--seed", "5", "--out", out]) == 0
@@ -1140,8 +1141,8 @@ def test_every_subcommand_has_a_runner():
     (["oracle", "--n-max", "1"], ["oracle_moments.csv"]),
     (["kernel", "--eta-count", "8"], ["kernel_profile.csv"]),
     (["evolve", "--grid-n", "64", "--steps", "5", "--snapshot-stride", "2"],
-     ["evolve_snap_0000.csv", "evolve_snap_0001.csv", "evolve_snap_0002.csv",
-      "evolve_snap_0003.csv", "evolve_summary.json"]),
+     ["evolve_grid.csv", "evolve_snap_0000.csv", "evolve_snap_0001.csv",
+      "evolve_snap_0002.csv", "evolve_snap_0003.csv", "evolve_summary.json"]),
     (["collapse", "--max-steps", "50"], ["collapse_history.csv", "collapse_summary.json"]),
     (["ensemble", "--n-runs", "20", "--max-steps", "50"], ["ensemble_report.json"]),
     (["ab", "--screen-points", "64"], ["ab_pattern.csv", "ab_summary.json"]),

@@ -175,6 +175,29 @@ def test_weight_matches_mpmath(v):
         assert float(abs(got - target) / abs(target)) < 1e-14
 
 
+def test_weight_and_action_at_the_speed_bound_match_mpmath():
+    # the largest declared segment speed; the bound was fixed before any run
+    mpmath = pytest.importorskip("mpmath")
+    v = pathweight.MAX_SEGMENT_SPEED
+    path = straight_path(v=v, duration=1.0)
+    assert path.velocities[0] == v
+    with mpmath.workdps(50):
+        weight, action = _one_segment_reference(v, mpmath)
+        got = path_weight(path_functionals(path, M1)), path_action(path, M1)
+        for value, target in zip(got, (weight, action)):
+            assert float(abs(value - target) / abs(target)) < 1e-14
+
+
+@pytest.mark.parametrize("v", [1e154, 1e155, 1e200, -1e200])
+def test_speeds_past_the_bound_are_refused(v):
+    # past ~9.5e153, 2 v^2 overflows and the functionals and action turn nan
+    path = straight_path(v=v, duration=1.0)
+    with pytest.raises(ValueError, match="segment speed .* past the declared domain"):
+        path_functionals(path, M1)
+    with pytest.raises(ValueError, match="segment speed .* past the declared domain"):
+        path_action(path, M1)
+
+
 # ---------------------------------------------------------------------------
 # action
 
