@@ -14,15 +14,15 @@ only, so no digit depends on FMA or the SIMD target.  The product is within
 value lies within _TIE_MARGIN of a rounding tie.
 
 One exact test sorts the cells: the fast range 1e-273 <= |x| < 1e298, where
-e, its guess and a carry all index the table.  Zeros and the cells outside it
-are set aside by index, and so are the few cells whose guess is off by one
-or whose rounding carries into the next power of ten; those corrections run
-only when some cell of the block needs them.  A zero is written on the fast
-path with D = 0 and e = 0.  Python's "%" formats the cells this cannot
-decide, into the same field: those near a tie, the others outside the fast
-range (non-finite ones, subnormals and magnitudes whose scale 10^(16-e) the
-table does not hold, where a split could overflow), and int64's minimum,
-whose magnitude does not fit an int64.
+e and its guess both index the table.  Zeros and the cells outside it are
+set aside by index; a zero is written on the fast path with D = 0 and e = 0.
+D = p + rint(lo) from the guess is outside (10^16, 10^17) wherever the guess
+is off (D >= 10^17 one too low, D <= 10^16 one too high) or the rounding
+carries into the next power of ten (D = 10^17).  Python's "%" formats the
+cells this cannot decide, into the same field: those with such a D, those
+near a tie, the others outside the fast range (non-finite ones, subnormals
+and magnitudes whose scale 10^(16-e) the table does not hold, where a split
+could overflow), and int64's minimum, whose magnitude does not fit an int64.
 
 A block is one buffer of equal rows; each field's width comes from the
 block's own cells (a float field has a sign byte only if some cell is
@@ -40,7 +40,7 @@ import functools
 import numpy as np
 
 _E_LO, _E_HI = -274, 298  # exponents e whose scale 10^(16-e) the table holds
-_A_LO, _A_HI = 1e-273, 1e298  # the fast range of |x|: e, its guess and a carry stay in the table
+_A_LO, _A_HI = 1e-273, 1e298  # the fast range of |x|: e and its guess stay in the table
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 _TIE_MARGIN = 2.0 ** -30  # in units of the last digit, far above the product's error
 _D_MIN, _D_MAX = 10 ** 16, 10 ** 17
@@ -113,27 +113,15 @@ def _float_cells(x):
     a = np.abs(x)
     odd = np.flatnonzero(~((a >= _A_LO) & (a < _A_HI)))  # zero, non-finite or out of range
     if odd.size:
-        a[odd] = 2.0  # a stand-in with e = 0, D = 2 10^16 and lo = 0: no correction, no tie
+        a[odd] = 2.0  # a stand-in with e = 0, D = 2 10^16 and lo = 0: not sent to Python
     # table rows e - _E_LO of the guesses of e: log10 is within one of the
     # true e, and so is the truncation (a floor: the sum is positive)
     row = (np.log10(a) - _E_LO).astype(np.int64)
-    a_hi, a_lo = _split(a)
-    p, lo = _scaled(a, a_hi, a_lo, row)
-    # the guess is off by one where the unrounded product leaves [10^16, 10^17);
-    # rounding is monotonic and both bounds are doubles, so only where p reaches one
-    fix = np.flatnonzero((p <= _D_MIN) | (p >= _D_MAX))
-    if fix.size:
-        pf, lf = p[fix], lo[fix]
-        row[fix] += (((pf > _D_MAX) | ((pf == _D_MAX) & (lf >= 0))).astype(np.int64)
-                     - ((pf < _D_MIN) | ((pf == _D_MIN) & (lf < 0))))
-        p[fix], lo[fix] = _scaled(a[fix], a_hi[fix], a_lo[fix], row[fix])
+    p, lo = _scaled(a, *_split(a), row)
     n = np.rint(lo)  # ties never reach this rounding: Python decides them
     d = p.astype(np.int64) + n.astype(np.int64)
-    carry = np.flatnonzero(d == _D_MAX)  # 9.99...95e(e) and up round to 1.000...e(e+1)
-    if carry.size:
-        d[carry] = _D_MIN
-        row[carry] += 1
-    slow = np.flatnonzero(np.abs(lo - n) > 0.5 - _TIE_MARGIN)
+    # D outside (10^16, 10^17): a guess off by one or a carry; Python writes those and ties
+    slow = np.flatnonzero((d <= _D_MIN) | (d >= _D_MAX) | (np.abs(lo - n) > 0.5 - _TIE_MARGIN))
     if odd.size:
         zero = x[odd] == 0
         d[odd[zero]] = 0

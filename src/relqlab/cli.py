@@ -139,7 +139,7 @@ SCHEMAS = {
         _THRESHOLD,
     ],
     "ab": [
-        Param("flux", float, 0.0, "enclosed flux (AB phase = -flux)"),
+        Param("flux", float, 0.0, "enclosed flux (AB phase = -flux)", abexp.flux_error),
         Param("b1_amp", float, abexp.DEFAULT_B1_STAR, "alternating field amplitude", _non_negative),
         Param("segments", int, 6000, "field segments in the flight (even)", abexp.segments_error),
         Param("screen_points", int, 256, "screen samples", _int_min(64)),
@@ -161,7 +161,6 @@ SCHEMAS = {
               _int_range(1, evolution.MAX_FLUX_ORDER)),
     ],
 }
-SUBCOMMANDS = tuple(SCHEMAS)
 RUN_SETTINGS = [  # every subcommand's; RunConfig holds them beside its parameters
     Param("seed", int, 0, "base RNG seed", _int_min(0)),
     Param("out", str, None, "output directory; runs/<subcommand> when not given"),
@@ -319,8 +318,6 @@ def _check_domain(name, params, seed):
     if name == "ensemble":
         check("seed", collapse.check_keys, seed, params["n_runs"])
     if name == "ab":
-        if msg := abexp.flux_error(params["flux"]):
-            raise ValueError(f"ab.flux: {msg} (got {params['flux']!r})")
         big = "a0_main" if params["a0_main"] > params["p_beam"] else "p_beam"  # drives the levels
         sys_ = check(big, abexp.two_state_for_paths, params["p_beam"], params["a0_main"])
         check("b1_amp", collapse.check_noise, sys_, params["b1_amp"])

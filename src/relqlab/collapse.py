@@ -464,9 +464,11 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
                        n_runs, max_steps, threshold, workers):
     """Per-trajectory outcome and collapse-step arrays (-1 where unresolved)."""
     n_workers = worker_count(workers, n_runs)  # a block holds at least one trajectory
-    if (proc_base.mode == "alternating" or init.a0 * init.a0 >= threshold
-            or init.a1 * init.a1 >= threshold):
-        # deterministic noise, or a state collapsed at step 0: one run stands for all
+    coef = _ratio_coefficients(sys)
+    if (proc_base.mode == "alternating" or proc_base.sigma == 0 or coef[:2] == coef[2:]
+            or init.a0 * init.a0 >= threshold or init.a1 * init.a1 >= threshold):
+        # deterministic noise, noise that cannot move s (phi = 1 exactly), or a
+        # state collapsed at step 0: one run stands for all
         traj = run_trajectory(init, sys, proc_base, max_steps, threshold, max_steps)
         resolved = traj.outcome is not None
         return (np.full(n_runs, traj.outcome if resolved else -1, dtype=np.int64),
@@ -494,8 +496,8 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     at most ENSEMBLE_BLOCK that up to `workers` processes share (see
     worker_count); each consumes its own Philox stream, so the
     per-trajectory results equal scalar run_trajectory calls bit for bit and
-    are independent of chunks, blocks and workers.  Alternating noise is
-    deterministic: one trajectory is run and its result stands for all.
+    are independent of chunks, blocks and workers.  Alternating noise, zero
+    noise and equal levels (phi = 1 exactly) run one trajectory for all.
     """
     if not is_integer(n_runs) or n_runs < 1:
         raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")

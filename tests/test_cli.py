@@ -694,6 +694,23 @@ def test_format_rows_corrects_exponent_guesses_off_by_one_either_way(monkeypatch
     assert _csvtext.format_rows([cells]) == _percent_e(cells)
 
 
+def test_format_rows_sends_cells_near_a_tie_to_python(monkeypatch):
+    # an exact tie comes out right without the tie guard, since its product is
+    # exact; each lo moved by 2^-40, under _TIE_MARGIN, makes it a near-tie
+    # that only the guard sends to Python's %
+    assert 2.0 ** -40 < _csvtext._TIE_MARGIN
+    scaled = _csvtext._scaled
+
+    def shifted(*args):
+        p, lo = scaled(*args)
+        return p, lo + 2.0 ** -40
+
+    monkeypatch.setattr(_csvtext, "_scaled", shifted)
+    ties = np.array([TIE, *(t * 2.0 ** -24 for t in range(3, 16, 2)), 2.0 ** -25, 3 * 2.0 ** -25])
+    cells = np.concatenate([ties, -ties])
+    assert _csvtext.format_rows([cells]) == _percent_e(cells)
+
+
 def test_format_rows_random_bit_patterns_in_one_block_or_many():
     cells = np.random.default_rng(16).integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64)
     text = _percent_e(cells)

@@ -75,7 +75,7 @@ def _draw_parameters(data, name):
 
 
 @PROPERTY_SETTINGS
-@given(name=st.sampled_from(cli.SUBCOMMANDS), seed=st.integers(0, 2**64),
+@given(name=st.sampled_from(tuple(cli.SCHEMAS)), seed=st.integers(0, 2**64),
        threads=st.integers(1, 8), data=st.data())
 def test_manifest_parameters_replay_as_a_config_file(name, seed, threads, data):
     params = _draw_parameters(data, name)

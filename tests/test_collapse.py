@@ -471,11 +471,11 @@ def test_ensemble_counts_partition():
     assert report.counts[0] + report.counts[1] + report.unresolved == 200
 
 
-def _scalar_runs(init, base, n_runs, max_steps):
+def _scalar_runs(init, base, n_runs, max_steps, sys=REF_SYS):
     """Outcome and collapse-step arrays (-1 where unresolved) of scalar runs."""
     outcomes, steps = [], []
     for k in range(n_runs):
-        traj = run_trajectory(init, REF_SYS, dataclasses.replace(base, seed=base.seed + k),
+        traj = run_trajectory(init, sys, dataclasses.replace(base, seed=base.seed + k),
                               max_steps=max_steps, threshold=0.999, history_stride=10**9)
         outcomes.append(-1 if traj.outcome is None else traj.outcome)
         steps.append(-1 if traj.steps_to_collapse is None else traj.steps_to_collapse)
@@ -652,7 +652,7 @@ def test_ensemble_past_threshold_on_either_level_collapses_at_step_0(mode, p0, e
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_zero_noise_matches_scalar(workers, monkeypatch):
-    # sigma = 0 freezes every trajectory (the masked kernel route)
+    # sigma = 0 freezes every trajectory (one run stands for all)
     monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", 3)
     monkeypatch.setattr(collapse, "_CHUNK", 64)
     base = uniform_noise(0.0, seed=8)
@@ -663,6 +663,24 @@ def test_ensemble_zero_noise_matches_scalar(workers, monkeypatch):
     assert np.all(outcome == -1)
     report = run_ensemble(SYM_INIT, REF_SYS, base, 7, 300, 0.999, workers=workers)
     assert report.unresolved == 7 and report.median_steps is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sys, sigma", [(REF_SYS, 0.0),
+                                        (TwoStateSystem(e0=1.5, e1=1.5), DEFAULT_SIGMA_STAR)])
+def test_ensemble_noise_that_cannot_move_s_runs_one_trajectory(workers, sys, sigma,
+                                                               monkeypatch):
+    # zero noise, or equal levels (A = B), give phi = 1 exactly: no lockstep block runs
+    def no_block(*args):
+        raise AssertionError("a lockstep block ran")
+
+    monkeypatch.setattr(collapse, "_ensemble_block", no_block)
+    base = uniform_noise(sigma, seed=8)
+    outcome, steps = collapse._ensemble_outcomes(SYM_INIT, sys, base, 7, 20_000, 0.999, workers)
+    ref_outcome, ref_steps = _scalar_runs(SYM_INIT, base, 7, 20_000, sys)
+    np.testing.assert_array_equal(outcome, ref_outcome)
+    np.testing.assert_array_equal(steps, ref_steps)
+    assert np.all(outcome == -1) and np.all(steps == -1)
 
 
 def test_ensemble_keys_crossing_64_bits_match_scalar(monkeypatch):
