@@ -434,6 +434,23 @@ def test_trajectory_history_matches_reference_loop_bitwise(seed, max_steps):
     assert traj.steps_to_collapse == (int(ref[-1, 0]) if collapsed else None)
 
 
+@pytest.mark.parametrize("stride", [1, 7, 100, 10**9])
+@pytest.mark.parametrize("sigma, seed, max_steps", [(2.2, 3, 100_000), (0.55, 5, 100_000),
+                                                    (0.55, 9, 999)])
+def test_trajectory_history_keeps_every_stride_row_and_the_last(sigma, seed, max_steps, stride):
+    # a strided history is the stride-1 history's step-0 row, its rows at each
+    # multiple of the stride and its last row: the collapse, or step max_steps
+    # for the unresolved run (seed 9)
+    proc = uniform_noise(sigma, seed)
+    full = run_trajectory(SYM_INIT, REF_SYS, proc, max_steps, 0.999)
+    traj = run_trajectory(SYM_INIT, REF_SYS, proc, max_steps, 0.999, history_stride=stride)
+    keep = full.history[:, 0] % stride == 0
+    keep[-1] = True
+    assert traj.history.tobytes() == full.history[keep].tobytes()
+    assert (traj.outcome, traj.steps_to_collapse) == (full.outcome, full.steps_to_collapse)
+    assert full.history[-1, 0] == (max_steps if seed == 9 else full.steps_to_collapse)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         run_trajectory(SYM_INIT, REF_SYS, uniform_noise(0.1, 0), max_steps=10, threshold=0.4)
@@ -561,6 +578,24 @@ def test_ensemble_refills_only_live_trajectories_once_per_chunk(monkeypatch):
         if sigma == 0.55:
             assert steps.min() > collapse._FIRST_CHUNK
             assert expected[1][0::2] == (collapse._FIRST_CHUNK, collapse._CHUNK)
+
+
+def test_lockstep_block_stops_at_its_last_collapse(monkeypatch):
+    # a block steps in whole row groups and stops with the group of its last
+    # collapse.  At sigma 2.2, seed 7, that group ends at step 224, inside the
+    # chunk of steps 129..384; a stop that fell on a chunk end would not show.
+    calls = []
+    step = collapse._ratio_step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(collapse, "_ratio_step", counted)
+    _, steps = collapse._ensemble_outcomes(SYM_INIT, REF_SYS, uniform_noise(2.2, 7), 2000,
+                                           100_000, 0.999, 1)
+    assert steps.min() > 0  # every trajectory collapses
+    assert len(calls) == collapse._ROWS * -(-int(steps.max()) // collapse._ROWS)
 
 
 def _collapse_step_runs(init, base, n_runs, max_steps, threshold):
