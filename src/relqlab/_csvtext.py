@@ -20,9 +20,9 @@ D = p + rint(lo) from the guess is outside (10^16, 10^17) wherever the guess
 is off (D >= 10^17 one too low, D <= 10^16 one too high) or the rounding
 carries into the next power of ten (D = 10^17).  Python's "%" formats the
 cells this cannot decide, into the same field: those with such a D, those
-near a tie, the others outside the fast range (non-finite ones, subnormals
-and magnitudes whose scale 10^(16-e) the table does not hold, where a split
-could overflow), and int64's minimum, whose magnitude does not fit an int64.
+near a tie, and the others outside the fast range (non-finite ones,
+subnormals and magnitudes whose scale 10^(16-e) the table does not hold, where
+a split could overflow).
 
 A block is one buffer of equal rows; each field's width comes from the
 block's own cells (a float field has a sign byte only if some cell is
@@ -145,32 +145,30 @@ def _float_cells(x):
                              (10 + signed, d - high8 * 10 ** 8)):
             high4 = half // 10000
             store(offset, _quads()[half - high4 * 10000] << 32 | _quads()[high4])
-        _python_cells(field, "%.16e", x, slow)
+        _python_cells(field, x, slow)
     return width, write
 
 
 def _int_cells(v):
     """The width of the "%d" field of v (int64 or uint64) and a function that
     writes its cells and a separator into (n, width + 1) bytes of the rows."""
-    mag = np.abs(v)
-    slow = mag < 0  # int64's minimum, whose magnitude wraps to itself
+    mag = np.abs(v).astype(np.uint64)  # int64's minimum wraps to itself, then reads 2^63
     width = 1 + len(str(max(int(v.max()), -int(v.min()))))  # a sign and the longest magnitude
 
     def write(field, sep):
-        digits = _digits(np.where(slow, 0, mag), width - 1)
+        digits = _digits(mag, width - 1)
         field[:, 0] = np.where(v < 0, ord("-"), 0)
         field[:, 1:width] = np.where(np.logical_or.accumulate(digits != ord("0"), axis=1),
                                      digits, 0)
         field[:, width - 1] = digits[:, -1]  # the last digit, even of 0
         field[:, width] = sep
-        _python_cells(field, "%d", v, np.flatnonzero(slow))
     return width, write
 
 
-def _python_cells(field, fmt, values, rows):
-    """Python's fmt % value, left-aligned in its field, for the given row indices."""
+def _python_cells(field, values, rows):
+    """Python's "%.16e" % value, left-aligned in its field, for the given row indices."""
     for i in rows:
-        cell = (fmt % values[i].item()).encode().ljust(field.shape[1] - 1, b"\0")
+        cell = ("%.16e" % values[i].item()).encode().ljust(field.shape[1] - 1, b"\0")
         field[i, :-1] = np.frombuffer(cell, np.uint8)
 
 

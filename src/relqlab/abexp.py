@@ -79,8 +79,8 @@ class ABConfig:
             raise ValueError(f"b1_amp must be non-negative, got {self.b1_amp!r}")
         if msg := segments_error(self.segments):
             raise ValueError(f"segments {msg}, got {self.segments!r}")
-        if self.screen_points < 64:
-            raise ValueError(f"screen_points must be >= 64, got {self.screen_points!r}")
+        if not (is_integer(self.screen_points) and self.screen_points >= 64):
+            raise ValueError(f"screen_points must be an integer >= 64, got {self.screen_points!r}")
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ ensemble loop (numpy arrays over step-major noise tiles) call the same step
 function, so ensembles are bit-identical to scalar runs, however they are
 split into blocks or across worker processes.  The lockstep loop checks the
 threshold once per _ROWS steps and records a trajectory at its first
-crossing.  Both loops draw noise in chunks of _FIRST_CHUNK values, then
-_CHUNK after a chunk in which nothing collapsed, else twice the last, up to
-_CHUNK; Philox streams resume from their counter, so neither grouping nor
-chunking changes a value.
+crossing.  The scalar loop draws noise in chunks of _CHUNK values, the
+lockstep loop in chunks of _FIRST_CHUNK values, then _CHUNK after a chunk in
+which nothing collapsed, else twice the last, up to _CHUNK; Philox streams
+resume from their counter, so neither grouping nor chunking changes a value.
 """
 
 from __future__ import annotations
@@ -67,17 +67,17 @@ ENSEMBLE_BLOCK = 16384
 
 _SLAB = 128  # noise streams an ensemble fills, scales and transposes at a time
 _ROWS = 16  # lockstep steps between threshold checks
-# Noise values per trajectory in a run's first chunk.  A re-key (one row of one
-# chunk: a Philox state assignment and a `random` call) costs ~2.6 us inside a
-# block, the price of ~200 values.  At sigma 2.2 ~5% of trajectories collapse
-# by step 64 and ~80% by step 128, so a first chunk of 64 re-keys nearly every
-# row again for the next 128 values.  At sigma 2.2 the first chunk sets the
-# widest tile a block touches: 128 x 10000 doubles (9.8 MiB) for a 10000-wide
-# block, where 192 would touch ~5 MiB more.  A first chunk with no collapse
-# (sigma 0.55) is followed by full _CHUNK ones, which skips the 256 and 512
-# re-keys of rows that would not collapse there either.
+# Noise values per trajectory in a lockstep block's first chunk.  A re-key (one
+# row of one chunk: a Philox state assignment and a `random` call) costs
+# ~2.6 us inside a block, the price of ~200 values.  At sigma 2.2 ~5% of
+# trajectories collapse by step 64 and ~80% by step 128, so a first chunk of 64
+# re-keys nearly every row again for the next 128 values.  At sigma 2.2 the
+# first chunk sets the widest tile a block touches: 128 x 10000 doubles
+# (9.8 MiB) for a 10000-wide block, where 192 would touch ~5 MiB more.  A first
+# chunk with no collapse (sigma 0.55) is followed by full _CHUNK ones, which
+# skips the 256 and 512 re-keys of rows that would not collapse there either.
 _FIRST_CHUNK = 128
-_CHUNK = 1024  # largest noise chunk per trajectory, a multiple of four, in both loops
+_CHUNK = 1024  # a scalar noise chunk and the largest lockstep one, a multiple of four
 _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
@@ -330,8 +330,7 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     f the step's noise value (0.0 at step 0), at step 0, every
     history_stride steps, and at termination.  Outcome is the dominant index
     on collapse, None if max_steps is exhausted first.  Noise comes in
-    chunks of _FIRST_CHUNK values, then _CHUNK: a chunk that ends with no
-    collapse is followed by a full one.
+    chunks of _CHUNK values.
     """
     _check_run(sys, proc, max_steps, threshold)
     if not is_integer(history_stride) or history_stride < 1:
@@ -341,19 +340,16 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
     hit = rows[1] >= threshold or rows[2] >= threshold
     s = _initial_ratio(init)
-    step, span = 0, min(_FIRST_CHUNK, _CHUNK)
+    step = 0
     while not hit and step < max_steps:
-        for f in generate_noise(proc, min(span, max_steps - step), step).tolist():
+        for f in generate_noise(proc, min(_CHUNK, max_steps - step), step).tolist():
             step += 1
             s = _ratio_step(s, f, coef)
-            if step % history_stride == 0:
-                rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
             hit = s <= lo or s >= hi
+            if step % history_stride == 0 or hit or step == max_steps:
+                rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
             if hit:
                 break
-        span = _CHUNK  # a chunk ends early on a collapse, so this one saw none
-    if rows[-4] != step:
-        rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
     outcome = int(s > 1.0) if hit else None
     return CollapseTrajectory(history=np.array(rows).reshape(-1, 4), outcome=outcome,
                               steps_to_collapse=step if hit else None)
@@ -431,7 +427,6 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
             tile[:, c:c + _SLAB] = slab.T
         cols = np.arange(live.size)  # the tile column of each entry of s
         dead = np.zeros(live.size, dtype=bool)  # entries of s parked after collapsing
-        collapsed = False
         for j0 in range(0, span, _ROWS):
             group = tile[j0:j0 + _ROWS, :s.size]  # each row's noise, then its new s
             for j, row in enumerate(group, j0):
@@ -447,7 +442,6 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
                 outcome[done] = trips[first, np.arange(new.size)] > 1.0
                 steps_at[done] = step + j0 + first + 1
                 dead[new] = True
-                collapsed = True
             s[hit] = 1.0  # parked: a0^2 = a1^2 = 1/2 trips no threshold in (0.5, 1)
             if 8 * np.count_nonzero(dead) >= s.size:
                 keep = ~dead
@@ -455,8 +449,8 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
                 if not s.size:
                     break
         step += span
-        span = min(2 * span, _CHUNK) if collapsed else _CHUNK
         s, live = s[~dead], live[cols[~dead]]  # the next chunk fills live keys only
+        span = min(2 * span, _CHUNK) if live.size < tile.shape[1] else _CHUNK
     return outcome, steps_at
 
 

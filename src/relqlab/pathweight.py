@@ -190,6 +190,8 @@ def short_time_closed_form(p_momentum, eps0, scale: PhysicalScale) -> complex:
 
     with E_p = sqrt(m^2 + p^2) and eps = eps0 tau0.
     """
+    if not (math.isfinite(p_momentum) and math.isfinite(eps0)):
+        raise ValueError(f"p_momentum and eps0 must be finite, got {p_momentum!r}, {eps0!r}")
     tau0 = scale.tau0
     ptau = p_momentum * tau0
     ep_eps = math.sqrt(1.0 + ptau * ptau) * eps0  # E_p * eps in natural units
@@ -270,8 +272,10 @@ def equal_time_kernel_profile(eta, a_line_integral, scale: PhysicalScale) -> com
     product in real arithmetic, as numpy's array power and multiply round differently.
     """
     aeta = np.abs(np.asarray(eta, dtype=float))
-    if not aeta.all():
-        raise ValueError("eta = 0 is the distributional point; profile defined for eta != 0")
+    if not (aeta.all() and np.isfinite(aeta).all()):
+        raise ValueError("eta must be finite and nonzero: eta = 0 is the distributional point")
+    if not math.isfinite(a_line_integral):
+        raise ValueError(f"a_line_integral must be finite, got {a_line_integral!r}")
     # straight into the array: a list of complex objects would raise the peak RSS
     root = np.fromiter(((1j * a) ** -0.5 for a in aeta.ravel().tolist()), complex, aeta.size)
     root = root.reshape(aeta.shape)

@@ -92,6 +92,14 @@ def test_config_validation():
         make_config(b1_amp=-0.1)
 
 
+@pytest.mark.parametrize("screen_points", [100.5, 256.0, True])
+def test_screen_point_count_must_be_an_integer(screen_points):
+    # 100.5 would reach np.linspace and fail there with a TypeError
+    with pytest.raises(ValueError, match="screen_points must be an integer >= 64"):
+        make_config(screen_points=screen_points)
+    assert make_config(screen_points=np.int64(100)).screen_points == 100
+
+
 def test_config_rejects_non_finite_flux():
     # a nan flux would give an all-nan screen with visibility 0.0
     with pytest.raises(ValueError, match="flux"):

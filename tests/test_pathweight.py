@@ -277,6 +277,14 @@ def test_short_time_quadrature_matches_closed_form(ptau, eps0):
     assert abs(got - target) / abs(target) < 1e-6
 
 
+@pytest.mark.parametrize("p, eps0", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.5),
+                                     (0.75, math.nan), (0.75, math.inf)])
+def test_closed_form_rejects_non_finite_inputs(p, eps0):
+    # a nan eps0 would return nan; p = inf only warned (warnings are errors here)
+    with pytest.raises(ValueError, match="p_momentum and eps0 must be finite"):
+        short_time_closed_form(p, eps0, M1)
+
+
 def test_short_time_energy_phase():
     # E_p = 1.25 m at p = 0.75 m: phase advance between eps0 values is e^{-i E_p d(eps0)}
     a1 = short_time_closed_form(0.75, 0.4, M1)
@@ -367,6 +375,16 @@ def test_kernel_profile_eta_zero_rejected():
         equal_time_kernel_profile(0.0, 0.0, M1)
     with pytest.raises(ValueError, match="eta = 0"):
         equal_time_kernel_profile(np.array([0.5, 0.0, -0.5]), 0.3, M1)
+
+
+@pytest.mark.parametrize("eta, a_line_integral, name", [
+    (math.nan, 0.0, "eta"), (math.inf, 0.0, "eta"), (-math.inf, 0.3, "eta"),
+    (np.array([0.5, math.nan]), 0.0, "eta"), (0.5, math.nan, "a_line_integral"),
+    (np.array([0.5, -0.5]), -math.inf, "a_line_integral")])
+def test_kernel_profile_rejects_non_finite_inputs(eta, a_line_integral, name):
+    # each would otherwise return nan+nanj without a warning
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        equal_time_kernel_profile(eta, a_line_integral, M1)
 
 
 @pytest.mark.parametrize("mass", [1e-5, 0.37, 1.0, 1e300])
