@@ -270,9 +270,9 @@ def parse_and_validate(argv) -> RunConfig:
 
 
 def _check_domain(name, params, seed):
-    """The domain checks that need the parameters alone, made where possible
-    by the library's own code, so that a run past its domain fails here
-    rather than after its output directory exists."""
+    """The domain checks made before any output exists, where possible by the
+    library's own code on the inputs the run builds, so that a run past its
+    domain fails here rather than after its output directory exists."""
     def check(key, fn, *args):
         try:
             return fn(*args)
@@ -287,16 +287,14 @@ def _check_domain(name, params, seed):
                       params["mass"], params.get("a0", 0.0))
         if params.get("packet") != "plane":  # the Gaussian packet fits the grid
             x0, sigma, p0 = params["x0"], params["sigma"], params["p0"]
-            reach = abs(p0) + evolution.PACKET_MOMENTUM_SPREADS / (2.0 * sigma)
             if msg := evolution.packet_error(n, length, x0, sigma):
                 key = "sigma" if abs(x0) <= length / 2 else "x0"  # off the grid
             elif msg := evolution.momentum_error(n, length, p0, sigma):
                 key = "p0" if abs(p0) >= math.pi * n / length else "sigma"  # p0 alone aliases
         elif msg := evolution.mode_error(n, params["k_index"]):
             key = "k_index"
-        else:
-            reach = 2.0 * math.pi * params["k_index"] / length
-        if name == "flux" and not msg and (msg := evolution.series_error(params["mass"], reach)):
+        if name == "flux" and not msg and (
+                msg := evolution.series_error(params["mass"], _wave_pieces(params)[2])):
             key = "mass"
         if name == "flux" and not msg and (msg := evolution.flux_term_error(
                 n, length, params["mass"], n_trunc := params["n_trunc_max"])):
@@ -384,9 +382,7 @@ def _run_evolve(cfg: RunConfig):
     """Yields the grid, then each snapshot before evolving to the next, so
     one state at a time is held."""
     params = cfg.parameters
-    grid = evolution.SpatialGrid(n=params["grid_n"], length=params["length"])
-    f = evolution.FieldConfig.free(params["mass"], grid, a0=params["a0"])
-    state = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
+    grid, f, state = _wave_pieces(params)
     steps, dt = params["steps"], params["dt"]
     norm0, v_group = state.norm(), evolution.group_velocity(state, f)
     centroids = []
@@ -406,6 +402,15 @@ def _run_evolve(cfg: RunConfig):
         "centroid_trajectory": centroids,
         "group_velocity_estimate": v_group,
     }
+
+
+def _wave_pieces(params):
+    """The (grid, field, state) of an evolve or flux run."""
+    grid = evolution.SpatialGrid(n=params["grid_n"], length=params["length"])
+    f = evolution.FieldConfig.free(params["mass"], grid, a0=params.get("a0", 0.0))
+    if params.get("packet") == "plane":
+        return grid, f, evolution.plane_wave(grid, params["k_index"])
+    return grid, f, evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
 
 
 def _collapse_pieces(params, seed):
@@ -458,12 +463,7 @@ def _run_ab(cfg: RunConfig):
 
 def _run_flux(cfg: RunConfig):
     params = cfg.parameters
-    grid = evolution.SpatialGrid(n=params["grid_n"], length=params["length"])
-    f = evolution.FieldConfig.free(params["mass"], grid)
-    if params["packet"] == "plane":
-        psi = evolution.plane_wave(grid, params["k_index"])
-    else:
-        psi = evolution.gaussian_packet(grid, params["x0"], params["sigma"], params["p0"])
+    _, f, psi = _wave_pieces(params)
     report = evolution.density_flux_report(psi, f, params["n_trunc_max"])
     residuals, floor = report.residual_l2.tolist(), report.rounding_floor
     orders = range(1, len(residuals) + 1)

@@ -345,12 +345,14 @@ def flux_term_error(n, length, mass, n_trunc):
             "squared and times max(length, 1), a double")
 
 
-def series_error(mass, reach):
-    """Why the density-flux series of a packet whose momenta reach |p| = reach
-    diverges at this mass, or None: E(p)'s series in (p / m)^2 converges for
-    |p| < m only.  A Gaussian packet reaches |p0| + PACKET_MOMENTUM_SPREADS /
-    (2 sigma), a plane wave |2 pi k_index / length|; density_flux_report
-    takes the reach from psi's own spectrum."""
+def series_error(mass, psi: WaveFunction):
+    """Why the density-flux series of psi diverges at this mass, or None: E(p)'s
+    series in (p / m)^2 converges for |p| < m only, and psi's momenta reach the
+    largest grid |p| at which |psi_hat|^2 is at least
+    exp(-PACKET_MOMENTUM_SPREADS^2 / 2) of its peak."""
+    power = _abs2(np.fft.fft(psi.values))
+    tail = math.exp(-PACKET_MOMENTUM_SPREADS ** 2 / 2.0) * power.max()
+    reach = float(np.max(np.abs(psi.grid.p[power >= tail])))
     if reach < mass:
         return None
     return f"must exceed the packet's momentum reach {reach!r}"
@@ -369,9 +371,7 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxRepor
 
     High-order Q functionals amplify spectral roundoff like p_max^(2n); use
     grids whose momentum range is O(m) when pushing n_trunc up.  ValueError
-    where series_error rejects psi's momentum reach: the largest |p| at which
-    |psi_hat|^2 is at least exp(-PACKET_MOMENTUM_SPREADS^2 / 2) of its peak,
-    for a Gaussian packet exactly |p0| + PACKET_MOMENTUM_SPREADS / (2 sigma).
+    where series_error rejects psi's momentum reach at this mass.
     """
     if np.any(f.v_samples != 0.0) or f.a0 != 0.0:
         raise ValueError("density_flux_report is derived for the free case: V = 0, a0 = 0")
@@ -379,17 +379,12 @@ def density_flux_report(psi: WaveFunction, f: FieldConfig, n_trunc) -> FluxRepor
         raise ValueError(f"n_trunc must be an integer in [1, {MAX_FLUX_ORDER}], got {n_trunc!r}")
     grid = psi.grid
     max_energy(grid.n, grid.length, f.mass)  # E(p) stays in double range
-    if msg := flux_term_error(grid.n, grid.length, f.mass, n_trunc):
+    if msg := flux_term_error(grid.n, grid.length, f.mass, n_trunc) or series_error(f.mass, psi):
         raise ValueError(f"mass {msg}, got mass={f.mass!r}")
 
     def l2(values):
         return math.sqrt(float(np.sum(_abs2(values)) * grid.dx))
     values = psi.values
-    power = _abs2(np.fft.fft(values))
-    tail = math.exp(-PACKET_MOMENTUM_SPREADS ** 2 / 2.0) * power.max()
-    reach = float(np.max(np.abs(grid.p[power >= tail])))
-    if msg := series_error(f.mass, reach):
-        raise ValueError(f"mass {msg}, got mass={f.mass!r}")
     h_psi = _spectral(values, dispersion(grid.p, f))
     residual, norms = 2.0 * (np.conj(values) * h_psi).imag, []
     for n in range(1, n_trunc + 1):

@@ -159,6 +159,14 @@ def test_visibility_scale_invariant():
         fringe_visibility(xi, intensity), rel=1e-14)
 
 
+def test_visibility_refuses_negative_or_too_few_samples():
+    xi = np.linspace(-4.0, 4.0, 401)
+    with pytest.raises(ValueError, match="non-negative"):
+        fringe_visibility(xi, np.cos(2.0 * np.pi * xi))
+    with pytest.raises(ValueError, match="too few screen samples"):  # 3 inside |xi| <= 2
+        fringe_visibility(np.linspace(-4.0, 4.0, 5), np.ones(5))
+
+
 # ---------------------------------------------------------------------------
 # the experiment
 

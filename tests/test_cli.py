@@ -962,6 +962,18 @@ def test_flux_plane_wave_below_the_nyquist_index_runs(tmp_path):
     assert run_cli(["flux", "--packet", "plane", "--k-index", "255", "--out", tmp_path]) == 0
 
 
+def test_flux_series_rule_reads_the_state_the_run_uses(tmp_path, capsys):
+    # a packet 150 wide wraps round the default 512 pi box with a jump, so its spectrum
+    # reaches the Nyquist momentum 1.0, though |p0| + 8 / (2 sigma) is only 0.077:
+    # validation measures the state the run would build, so nothing is written
+    out = tmp_path / "flux"
+    assert run_cli(["flux", "--sigma", "150", "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert err["message"].startswith("flux.mass: must exceed the packet's momentum reach 1.0")
+    assert not out.exists()
+
+
 def test_flux_plane_wave_inside_the_series_rule_runs(tmp_path):
     # the default mode 30 reaches p = 2 pi 30 / (512 pi) = 0.117: a mass above it runs
     assert run_cli(["flux", "--packet", "plane", "--mass", "0.12", "--out", tmp_path]) == 0

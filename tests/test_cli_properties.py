@@ -1,8 +1,10 @@
 """Property tests of the CLI: the parameters, seed and threads a manifest
-records, fed back as a config file, resolve to the same run; the CSV writer
-formats any float and int64 as Python's % does."""
+records, fed back as a config file, resolve to the same run; every flux run
+that validates completes; the CSV writer formats any float and int64 as
+Python's % does."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -57,12 +59,13 @@ def _draw_parameters(data, name):
             params["x0"], params["sigma"], params["p0"] = 0.0, length / 10, 0.0  # and at rest
     if name == "flux":  # the plane-wave index is bounded by the grid drawn above
         params["k_index"] %= params["grid_n"] // 2
-        reach = abs(params["p0"]) + evolution.PACKET_MOMENTUM_SPREADS / (2.0 * params["sigma"])
-        if evolution.series_error(params["mass"], reach):
-            params["packet"] = "plane"  # a packet whose series diverges stands in as a plane wave
-        if params["packet"] == "plane" and evolution.series_error(
-                params["mass"], 2.0 * np.pi * params["k_index"] / params["length"]):
-            params["k_index"] = 0  # and a mode whose series diverges as the constant one
+        # a state whose series diverges stands in as a plane wave, then as the constant mode
+        for key, stand_in in (("packet", "plane"), ("k_index", 0)):
+            try:
+                cli._check_domain(name, params, 0)
+                break
+            except ValueError:
+                params[key] = stand_in
     if name == "kernel":
         params["eta_max"] = params["eta_min"] * data.draw(st.floats(1.5, 1e3), label="eta ratio")
     noise = {"collapse": "sigma", "ensemble": "sigma", "ab": "b1_amp"}.get(name)
@@ -102,6 +105,31 @@ def test_manifest_parameters_replay_as_a_config_file(name, seed, threads, data):
     # the same types and signs of zero too
     assert json.dumps(second.parameters) == json.dumps(first.parameters)
     assert (second.seed, second.threads) == (first.seed, first.threads)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(grid_n=st.sampled_from([16, 64, 512]), length=_log_uniform(1e-3, 1e4),
+       mass=_log_uniform(1e-2, 10.0), sigma=_log_uniform(0.1, 1e3),
+       plane=st.integers(0, 9).map(lambda i: i < 3), data=st.data())
+def test_every_flux_run_that_validates_completes(grid_n, length, mass, sigma, plane, data):
+    # the series domain is checked at validation on the state the run builds, so a
+    # run that validates never fails after its output directory exists
+    argv = ["flux", f"--grid-n={grid_n}", f"--length={length!r}", f"--mass={mass!r}",
+            f"--sigma={sigma!r}", f"--packet={'plane' if plane else 'gaussian'}",
+            f"--p0={data.draw(st.floats(-1.0, 1.0), label='p0 / mass') * mass!r}",
+            f"--x0={data.draw(st.floats(-0.5, 0.5), label='x0 / length') * length!r}",
+            f"--k-index={data.draw(st.integers(0, grid_n // 2 - 1), label='k_index')}",
+            f"--n-trunc-max={data.draw(st.integers(1, evolution.MAX_FLUX_ORDER), label='n')}"]
+    try:
+        cfg = cli.parse_and_validate(argv)
+    except ValueError:
+        return
+    for _ in cli._run_flux(cfg):
+        pass
 
 
 @PROPERTY_SETTINGS

@@ -818,6 +818,11 @@ def test_wilson_interval_against_scipy():
         assert hi == pytest.approx(ref.high, abs=1e-12)
 
 
+def test_wilson_interval_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial"):
+        wilson_interval(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # general mixing matrix (oracle for the linear model)
 

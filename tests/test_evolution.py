@@ -171,6 +171,27 @@ def test_evolve_validation():
         evolve(psi, FREE, dt=0.1, steps=True)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: WaveFunction(grid=GRID, values=np.ones(GRID.n // 2)), "shape"),
+    (lambda: WaveFunction(grid=GRID, values=np.ones((GRID.n, 1))), "shape"),
+    (lambda: FieldConfig.free(1.0, GRID, a0=math.nan), "a0 must be finite"),
+    (lambda: FieldConfig.free(1.0, GRID, a0=-math.inf), "a0 must be finite"),
+    (lambda: FieldConfig.free(0.0, GRID), "mass must be positive"),
+    (lambda: FieldConfig.free(-1.0, GRID), "mass must be positive"),
+    (lambda: FieldConfig.free(math.inf, GRID), "mass must be positive"),
+    (lambda: FieldConfig(a0=0.0, v_samples=np.full(GRID.n, math.inf), mass=1.0), "potential"),
+    # a potential off psi's grid, zero (the free path) or not (Strang steps)
+    (lambda: evolve(gaussian_packet(GRID, 0.0, 8.0, 0.0), FieldConfig.free(1.0, FLUX_GRID),
+                    0.1, 1), "potential samples must live on the wave function's grid"),
+    (lambda: evolve(gaussian_packet(GRID, 0.0, 8.0, 0.0),
+                    FieldConfig(a0=0.0, v_samples=np.full(FLUX_GRID.n, 0.1), mass=1.0), 0.1, 1),
+     "potential samples must live on the wave function's grid"),
+])
+def test_state_and_field_inputs_are_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # whole-weight operator
 
@@ -495,23 +516,24 @@ def test_flux_energies_past_double_range_are_rejected():
 
 
 def test_flux_series_rule_bounds_the_packet_momentum_by_the_mass():
-    # E(p)'s series in (p / m)^2 converges for |p| < m only: the default packet
-    # (p0 0.05, sigma 62.5) reaches 0.05 + 8 / 125 = 0.114
-    def gaussian_reach(p0, sigma):
-        return abs(p0) + PACKET_MOMENTUM_SPREADS / (2.0 * sigma)
-
-    assert series_error(1.0, gaussian_reach(0.05, 62.5)) is None
-    assert series_error(0.2, gaussian_reach(0.05, 62.5)) is None
-    assert series_error(0.12, gaussian_reach(-0.05, 62.5)) is None
-    for mass in (0.11, 0.1, 0.03, 0.01, 1e-10):
-        assert series_error(mass, gaussian_reach(0.05, 62.5)) is not None
-    assert series_error(0.5, gaussian_reach(0.0, PACKET_MOMENTUM_SPREADS)) is not None  # exactly
-    assert series_error(0.5, gaussian_reach(0.0, 2.0 * PACKET_MOMENTUM_SPREADS)) is None
+    # E(p)'s series in (p / m)^2 converges for |p| < m only, and the reach is read
+    # off the state's spectrum: the default packet (p0 0.05, sigma 62.5) reaches 0.1133
+    packet = gaussian_packet(FLUX_GRID, 0.0, 62.5, 0.05)
+    for mass in (1.0, 0.2, 0.114):
+        assert series_error(mass, packet) is None
+    for mass in (0.113, 0.1, 0.03, 0.01, 1e-10):
+        assert "momentum reach 0.1132" in series_error(mass, packet)
+    assert series_error(0.114, gaussian_packet(FLUX_GRID, 0.0, 62.5, -0.05)) is None
     # a plane wave reaches its own momentum: mode 30 of the default flux box, 0.117
-    plane = 2.0 * np.pi * 30 / (512.0 * np.pi)
+    plane = plane_wave(FLUX_GRID, 30)
     assert series_error(0.12, plane) is None and series_error(1.0, plane) is None
     for mass in (0.1, 1e-3, 1e-10):
-        assert series_error(mass, plane) is not None
+        assert "momentum reach 0.1171" in series_error(mass, plane)
+    # a packet 150 wide wraps round the 512 pi box with a jump: its spectrum reaches
+    # the Nyquist momentum 1.0, far past |p0| + 8 / (2 sigma) = 0.077
+    wide = gaussian_packet(FLUX_GRID, 0.0, 150.0, 0.05)
+    assert series_error(1.0, wide) == "must exceed the packet's momentum reach 1.0"
+    assert series_error(1.01, wide) is None
 
 
 @pytest.mark.parametrize("mass", [0.1, 0.01])

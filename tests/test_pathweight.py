@@ -37,6 +37,14 @@ def test_physical_scale():
         PhysicalScale(mass=0.0)
 
 
+@pytest.mark.parametrize("times, positions", [(np.arange(3.0), np.zeros(4)),
+                                              (np.zeros((3, 1)), np.zeros(3)),
+                                              (np.arange(3.0), np.zeros((3, 1)))])
+def test_path_arrays_must_be_1d_of_equal_length(times, positions):
+    with pytest.raises(ValueError, match="1-d sequences of equal length"):
+        Path(times=times, positions=positions)
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         Path(times=np.array([0.0]), positions=np.array([0.0]))

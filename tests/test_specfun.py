@@ -94,6 +94,12 @@ def test_gamma_half_integer_recurrence_matches_gamma():
     assert gamma_half_integer(0) == SQRT_PI
 
 
+@pytest.mark.parametrize("k", [-1, -3, 2.5, 0.5])
+def test_gamma_half_integer_refuses_other_arguments(k):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        gamma_half_integer(k)
+
+
 # ---------------------------------------------------------------------------
 # small-argument Bessel
 
