@@ -34,7 +34,8 @@ ensemble loop (numpy arrays over step-major noise tiles) call the same step
 function, so ensembles are bit-identical to scalar runs, however they are
 split into blocks or across worker processes.  The lockstep loop checks the
 threshold once per _ROWS steps and records a trajectory at its first
-crossing.  The scalar loop draws noise in chunks of _CHUNK values, the
+crossing.  The scalar loop draws noise in chunks of _CHUNK values from one
+generator and keeps each chunk's history rows as one float64 block; the
 lockstep loop in chunks of _FIRST_CHUNK values, then _CHUNK after a chunk in
 which nothing collapsed, else twice the last, up to _CHUNK; Philox streams
 resume from their counter, so neither grouping nor chunking changes a value.
@@ -62,22 +63,24 @@ AMPLITUDE_FLOOR = 1e-9
 DEFAULT_SIGMA_STAR = 0.55
 
 #: Most trajectories one ensemble block advances in lockstep.  It bounds the
-#: (chunk, width) noise tile of a block, so memory stops growing with n_runs.
+#: (chunk, width) noise tile of a block to 64 MiB, so memory stops growing with n_runs.
 ENSEMBLE_BLOCK = 16384
 
 _SLAB = 128  # noise streams an ensemble fills, scales and transposes at a time
 _ROWS = 16  # lockstep steps between threshold checks
 # Noise values per trajectory in a lockstep block's first chunk.  A re-key (one
 # row of one chunk: a Philox state assignment and a `random` call) costs
-# ~2.6 us inside a block, the price of ~200 values.  At sigma 2.2 ~5% of
+# ~1.2-1.6 us inside a block, the price of ~150 values.  At sigma 2.2 ~5% of
 # trajectories collapse by step 64 and ~80% by step 128, so a first chunk of 64
 # re-keys nearly every row again for the next 128 values.  At sigma 2.2 the
 # first chunk sets the widest tile a block touches: 128 x 10000 doubles
 # (9.8 MiB) for a 10000-wide block, where 192 would touch ~5 MiB more.  A first
 # chunk with no collapse (sigma 0.55) is followed by full _CHUNK ones, which
-# skips the 256 and 512 re-keys of rows that would not collapse there either.
+# skips the 256-value chunk's re-keys of rows that would not collapse there either.
 _FIRST_CHUNK = 128
-_CHUNK = 1024  # a scalar noise chunk and the largest lockstep one, a multiple of four
+# A scalar noise chunk and the largest lockstep one, a multiple of four: the
+# smallest cap whose wide lockstep blocks step no slower than at 1024.
+_CHUNK = 512
 _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
 
@@ -227,15 +230,16 @@ def _fill_noise(proc: NoiseProcess, gen, keys, start, out):
     out += -proc.sigma
 
 
-def generate_noise(proc: NoiseProcess, n_steps, start=0):
+def generate_noise(proc: NoiseProcess, n_steps, start=0, gen=None):
     """Noise segment values f_start .. f_{start+n_steps-1} for the process;
-    start must be a non-negative multiple of four."""
+    start must be a non-negative multiple of four.  gen, a Philox Generator
+    that the call re-keys whatever its state, spares building one per call."""
     if not is_integer(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     if not is_integer(start) or start < 0 or start % 4:
         raise ValueError(f"start must be a non-negative multiple of 4, got {start!r}")
     values = np.empty(n_steps)
-    gen = proc.make_generator() if proc.mode == "uniform" else None
+    gen = proc.make_generator() if gen is None else gen  # alternating noise ignores it
     _fill_noise(proc, gen, [proc.seed], int(start), values[None])
     return values
 
@@ -329,8 +333,8 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     threshold must lie in (0.5, 1).  History records (step, a0^2, a1^2, f),
     f the step's noise value (0.0 at step 0), at step 0, every
     history_stride steps, and at termination.  Outcome is the dominant index
-    on collapse, None if max_steps is exhausted first.  Noise comes in
-    chunks of _CHUNK values.
+    on collapse, None if max_steps is exhausted first.  Noise comes from one
+    generator in chunks of _CHUNK values, each chunk's rows one float64 block.
     """
     _check_run(sys, proc, max_steps, threshold)
     if not is_integer(history_stride) or history_stride < 1:
@@ -339,10 +343,13 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
     lo, hi = _ratio_bounds(threshold)
     rows = [0, init.a0 * init.a0, init.a1 * init.a1, 0.0]  # flat (step, a0^2, a1^2, f)
     hit = rows[1] >= threshold or rows[2] >= threshold
+    history = [np.array(rows)]  # flat float64 blocks: step 0, then one a chunk
     s = _initial_ratio(init)
     step = 0
+    gen = proc.make_generator()
     while not hit and step < max_steps:
-        for f in generate_noise(proc, min(_CHUNK, max_steps - step), step).tolist():
+        rows = []
+        for f in generate_noise(proc, min(_CHUNK, max_steps - step), step, gen).tolist():
             step += 1
             s = _ratio_step(s, f, coef)
             hit = s <= lo or s >= hi
@@ -350,8 +357,9 @@ def run_trajectory(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePro
                 rows += (step, 1.0 / (1.0 + s), 1.0 / (1.0 + 1.0 / s), f)
             if hit:
                 break
+        history.append(np.array(rows))
     outcome = int(s > 1.0) if hit else None
-    return CollapseTrajectory(history=np.array(rows).reshape(-1, 4), outcome=outcome,
+    return CollapseTrajectory(history=np.concatenate(history).reshape(-1, 4), outcome=outcome,
                               steps_to_collapse=step if hit else None)
 
 

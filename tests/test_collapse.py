@@ -4,7 +4,10 @@ determinism, and the general mixing-matrix oracle."""
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,6 +145,22 @@ def test_one_fill_over_several_keys_equals_one_philox_draw_per_key(rows, start):
     for key, row in zip(keys, out):
         whole = np.random.Generator(np.random.Philox(key=key)).uniform(-sigma, sigma, start + n)
         assert row.tobytes() == whole[start:].tobytes()
+
+
+def test_noise_from_a_reused_generator_equals_a_fresh_call():
+    # the call re-keys the generator, so nothing it drew before leaks in
+    proc = uniform_noise(0.55, seed=2**64 + 3)
+    gen = uniform_noise(0.55, seed=17).make_generator()
+    for start in (0, 4, 512, 1020):
+        generate_noise(uniform_noise(0.3, seed=5), 33, start + 64, gen)  # another key and start
+        got = generate_noise(proc, 37, start, gen)
+        assert got.tobytes() == generate_noise(proc, 37, start).tobytes()
+
+
+def test_chunk_sizes_are_whole_philox_blocks():
+    # a stream resumes from its counter only on whole blocks of four values
+    assert collapse._CHUNK % 4 == collapse._FIRST_CHUNK % 4 == 0
+    assert collapse._FIRST_CHUNK <= collapse._CHUNK
 
 
 @pytest.mark.parametrize("start", [0, 3, 4, 7, 8])
@@ -449,6 +468,45 @@ def test_trajectory_history_keeps_every_stride_row_and_the_last(sigma, seed, max
     assert traj.history.tobytes() == full.history[keep].tobytes()
     assert (traj.outcome, traj.steps_to_collapse) == (full.outcome, full.steps_to_collapse)
     assert full.history[-1, 0] == (max_steps if seed == 9 else full.steps_to_collapse)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 513])
+def test_trajectory_history_is_chunk_invariant(monkeypatch, stride):
+    # each chunk's rows become one block; a chunk of 8 and one of 512 give the
+    # same bytes.  Every run crosses several chunk boundaries at either size:
+    # seeds 5 and 11 collapse at steps 3453 and 1637, seed 9 runs out at 2999.
+    cases = [(5, 100_000), (11, 100_000), (9, 2999)]
+    runs = {}
+    for chunk in (8, 512):
+        monkeypatch.setattr(collapse, "_CHUNK", chunk)
+        runs[chunk] = [run_trajectory(SYM_INIT, REF_SYS, uniform_noise(0.55, seed), max_steps,
+                                      0.999, history_stride=stride) for seed, max_steps in cases]
+    for small, large in zip(runs[8], runs[512]):
+        assert small.history.tobytes() == large.history.tobytes()
+        assert (small.outcome, small.steps_to_collapse) == (large.outcome, large.steps_to_collapse)
+    assert [int(traj.history[-1, 0]) for traj in runs[512]] == [3453, 1637, 2999]
+
+
+def test_trajectory_builds_one_generator_and_draws_once_per_chunk(monkeypatch):
+    # generate_noise is still called for every chunk, on the trajectory's one generator
+    built, drawn = [], []
+    make, draw = NoiseProcess.make_generator, collapse.generate_noise
+
+    def counted_make(self, offset=0):
+        built.append(offset)
+        return make(self, offset)
+
+    def counted_draw(*args):
+        drawn.append(args[1:3])
+        return draw(*args)
+
+    monkeypatch.setattr(NoiseProcess, "make_generator", counted_make)
+    monkeypatch.setattr(collapse, "generate_noise", counted_draw)
+    traj = run_trajectory(SYM_INIT, REF_SYS, uniform_noise(0.001, seed=3), 3000, 0.999)
+    assert traj.outcome is None and traj.history.shape == (3001, 4)
+    chunks = range(0, 3000, collapse._CHUNK)
+    assert drawn == [(min(collapse._CHUNK, 3000 - start), start) for start in chunks]
+    assert built == [0]
 
 
 def test_trajectory_validation():
@@ -787,6 +845,41 @@ def test_ensemble_single_worker_starts_no_pool(monkeypatch):
     report = run_ensemble(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), n_runs=10,
                           max_steps=200, threshold=0.999, workers=1)
     assert report.n_runs == 10
+
+
+# The child reads its peak RSS (KiB) as VmHWM, the high-water mark of its own
+# address space.  Its ru_maxrss would not do: on Linux, exec keeps the peak of
+# the address space it replaces, which for a child of this process is the
+# test process's own peak.
+_PEAK_GROWTH = """
+import sys
+from relqlab import cli
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak_kib()
+code = cli.main(sys.argv[1:])
+print(code, peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+@pytest.mark.parametrize("argv, bound_mib", [
+    (["ensemble", "--threads", "1"], 56),
+    (["collapse", "--sigma", "0.001", "--max-steps", "300000"], 36),
+], ids=["ensemble", "collapse"])
+def test_peak_memory_growth_is_bounded(tmp_path, argv, bound_mib):
+    # peak RSS growth of a fresh process over its own peak after imports: the
+    # default ensemble's lockstep noise tile, and a long stride-1 history
+    env = {**os.environ, "PYTHONPATH": str(Path(collapse.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, grown_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert grown_kib <= bound_mib * 1024
 
 
 def test_ensemble_rerun_identical():
