@@ -164,8 +164,9 @@ SCHEMAS = {
 RUN_SETTINGS = [  # every subcommand's; RunConfig holds them beside its parameters
     Param("seed", int, 0, "base RNG seed", _int_min(0)),
     Param("out", str, None, "output directory; runs/<subcommand> when not given"),
-    Param("threads", int, 1, "worker processes that share an ensemble, capped at the usable "
-          "CPUs; other subcommands ignore it; results are independent of it", _int_min(1)),
+    Param("threads", int, 1, "forked worker processes that share an ensemble, capped at the "
+          "usable CPUs (1 off Linux); other subcommands ignore it; results are independent of it",
+          _int_min(1)),
 ]
 
 

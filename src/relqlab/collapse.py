@@ -32,10 +32,11 @@ Level m is kicked by f times the system's noise_gains[m].  The one scalar
 loop, run_trajectory (Python floats, with history), and the lockstep
 ensemble loop (numpy arrays over step-major noise tiles) call the same step
 function, so ensembles are bit-identical to scalar runs, however they are
-split into blocks or across worker processes.  The lockstep loop checks the
-threshold once per _ROWS steps and records a trajectory at its first
-crossing.  The scalar loop draws noise in chunks of _CHUNK values from one
-generator and keeps each chunk's history rows as one float64 block; the
+split into blocks or across worker processes (children forked on Linux that
+share one generator and write into one shared mapping).  The lockstep loop
+checks the threshold once per _ROWS steps and records a trajectory at its
+first crossing.  The scalar loop draws noise in chunks of _CHUNK values from
+one generator and keeps each chunk's history rows as one float64 block; the
 lockstep loop in chunks of _FIRST_CHUNK values, then _CHUNK after a chunk in
 which nothing collapsed, else twice the last, up to _CHUNK; Philox streams
 resume from their counter, so neither grouping nor chunking changes a value.
@@ -83,12 +84,6 @@ _FIRST_CHUNK = 128
 _CHUNK = 512
 _U64 = (1 << 64) - 1
 _KEY_LIMIT = 1 << 128  # Philox keys are 128-bit
-
-# Ensemble workers fork on Linux: a spawned one imports numpy and relqlab
-# (~0.2 s), so a 2-worker pool starts in ~0.4 s, forked in ~0.05 s
-# (2-vCPU Xeon; a default ensemble takes ~0.5 s, ~0.8 s on one worker).
-# Workers run numpy and Philox code, no BLAS or threads; elsewhere, the default.
-_POOL_START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 class NoiseTooLargeError(ValueError):
@@ -376,15 +371,14 @@ def wilson_interval(successes, trials):
 
 
 def worker_count(requested, n_blocks):
-    """Worker processes to use: min(requested, usable CPUs, n_blocks), where
-    the usable CPUs are this process's affinity set (else all CPUs)."""
+    """Worker processes to use: on Linux min(requested, usable CPUs, n_blocks),
+    where the usable CPUs are this process's affinity set; elsewhere 1, since
+    workers are forked and only Linux forks them here (the results are the same)."""
     if not is_integer(requested) or requested < 1:
         raise ValueError(f"workers must be a positive integer, got {requested!r}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(int(requested), cpus, n_blocks))
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(int(requested), len(os.sched_getaffinity(0)), n_blocks))
 
 
 def _ensemble_blocks(n_runs, workers):
@@ -397,9 +391,10 @@ def _ensemble_blocks(n_runs, workers):
 
 
 def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoiseProcess,
-                    max_steps, threshold, block):
+                    max_steps, threshold, gen, block, out):
     """Advance trajectories k0 .. k0 + width - 1 of a uniform-noise ensemble
-    from an initial state short of the threshold.
+    from an initial state short of the threshold, drawing their noise with
+    gen, a Philox Generator re-keyed per row (so every block may share one).
 
     Chunk lengths follow the module's rule (multiples of four, so every
     stream can be resumed from its counter alone).  A chunk is filled _SLAB
@@ -410,15 +405,13 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
     parked at s = 1 under a dead mask, which keeps a second trip from being
     recorded; s and its tile columns are compacted once an eighth of them are
     dead, and at the chunk's end.
-    Returns the outcome and collapse-step arrays (-1 where unresolved).
-    Module-level so that worker processes can run it.
+    Writes the outcome and collapse step of trajectory k into out[:, k], a
+    (2, n_runs) int64 array that holds -1 (unresolved) until then.
     """
     k0, width = block
     coef = _ratio_coefficients(sys)
     lo, hi = _ratio_bounds(threshold)
-    outcome = np.full(width, -1, dtype=np.int64)
-    steps_at = np.full(width, -1, dtype=np.int64)
-    gen = proc.make_generator(offset=k0)  # re-keyed per row; validates the lowest key
+    outcome, steps_at = out[:, k0:k0 + width]
     tile_buf = np.empty(width * min(_CHUNK, max_steps))
     slab_buf = np.empty(min(width, _SLAB) * min(_CHUNK, max_steps))
     s = np.full(width, _initial_ratio(init))
@@ -459,12 +452,13 @@ def _ensemble_block(init: TwoStateAmplitudes, sys: TwoStateSystem, proc: NoisePr
         step += span
         s, live = s[~dead], live[cols[~dead]]  # the next chunk fills live keys only
         span = min(2 * span, _CHUNK) if live.size < tile.shape[1] else _CHUNK
-    return outcome, steps_at
 
 
 def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: NoiseProcess,
                        n_runs, max_steps, threshold, workers):
-    """Per-trajectory outcome and collapse-step arrays (-1 where unresolved)."""
+    """Per-trajectory outcome and collapse-step rows (-1 where unresolved).
+    Several workers are forked children, worker w running blocks w,
+    w + n_workers, ... into one shared mapping; the caller runs no block."""
     n_workers = worker_count(workers, n_runs)  # a block holds at least one trajectory
     coef = _ratio_coefficients(sys)
     if (proc_base.mode == "alternating" or proc_base.sigma == 0 or coef[:2] == coef[2:]
@@ -477,17 +471,42 @@ def _ensemble_outcomes(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base:
                 np.full(n_runs, traj.steps_to_collapse if resolved else -1, dtype=np.int64))
 
     blocks = _ensemble_blocks(n_runs, n_workers)  # at least n_workers blocks
-    advance = functools.partial(_ensemble_block, init, sys, proc_base, max_steps, threshold)
+    advance = functools.partial(_ensemble_block, init, sys, proc_base, max_steps, threshold,
+                                proc_base.make_generator())  # built once, before any fork
     if n_workers == 1:
-        parts = list(map(advance, blocks))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        context = multiprocessing.get_context(_POOL_START_METHOD)
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
-            parts = list(pool.map(advance, blocks))
-    return (np.concatenate([outcome for outcome, _ in parts]),
-            np.concatenate([steps_at for _, steps_at in parts]))
+        out = np.full((2, n_runs), -1, dtype=np.int64)
+        for block in blocks:
+            advance(block, out)
+        return out
+    import mmap
+    import signal
+    import traceback
+    out = np.frombuffer(mmap.mmap(-1, 16 * n_runs), dtype=np.int64).reshape(2, n_runs)
+    out[:] = -1
+    pids, failed = [], 0
+    try:
+        for w in range(n_workers):
+            if (pid := os.fork()) == 0:  # a worker never returns into the caller
+                code = 1
+                try:
+                    for block in blocks[w::n_workers]:
+                        advance(block, out)
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        while pids:  # a pid leaves the list only once it is reaped
+            failed += os.waitpid(pids[-1], 0)[1] != 0
+            pids.pop()
+    finally:
+        for pid in pids:  # the wait was interrupted: stop and reap the workers left
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed:
+        raise RuntimeError(f"{failed} of {n_workers} ensemble workers failed")
+    return out.copy()
 
 
 def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: NoiseProcess,
@@ -495,7 +514,7 @@ def run_ensemble(init: TwoStateAmplitudes, sys: TwoStateSystem, proc_base: Noise
     """Repeat the trajectory with seeds seed + k, k = 0..n_runs-1.
 
     Uniform-noise trajectories advance in vectorized lockstep, in blocks of
-    at most ENSEMBLE_BLOCK that up to `workers` processes share (see
+    at most ENSEMBLE_BLOCK that up to `workers` forked processes share (see
     worker_count); each consumes its own Philox stream, so the
     per-trajectory results equal scalar run_trajectory calls bit for bit and
     are independent of chunks, blocks and workers.  Alternating noise, zero

@@ -2,10 +2,13 @@
 determinism, and the general mixing-matrix oracle."""
 
 import dataclasses
+import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from relqlab import collapse
+from relqlab import cli, collapse
 from relqlab.collapse import (
     AMPLITUDE_FLOOR,
     DEFAULT_SIGMA_STAR,
@@ -834,17 +837,97 @@ def test_ensemble_blocks_partition_runs(n_runs, workers):
     assert len(blocks) % workers == 0 or len(blocks) == n_runs
 
 
-def test_ensemble_single_worker_starts_no_pool(monkeypatch):
-    import concurrent.futures
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_worker_count_is_one_off_linux(monkeypatch, platform):
+    # workers are forked, and only on Linux
+    monkeypatch.setattr(sys, "platform", platform)
+    assert worker_count(8, 8) == 1
+    with pytest.raises(ValueError):
+        worker_count(0, 4)
 
-    def no_pool(*args, **kwargs):
+
+def test_ensemble_single_worker_starts_no_pool(monkeypatch):
+    def no_fork():
         raise AssertionError("a single worker must run in-process")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", 4)
     report = run_ensemble(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), n_runs=10,
                           max_steps=200, threshold=0.999, workers=1)
     assert report.n_runs == 10
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_builds_one_generator_in_the_caller(monkeypatch, workers):
+    # the caller builds one generator before any fork, and every block re-keys
+    # it; a generator built in a worker fails the run
+    caller, built = os.getpid(), []
+    make = NoiseProcess.make_generator
+
+    def counted_make(self, offset=0):
+        if os.getpid() != caller:
+            raise AssertionError("a worker built a generator")
+        built.append(offset)
+        return make(self, offset)
+
+    monkeypatch.setattr(NoiseProcess, "make_generator", counted_make)
+    monkeypatch.setattr(collapse, "ENSEMBLE_BLOCK", 3)
+    report = run_ensemble(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), n_runs=10,
+                          max_steps=200, threshold=0.999, workers=workers)
+    assert report.n_runs == 10 and built == [0]
+
+
+_TWO_WORKERS = pytest.mark.skipif(worker_count(2, 2) < 2, reason="needs two usable CPUs on Linux")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_TWO_WORKERS
+def test_failing_worker_fails_the_run_and_leaves_no_process(monkeypatch, tmp_path, capfd):
+    # the caller reaps every worker before it raises; the CLI exits 1 with its JSON error
+    def failing_block(*args):
+        raise ValueError("a block failed")
+
+    monkeypatch.setattr(collapse, "_ensemble_block", failing_block)
+    with pytest.raises(RuntimeError, match="2 of 2"):
+        collapse._ensemble_outcomes(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), 10, 200,
+                                    0.999, 2)
+    _no_child_left()
+    assert cli.main(["ensemble", "--threads", "2", "--n-runs", "10", "--out", str(tmp_path)]) == 1
+    _no_child_left()
+    err = capfd.readouterr().err
+    assert err.count("ValueError: a block failed") == 4  # each worker's traceback
+    assert json.loads(err.splitlines()[-1])["error"] == "RuntimeError"
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@_TWO_WORKERS
+def test_interrupted_caller_kills_and_reaps_its_workers(monkeypatch):
+    def slow_block(*args):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise _Interrupted
+
+    monkeypatch.setattr(collapse, "_ensemble_block", slow_block)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked child inherits no timer
+        with pytest.raises(_Interrupted):
+            collapse._ensemble_outcomes(SYM_INIT, REF_SYS, uniform_noise(0.55, seed=3), 10, 200,
+                                        0.999, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 # The child reads its peak RSS (KiB) as VmHWM, the high-water mark of its own
@@ -869,10 +952,12 @@ print(code, peak_kib() - before)
 @pytest.mark.parametrize("argv, bound_mib", [
     (["ensemble", "--threads", "1"], 56),
     (["collapse", "--sigma", "0.001", "--max-steps", "300000"], 36),
-], ids=["ensemble", "collapse"])
+    pytest.param(["ensemble", "--threads", "2"], 8, marks=_TWO_WORKERS),
+], ids=["ensemble", "collapse", "ensemble-threads2"])
 def test_peak_memory_growth_is_bounded(tmp_path, argv, bound_mib):
     # peak RSS growth of a fresh process over its own peak after imports: the
-    # default ensemble's lockstep noise tile, and a long stride-1 history
+    # default ensemble's lockstep noise tile, a long stride-1 history, and a
+    # caller whose forked workers run every block while it runs none
     env = {**os.environ, "PYTHONPATH": str(Path(collapse.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, *argv, "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
