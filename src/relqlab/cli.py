@@ -233,6 +233,12 @@ def parse_and_validate(argv) -> RunConfig:
     params = {p.name: p for p in [*SCHEMAS[name], *RUN_SETTINGS]}
     resolved = {key: prm.default for key, prm in params.items()}
 
+    def check(label, prm, value):  # a typed value against its setting's choices and check
+        if prm.choices and value not in prm.choices:
+            raise ValueError(f"{label}: must be one of {prm.choices}, got {value!r}")
+        if prm.check is not None and (msg := prm.check(value)):
+            raise ValueError(f"{label}: {msg} (got {value!r})")
+
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -241,16 +247,22 @@ def parse_and_validate(argv) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object keyed by subcommand")
         top_level = {prm.name: prm for prm in RUN_SETTINGS if prm.name in raw}
-        for section in raw:
-            if section not in SCHEMAS and section not in top_level:
+        for section, values in raw.items():  # every section is checked; one is applied
+            if section in top_level:
+                continue
+            if section not in SCHEMAS:
                 raise ValueError(f"config section {section!r} is not a subcommand")
-        section = raw.get(name, {})
-        if not isinstance(section, dict):
-            raise ValueError(f"config section {name!r} must be an object")
-        for key, value in section.items():
-            if key not in params:
-                raise ValueError(f"unknown key {key!r} in config section {name!r}")
-            resolved[key] = _coerce(f"{name}.{key}", params[key].type, value)
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {section!r} must be an object")
+            settings = {p.name: p for p in [*SCHEMAS[section], *RUN_SETTINGS]}
+            for key, value in values.items():
+                if key not in settings:
+                    raise ValueError(f"unknown key {key!r} in config section {section!r}")
+                value = _coerce(label := f"{section}.{key}", settings[key].type, value)
+                if section == name:
+                    resolved[key] = value
+                else:  # checked now; the active section's are checked once resolved
+                    check(label, settings[key], value)
         for key, prm in top_level.items():  # the top level wins over the section
             resolved[key] = _coerce(key, prm.type, raw[key])
 
@@ -258,11 +270,7 @@ def parse_and_validate(argv) -> RunConfig:
         label = f"{name}.{key}"
         if (given := getattr(args, key)) is not None:
             resolved[key] = _coerce(label, prm.type, given)
-        value = resolved[key]
-        if prm.choices and value not in prm.choices:
-            raise ValueError(f"{label}: must be one of {prm.choices}, got {value!r}")
-        if prm.check is not None and (msg := prm.check(value)):
-            raise ValueError(f"{label}: {msg} (got {value!r})")
+        check(label, prm, resolved[key])
 
     seed, out, threads = (resolved.pop(prm.name) for prm in RUN_SETTINGS)
     _check_domain(name, resolved, seed)
@@ -492,8 +500,21 @@ _RUNNERS = {
 def execute(cfg: RunConfig) -> dict:
     """Run a validated RunConfig, write each payload its subcommand yields
     under cfg.output_dir as it comes, then manifest.json; return the
-    manifest."""
+    manifest.  An earlier run's manifest in cfg.output_dir goes first, with
+    every bare file name it lists, so the directory never mixes two runs and
+    a run that fails leaves no manifest; nothing else there is touched."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = cfg.output_dir / "manifest.json"
+    try:
+        previous = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+    except (OSError, UnicodeDecodeError, ValueError, TypeError, KeyError):
+        previous = None
+    if isinstance(previous, list):
+        manifest_path.unlink()
+        for entry in previous:
+            name = entry.get("path") if isinstance(entry, dict) else None
+            if isinstance(name, str) and name not in ("", "..") and Path(name).name == name:
+                (cfg.output_dir / name).unlink(missing_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     outputs = []
     for name, payload in _RUNNERS[cfg.subcommand](cfg):
@@ -506,7 +527,7 @@ def execute(cfg: RunConfig) -> dict:
         "started_at": started, "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    _write_json(cfg.output_dir / "manifest.json", manifest)
+    _write_json(manifest_path, manifest)
     return manifest
 
 

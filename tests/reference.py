@@ -2,8 +2,9 @@
 
 Each is a second route to something the library computes another way: the
 two-amplitude collapse recursion beside the ratio-map engine, the mixing
-matrix from its defining form beside the linear two-state model, and the
-small-momentum moment series beside the plane-wave quadrature.  No command,
+matrix from its defining form beside the linear two-state model, the
+small-momentum moment series beside the plane-wave quadrature, and Python's
+% beside the block CSV formatter.  No command,
 demo or benchmark runs them, so they live here and not in relqlab.  The
 name does not match test_*.py, so pytest imports this module from the test
 modules but does not collect it.  It imports only public relqlab names: an
@@ -171,3 +172,18 @@ def short_time_plane_wave_series(p_momentum, eps0, scale: PhysicalScale) -> comp
             f"|p| tau0 = {abs(ptau):.3g} is too large for the Taylor route"
         )
     return 2.0 * math.sqrt(tau0) * total
+
+
+# ---------------------------------------------------------------------------
+# CSV text
+
+
+def _cell_reference(value):
+    """One CSV cell by Python's %: booleans and integers as %d, others as %.16e."""
+    return "%d" % value if isinstance(value, (int, np.integer, np.bool_)) else "%.16e" % value
+
+
+def csv_rows_reference(rows):
+    """The bytes the CSV writer must write for rows of cells: each cell by
+    _cell_reference, comma-joined, one row a line."""
+    return "".join(",".join(map(_cell_reference, row)) + "\n" for row in rows).encode()

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import csv_rows_reference
 from relqlab import _csvtext, cli, collapse, evolution
 
 
@@ -399,6 +400,35 @@ def test_unreadable_input_is_a_validation_error(tmp_path, capsys, argv, content,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"sigam": 0.3}, "unknown key 'sigam' in config section 'collapse'"),
+    (5, "config section 'collapse' must be an object"),
+    ({"sigma": "x"}, "collapse.sigma: must be a number (got 'x')"),
+    ({"mode": "foo"}, "collapse.mode: must be one of ('uniform', 'alternating'), got 'foo'"),
+    ({"sigma": -1.0}, "collapse.sigma: must be >= 0 (got -1.0)"),
+    ({"seed": -1}, "collapse.seed: must be an integer >= 0 (got -1)"),
+], ids=["unknown-key", "non-object", "mistyped", "choice", "check", "run-setting"])
+def test_config_sections_of_other_subcommands_are_checked(tmp_path, capsys, section, message):
+    # every section meets its own subcommand's rules, whichever subcommand runs
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"kernel": {"eta_count": 8}, "collapse": section}))
+    assert run_cli(["kernel", "--config", cfg_file, "--out", tmp_path / "k"]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "validation",
+                                                           "message": message}
+    assert not (tmp_path / "k").exists()
+
+
+def test_config_applies_only_the_active_section(tmp_path):
+    # another subcommand's section that meets its rules passes and changes nothing; its
+    # domain checks are left to runs of that subcommand
+    cfg_file = tmp_path / "conf.json"
+    cfg_file.write_text(json.dumps({"kernel": {"eta_count": 8},
+                                    "evolve": {"mass": 1e200, "seed": 3, "out": "elsewhere"}}))
+    cfg = cli.parse_and_validate(["kernel", "--config", str(cfg_file)])
+    assert (cfg.parameters["eta_count"], cfg.parameters["mass"]) == (8, 1.0)
+    assert (cfg.seed, cfg.output_dir) == (0, Path("runs", "kernel"))
+
+
 def test_config_out_in_section_or_top_level(tmp_path):
     # out follows the rule of seed and threads: a section may set it, the top
     # level wins over the section, and the flag wins over both
@@ -493,21 +523,6 @@ def test_config_accepts_integral_floats(tmp_path):
 
 # ---------------------------------------------------------------------------
 # emission
-
-
-def _cell_reference(value):
-    """The per-cell CSV formatter the block writer replaced."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.16e}"
-
-
-def _write_csv_reference(path, header, columns):
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell_reference(v) for v in row) for row in zip(*columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -645,15 +660,9 @@ CSV_CASES = {
 @pytest.mark.parametrize("case", CSV_CASES)
 def test_write_csv_matches_per_cell_formatter(tmp_path, case):
     header, columns = CSV_CASES[case]()
-    digest = cli._write_csv(tmp_path / "new.csv", header, columns)
-    _write_csv_reference(tmp_path / "old.csv", header, columns)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert digest == hashlib.sha256((tmp_path / "old.csv").read_bytes()).hexdigest()
-
-
-def _percent_e(values):
-    """Python's "%.16e" of each value, one per line."""
-    return "".join("%.16e\n" % v for v in np.asarray(values).tolist()).encode()
+    text = (",".join(header) + "\n").encode() + csv_rows_reference(zip(*columns))
+    assert cli._write_csv(tmp_path / "new.csv", header, columns) == hashlib.sha256(text).hexdigest()
+    assert (tmp_path / "new.csv").read_bytes() == text
 
 
 # Float64 bit patterns of cells that take the formatter's rarer branches: an
@@ -675,11 +684,11 @@ def _format_edge_cells():
 
 def test_format_rows_edge_cells_match_python_formatting():
     cells = _format_edge_cells()
-    assert _csvtext.format_rows([cells]) == _percent_e(cells)
+    assert _csvtext.format_rows([cells]) == csv_rows_reference(zip(cells))
     # alone, a cell sets its block's layout: a sign byte or a third exponent
     # digit only if it needs one
     for cell in cells:
-        assert _csvtext.format_rows([np.array([cell])]) == _percent_e([cell])
+        assert _csvtext.format_rows([np.array([cell])]) == csv_rows_reference([[cell]])
 
 
 @pytest.mark.parametrize("shift", [-0.5, 0.5])
@@ -691,7 +700,7 @@ def test_format_rows_corrects_exponent_guesses_off_by_one_either_way(monkeypatch
                             rng.standard_normal(4096) * 10.0 ** rng.uniform(-30, 30, 4096)])
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-    assert _csvtext.format_rows([cells]) == _percent_e(cells)
+    assert _csvtext.format_rows([cells]) == csv_rows_reference(zip(cells))
 
 
 def test_format_rows_sends_cells_near_a_tie_to_python(monkeypatch):
@@ -708,30 +717,44 @@ def test_format_rows_sends_cells_near_a_tie_to_python(monkeypatch):
     monkeypatch.setattr(_csvtext, "_scaled", shifted)
     ties = np.array([TIE, *(t * 2.0 ** -24 for t in range(3, 16, 2)), 2.0 ** -25, 3 * 2.0 ** -25])
     cells = np.concatenate([ties, -ties])
-    assert _csvtext.format_rows([cells]) == _percent_e(cells)
+    assert _csvtext.format_rows([cells]) == csv_rows_reference(zip(cells))
 
 
 def test_format_rows_random_bit_patterns_in_one_block_or_many():
     cells = np.random.default_rng(16).integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64)
-    text = _percent_e(cells)
+    text = csv_rows_reference(zip(cells))
     assert _csvtext.format_rows([cells]) == text
     assert b"".join(_csvtext.format_rows([cells[start:start + cli.CSV_BLOCK_ROWS]])
                     for start in range(0, len(cells), cli.CSV_BLOCK_ROWS)) == text
 
 
-def test_benchmark_size_evolve_snapshots_equal_python_formatting(tmp_path):
-    # the benchmark's evolve run: three 65536-row snapshots of 16 blocks each
-    out = tmp_path / "ev"
-    assert run_cli(["evolve", "--grid-n", "65536", "--steps", "400", "--snapshot-stride", "200",
-                    "--x0", "-40.0", "--out", out]) == 0
-    snapshots = sorted(out.glob("evolve_snap_*.csv"))
-    assert len(snapshots) == 3
-    for path in snapshots:
-        header, body = path.read_bytes().decode().split("\n", 1)
-        rows = [line.split(",") for line in body.splitlines()]
-        assert header == "re,im,abs2" and len(rows) == 65536
-        assert body == "".join("%.16e,%.16e,%.16e\n" % tuple(map(float, row))
-                               for row in rows)
+@pytest.mark.parametrize("argv, n_files", [
+    (["oracle"], 1), (["kernel"], 1), (["evolve"], 6), (["collapse"], 1), (["ab"], 1),
+    (["flux"], 1),
+    # the spectral benchmark workload's CSV runs at its sizes: three 65536-row evolve
+    # snapshots, 4096 kernel rows and 48 x 9 oracle rows
+    (["evolve", "--grid-n", "65536", "--steps", "400", "--snapshot-stride", "200"], 4),
+    (["kernel", "--eta-count", "4096"], 1),
+    (["oracle", "--n-max", "8", "--eps0-list",
+      ",".join(map(repr, np.geomspace(0.05, 20, 48).tolist()))], 1),
+    # a kernel with a nonzero phase, and five evolve snapshots of two blocks each
+    (["kernel", "--eta-count", "4096", "--a-line-integral", "0.3"], 1),
+    (["evolve", "--grid-n", "8192", "--steps", "400", "--snapshot-stride", "100"], 6),
+], ids=["oracle", "kernel", "evolve", "collapse", "ab", "flux", "evolve-65536", "kernel-4096",
+        "oracle-48", "kernel-4096-phase", "evolve-8192"])
+def test_csv_payloads_equal_python_formatting(tmp_path, argv, n_files):
+    # every CSV the run writes, grid included, parsed and rendered again by Python's %:
+    # a cell holding ".", "e" or "n" (nan, inf) as a float, any other as an integer
+    out = tmp_path / "run"
+    assert run_cli([*argv, "--out", out]) == 0
+    names = [entry["path"] for entry in read_json(out / "manifest.json")["outputs"]]
+    paths = [out / name for name in names if name.endswith(".csv")]
+    assert len(paths) == n_files
+    for path in paths:
+        body = path.read_bytes().split(b"\n", 1)[1]
+        rows = [[float(c) if set(c) & set(".en") else int(c) for c in line.split(",")]
+                for line in body.decode().splitlines()]
+        assert body == csv_rows_reference(rows), path.name
 
 
 def test_number_tables_are_not_built_at_import():
@@ -743,11 +766,25 @@ def test_number_tables_are_not_built_at_import():
     assert proc.stdout.strip() == "[0, 0, 0]"
 
 
-# Run in a fresh interpreter (argv[1]: CSV path).  Writes a fixed CSV built
-# from integer bit patterns and Python's correctly rounded float parsing, so
-# its inputs do not depend on numpy's SIMD target, and prints the dispatched
-# CPU features in force.
-_WRITE_FIXED_CSV = """
+# The argvs the SIMD-mask harness runs under every mask, each into its own
+# directory: a subcommand joins the mask check with a line here.  The collapse
+# engines step in plain + - * / on doubles, which no SIMD target or FMA
+# contraction may round differently; a 600-run ensemble parks and compacts.
+MASK_RUNS = {
+    "oracle": ["oracle", "--n-max", "12", "--eps0-list", "0.05,1,20,200,1e4,1e6"],
+    "collapse": ["collapse", "--seed", "17"],
+    "ensemble-1": ["ensemble", "--n-runs", "600", "--threads", "1"],
+    "ensemble-2": ["ensemble", "--n-runs", "600", "--threads", "2"],
+    "ab": ["ab"],
+    "kernel": ["kernel"],
+    "kernel-phase": ["kernel", "--a-line-integral", "0.3", "--eta-count", "4096"],
+}
+
+# Run in a fresh interpreter (argv[1]: output root, argv[2]: MASK_RUNS as JSON).
+# Writes a fixed CSV built from integer bit patterns and Python's correctly
+# rounded float parsing, so its inputs do not depend on numpy's SIMD target;
+# runs each argv; prints the dispatched CPU features in force.
+_MASK_CHILD = """
 import json
 import sys
 from pathlib import Path
@@ -755,12 +792,16 @@ import numpy as np
 from numpy._core import _multiarray_umath as umath
 from relqlab import cli
 
+root = Path(sys.argv[1])
 bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
 floats = np.concatenate([bits.view(np.float64),
                          [float(f"{m}e{k}") for m in ("1", "9.99999999999999995")
                           for k in range(-300, 301)]])
-ints = bits.view(np.int64)
-cli._write_csv(Path(sys.argv[1]), ["x", "i"], [floats, np.resize(ints, len(floats))])
+(root / "fixed-csv").mkdir(parents=True)
+cli._write_csv(root / "fixed-csv" / "fixed.csv", ["x", "i"],
+               [floats, np.resize(bits.view(np.int64), len(floats))])
+for name, argv in json.loads(sys.argv[2]).items():
+    assert cli.main([*argv, "--out", str(root / name)]) == 0, name
 print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))
 """
 
@@ -773,82 +814,7 @@ def _dispatch_masks():
     return [enabled[i:] for i in range(len(enabled))]
 
 
-def test_csv_bytes_are_independent_of_the_simd_target(tmp_path):
-    masks = _dispatch_masks()
-    if not masks:
-        pytest.skip("this numpy build dispatches no optional CPU features on this CPU")
-    children = []
-    for i, mask in enumerate([[], *masks]):
-        env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
-        children.append((mask, tmp_path / f"{i}.csv", subprocess.Popen(
-            [sys.executable, "-W", "error", "-c", _WRITE_FIXED_CSV, str(tmp_path / f"{i}.csv")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
-    reference = None
-    for mask, path, proc in children:
-        out, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err
-        assert not set(mask) & set(json.loads(out)), f"numpy ignored the mask {mask}"
-        reference = reference or path.read_bytes()
-        assert path.read_bytes() == reference, f"bytes differ with {mask} switched off"
-
-
-# Run in a fresh interpreter (argv[1]: output directory).  Writes the oracle
-# table up to the order cap and prints the dispatched CPU features in force.
-_WRITE_ORACLE = """
-import json
-import sys
-from numpy._core import _multiarray_umath as umath
-from relqlab import cli
-
-argv = ["oracle", "--n-max", "12", "--eps0-list", "0.05,1,20,200,1e4,1e6", "--out", sys.argv[1]]
-assert cli.main(argv) == 0
-print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))
-"""
-
-
-def test_oracle_bytes_are_independent_of_the_simd_target(tmp_path):
-    masks = _dispatch_masks()
-    if not masks:
-        pytest.skip("this numpy build dispatches no optional CPU features on this CPU")
-    children = []
-    for i, mask in enumerate([[], *masks]):
-        env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
-        children.append((mask, tmp_path / str(i), subprocess.Popen(
-            [sys.executable, "-W", "error", "-c", _WRITE_ORACLE, str(tmp_path / str(i))],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
-    reference = None
-    for mask, outdir, proc in children:
-        out, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err
-        assert not set(mask) & set(json.loads(out)), f"numpy ignored the mask {mask}"
-        table = (outdir / "oracle_moments.csv").read_bytes()
-        reference = reference or table
-        assert table == reference, f"oracle bytes differ with {mask} switched off"
-
-
-# Run in a fresh interpreter (argv[1]: output root).  Runs every subcommand
-# the collapse engines serve, each into its own directory, and prints the
-# dispatched CPU features in force.
-_RUN_COLLAPSE_ENGINES = """
-import json
-import sys
-from numpy._core import _multiarray_umath as umath
-from relqlab import cli
-
-runs = {"collapse": ["collapse", "--seed", "17"],
-        "ensemble-1": ["ensemble", "--n-runs", "600", "--threads", "1"],
-        "ensemble-2": ["ensemble", "--n-runs", "600", "--threads", "2"],
-        "ab": ["ab"], "kernel": ["kernel"],
-        "kernel-phase": ["kernel", "--a-line-integral", "0.3", "--eta-count", "4096"]}
-for name, argv in runs.items():
-    assert cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"]) == 0, name
-print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))
-"""
-
-
-def test_collapse_engine_bytes_are_independent_of_the_simd_target(tmp_path):
-    # the engines step in plain + - * / on doubles, which no SIMD target or FMA
-    # contraction may round differently; a 600-run ensemble parks and compacts
+def test_payload_bytes_are_independent_of_the_simd_target(tmp_path):
     masks = _dispatch_masks()
     if not masks:
         pytest.skip("this numpy build dispatches no optional CPU features on this CPU")
@@ -860,7 +826,8 @@ def test_collapse_engine_bytes_are_independent_of_the_simd_target(tmp_path):
             outdir = tmp_path / str(i)
             env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
             children.append((mask, outdir, subprocess.Popen(
-                [sys.executable, "-W", "error", "-c", _RUN_COLLAPSE_ENGINES, str(outdir)],
+                [sys.executable, "-W", "error", "-c", _MASK_CHILD, str(outdir),
+                 json.dumps(MASK_RUNS)],
                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
         for mask, outdir, proc in children:
             out, err = proc.communicate(timeout=300)
@@ -869,7 +836,9 @@ def test_collapse_engine_bytes_are_independent_of_the_simd_target(tmp_path):
             runs = {d.name: payload_bytes(d) for d in sorted(outdir.iterdir())}
             assert runs["ensemble-1"] == runs.pop("ensemble-2")
             reference = reference or runs
-            assert runs == reference, f"collapse payloads differ with {mask} switched off"
+            assert runs.keys() == reference.keys()
+            differ = [name for name in runs if runs[name] != reference[name]]
+            assert differ == [], f"payloads differ with {mask} switched off"
 
 
 def test_write_json_refuses_non_finite(tmp_path):
@@ -884,8 +853,9 @@ def test_write_json_refuses_non_finite(tmp_path):
 
 # Run in a fresh interpreter (argv[1]: output root).  Prints, as JSON, each
 # stage's name, exit code and the scipy modules loaded after it: importing
-# every relqlab module, each subcommand, then the library's two routes that
-# once loaded scipy.
+# every relqlab module, each subcommand at its defaults, then the library's two
+# routes that once loaded scipy; then whether the test references were
+# imported, and the plane-wave rule's relative errors at criterion 3's inputs.
 _NO_SCIPY = """
 import importlib
 import json
@@ -900,26 +870,33 @@ def scipy_modules():
 for info in pkgutil.walk_packages(relqlab.__path__, "relqlab."):
     importlib.import_module(info.name)
 stages = [("import", 0, scipy_modules())]
-for argv in (["ensemble", "--n-runs", "200"], ["collapse"], ["ab"], ["evolve"], ["kernel"],
-             ["flux"], ["oracle", "--n-max", "2"]):
-    rc = cli.main([*argv, "--out", f"{sys.argv[1]}/{argv[0]}"])
-    stages.append((argv[0], rc, scipy_modules()))
-relqlab.short_time_plane_wave(0.75, 1.0, relqlab.PhysicalScale(1.0))
+for name in cli.SCHEMAS:
+    stages.append((name, cli.main([name, "--out", f"{sys.argv[1]}/{name}"]), scipy_modules()))
+scale, errors = relqlab.PhysicalScale(mass=1.0), []
+for p in (0.0, 0.75, 1.44):
+    for eps0 in (0.1, 1.0):
+        target = relqlab.short_time_closed_form(p, eps0, scale)
+        errors.append(abs(relqlab.short_time_plane_wave(p, eps0, scale) - target) / abs(target))
 stages.append(("short_time_plane_wave", 0, scipy_modules()))
 relqlab.bessel_j1_y1_small(0.1)
 stages.append(("bessel_j1_y1_small", 0, scipy_modules()))
-print(json.dumps(stages))
+print(json.dumps({"stages": stages, "reference": "reference" in sys.modules, "errors": errors}))
 """
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
-    # a subprocess, because other test modules have loaded scipy into this one
+    # a subprocess, because other test modules have loaded scipy into this one; a
+    # library that loads no scipy module also runs where scipy cannot be imported
     proc = subprocess.run([sys.executable, "-W", "error", "-c", _NO_SCIPY, str(tmp_path)],
                           env=child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    stages = json.loads(proc.stdout)
-    assert [rc for _, rc, _ in stages] == [0] * 10, proc.stderr
+    result = json.loads(proc.stdout)
+    stages = result["stages"]
+    assert [name for name, _, _ in stages[1:-2]] == list(cli.SCHEMAS)
+    assert [rc for _, rc, _ in stages] == [0] * len(stages), proc.stderr
     assert [name for name, _, loaded in stages if loaded] == []
+    assert result["reference"] is False  # the test references stay out of the library
+    assert max(result["errors"]) < 1e-6, result["errors"]
 
 
 # ---------------------------------------------------------------------------
@@ -1083,7 +1060,7 @@ def test_evolve_grid_and_snapshots_describe_one_run(tmp_path):
     assert run_cli(["evolve", "--grid-n", "256", "--steps", "100", "--snapshot-stride", "50",
                     "--out", out]) == 0
     grid = evolution.SpatialGrid(n=256, length=200.0)
-    assert (out / "evolve_grid.csv").read_bytes() == b"x\n" + _percent_e(grid.x)
+    assert (out / "evolve_grid.csv").read_bytes() == b"x\n" + csv_rows_reference(zip(grid.x))
     x = np.loadtxt(out / "evolve_grid.csv", skiprows=1)
     snaps = sorted(out.glob("evolve_snap_*.csv"))
     centroids = read_json(out / "evolve_summary.json")["centroid_trajectory"]
@@ -1190,6 +1167,46 @@ def test_manifest_digests_match_files(tmp_path, argv, names):
     for entry in manifest["outputs"]:
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+def test_rerun_into_the_same_out_keeps_only_its_own_payloads(tmp_path):
+    out = tmp_path / "ev"
+    argv = ["evolve", "--grid-n", "64", "--steps", "8", "--out", out]
+    assert run_cli([*argv, "--snapshot-stride", "2"]) == 0  # five snapshots
+    assert run_cli([*argv, "--snapshot-stride", "4"]) == 0  # three
+    names = [entry["path"] for entry in read_json(out / "manifest.json")["outputs"]]
+    assert names == ["evolve_grid.csv", "evolve_snap_0000.csv", "evolve_snap_0001.csv",
+                     "evolve_snap_0002.csv", "evolve_summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+
+
+def test_rerun_deletes_only_the_bare_names_the_old_manifest_lists(tmp_path):
+    out = tmp_path / "k"
+    (out / "sub").mkdir(parents=True)
+    for path in (out / "old.csv", out / "notes.txt", out / "sub" / "inner.csv",
+                 tmp_path / "outside.txt"):
+        path.write_text("kept")
+    (out / "manifest.json").write_text(json.dumps({"outputs": [
+        {"path": "old.csv"}, {"path": "sub/inner.csv"}, {"path": "../outside.txt"},
+        {"path": ".."}, {"path": ""}, {"path": 5}, "notes.txt"]}))
+    assert run_cli(["kernel", "--eta-count", "8", "--out", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "kernel_profile.csv", "manifest.json", "notes.txt", "sub"]
+    assert (out / "sub" / "inner.csv").exists() and (tmp_path / "outside.txt").exists()
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    # a manifest lists the digests of one run's files: one that failed has none
+    out = tmp_path / "c"
+    assert run_cli(["collapse", "--max-steps", "50", "--out", out]) == 0
+
+    def failing(path, obj):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_json", failing)
+    assert run_cli(["collapse", "--max-steps", "60", "--out", out]) == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+    assert sorted(p.name for p in out.iterdir()) == ["collapse_history.csv"]
 
 
 def test_evolve_writes_each_snapshot_before_the_next_step(tmp_path, monkeypatch):

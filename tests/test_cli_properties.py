@@ -15,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from reference import csv_rows_reference  # noqa: E402
 from relqlab import _csvtext, cli, evolution  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -138,8 +139,7 @@ def test_every_flux_run_that_validates_completes(grid_n, length, mass, sigma, pl
 def test_csv_rows_match_python_formatting(rows, data):
     floats = np.array([x for x, _ in rows], dtype=np.float64)
     ints = np.array([i for _, i in rows], dtype=np.int64)
-    assert _csvtext.format_rows([floats, ints]) == "".join(
-        "%.16e,%d\n" % row for row in rows).encode()
+    assert _csvtext.format_rows([floats, ints]) == csv_rows_reference(rows)
     # one to four float columns, each of one sign, with two-digit exponents or any, beside
     # the int column: the layouts whose fields omit a sign or a third exponent digit
     columns = []
@@ -151,6 +151,4 @@ def test_csv_rows_match_python_formatting(rows, data):
             st.lists(cells, min_size=len(rows), max_size=len(rows)), label=f"column {j}")))
     at = data.draw(st.integers(0, len(columns)), label="int column")
     columns.insert(at, ints)
-    formats = ",".join(["%.16e"] * at + ["%d"] + ["%.16e"] * (len(columns) - at - 1)) + "\n"
-    assert _csvtext.format_rows(columns) == "".join(
-        formats % tuple(c[i].item() for c in columns) for i in range(len(rows))).encode()
+    assert _csvtext.format_rows(columns) == csv_rows_reference(zip(*columns))
