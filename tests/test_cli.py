@@ -767,23 +767,29 @@ def test_number_tables_are_not_built_at_import():
 
 
 # The argvs the SIMD-mask harness runs under every mask, each into its own
-# directory: a subcommand joins the mask check with a line here.  The collapse
-# engines step in plain + - * / on doubles, which no SIMD target or FMA
-# contraction may round differently; a 600-run ensemble parks and compacts.
+# directory, grouped by the test that runs them: a subcommand joins the mask
+# check with a line here.  The collapse engines step in plain + - * / on
+# doubles, which no SIMD target or FMA contraction may round differently; a
+# 600-run ensemble parks and compacts.
 MASK_RUNS = {
-    "oracle": ["oracle", "--n-max", "12", "--eps0-list", "0.05,1,20,200,1e4,1e6"],
-    "collapse": ["collapse", "--seed", "17"],
-    "ensemble-1": ["ensemble", "--n-runs", "600", "--threads", "1"],
-    "ensemble-2": ["ensemble", "--n-runs", "600", "--threads", "2"],
-    "ab": ["ab"],
-    "kernel": ["kernel"],
-    "kernel-phase": ["kernel", "--a-line-integral", "0.3", "--eta-count", "4096"],
+    "oracle": {
+        "oracle": ["oracle", "--n-max", "12", "--eps0-list", "0.05,1,20,200,1e4,1e6"],
+    },
+    "collapse_engine": {
+        "collapse": ["collapse", "--seed", "17"],
+        "ensemble-1": ["ensemble", "--n-runs", "600", "--threads", "1"],
+        "ensemble-2": ["ensemble", "--n-runs", "600", "--threads", "2"],
+        "ab": ["ab"],
+        "kernel": ["kernel"],
+        "kernel-phase": ["kernel", "--a-line-integral", "0.3", "--eta-count", "4096"],
+    },
 }
 
-# Run in a fresh interpreter (argv[1]: output root, argv[2]: MASK_RUNS as JSON).
-# Writes a fixed CSV built from integer bit patterns and Python's correctly
-# rounded float parsing, so its inputs do not depend on numpy's SIMD target;
-# runs each argv; prints the dispatched CPU features in force.
+# Run in a fresh interpreter (argv[1]: output root, argv[2]: the runs as JSON,
+# a name mapped to an argv, or to null for the fixed CSV).  The fixed CSV is
+# built from integer bit patterns and Python's correctly rounded float parsing,
+# so its inputs do not depend on numpy's SIMD target.  Prints the dispatched
+# CPU features in force.
 _MASK_CHILD = """
 import json
 import sys
@@ -793,15 +799,17 @@ from numpy._core import _multiarray_umath as umath
 from relqlab import cli
 
 root = Path(sys.argv[1])
-bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
-floats = np.concatenate([bits.view(np.float64),
-                         [float(f"{m}e{k}") for m in ("1", "9.99999999999999995")
-                          for k in range(-300, 301)]])
-(root / "fixed-csv").mkdir(parents=True)
-cli._write_csv(root / "fixed-csv" / "fixed.csv", ["x", "i"],
-               [floats, np.resize(bits.view(np.int64), len(floats))])
 for name, argv in json.loads(sys.argv[2]).items():
-    assert cli.main([*argv, "--out", str(root / name)]) == 0, name
+    if argv is None:
+        bits = np.random.default_rng(5).integers(0, 2**64, 20_000, dtype=np.uint64)
+        floats = np.concatenate([bits.view(np.float64),
+                                 [float(f"{m}e{k}") for m in ("1", "9.99999999999999995")
+                                  for k in range(-300, 301)]])
+        (root / name).mkdir(parents=True)
+        cli._write_csv(root / name / "fixed.csv", ["x", "i"],
+                       [floats, np.resize(bits.view(np.int64), len(floats))])
+    else:
+        assert cli.main([*argv, "--out", str(root / name)]) == 0, name
 print(json.dumps([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]))
 """
 
@@ -814,7 +822,9 @@ def _dispatch_masks():
     return [enabled[i:] for i in range(len(enabled))]
 
 
-def test_payload_bytes_are_independent_of_the_simd_target(tmp_path):
+def _check_mask_payloads(tmp_path, runs):
+    """Run `runs` in one child per mask, and the unmasked child; every payload
+    byte must equal the unmasked child's, and two ensemble layouts each other's."""
     masks = _dispatch_masks()
     if not masks:
         pytest.skip("this numpy build dispatches no optional CPU features on this CPU")
@@ -827,18 +837,31 @@ def test_payload_bytes_are_independent_of_the_simd_target(tmp_path):
             env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(mask)}
             children.append((mask, outdir, subprocess.Popen(
                 [sys.executable, "-W", "error", "-c", _MASK_CHILD, str(outdir),
-                 json.dumps(MASK_RUNS)],
+                 json.dumps(runs)],
                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)))
         for mask, outdir, proc in children:
             out, err = proc.communicate(timeout=300)
             assert proc.returncode == 0, err
             assert not set(mask) & set(json.loads(out)), f"numpy ignored the mask {mask}"
-            runs = {d.name: payload_bytes(d) for d in sorted(outdir.iterdir())}
-            assert runs["ensemble-1"] == runs.pop("ensemble-2")
-            reference = reference or runs
-            assert runs.keys() == reference.keys()
-            differ = [name for name in runs if runs[name] != reference[name]]
+            written = {d.name: payload_bytes(d) for d in sorted(outdir.iterdir())}
+            if "ensemble-2" in written:
+                assert written["ensemble-1"] == written.pop("ensemble-2")
+            reference = reference or written
+            assert written.keys() == reference.keys()
+            differ = [name for name in written if written[name] != reference[name]]
             assert differ == [], f"payloads differ with {mask} switched off"
+
+
+def test_csv_bytes_are_independent_of_the_simd_target(tmp_path):
+    _check_mask_payloads(tmp_path, {"fixed-csv": None})
+
+
+def test_oracle_bytes_are_independent_of_the_simd_target(tmp_path):
+    _check_mask_payloads(tmp_path, MASK_RUNS["oracle"])
+
+
+def test_collapse_engine_bytes_are_independent_of_the_simd_target(tmp_path):
+    _check_mask_payloads(tmp_path, MASK_RUNS["collapse_engine"])
 
 
 def test_write_json_refuses_non_finite(tmp_path):
